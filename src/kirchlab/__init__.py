@@ -8,9 +8,8 @@ from .grid import (FaceField, Grid, ScalarField, dirichlet_lambda1, divergence,
                    grad_inner, grad_norm_sq, gradient, integrate, laplacian,
                    read_field, write_field)
 from .expr import DomainError, ExprError, eval_field, parse
-from .linalg import (NoConvergence, Pencil, SparseMatrix,
-                     assemble_weighted_laplacian, cg_solve, pencil_eigensolve,
-                     smallest_positive)
+from .linalg import (NoConvergence, Pencil, assemble_weighted_laplacian,
+                     pencil_eigensolve, poisson_solve, smallest_positive)
 from .kirchhoff import (NonlocalSolution, Problem, ScanReport, SingularJacobian,
                         diffusion_coefficient, energy_upper_bound,
                         fixed_point_map, fixed_point_scan, jacobian_functional,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .grid import (Grid, ScalarField, coeff_grad_inf, dirichlet_lambda1,
                    laplacian, node_grad_sq, node_gradient)
-from .linalg import assemble_weighted_laplacian, cg_solve
+from .linalg import poisson_solve
 
 CONSTANT_RTOL = 1e-10
 POINTWISE_TOL = 1e-8
@@ -97,14 +97,26 @@ def interior_min(f: ScalarField) -> float:
     return float(f.values.min())
 
 
-def ratio_criterion(c: ScalarField) -> float:
-    """|grad c|_inf * c_max / (sqrt(lambda1) * c_min^2); 0 for constant c."""
+def shifted_ratio(c: ScalarField, alpha: float) -> float:
+    """|grad c|_inf (c_max+alpha) / (sqrt(lambda1) (c_min+alpha)^2); 0 for constant c.
+
+    The one closed form behind ratio_criterion, ratio_gap and
+    eigen.eigenvalue_lower_bound.  Those three are derived from this value
+    directly rather than from each other, so the +1/-1 shift of ratio_gap
+    never rounds a small ratio away.
+    """
     if float(c.values.min()) <= 0.0:
         raise NonPositiveC(f"ratio field must be positive, min = {c.values.min():.6g}")
     grad_inf = coeff_grad_inf(c)
     c_lo = float(c.values.min())
     c_hi = float(c.values.max())
-    return grad_inf * c_hi / (math.sqrt(dirichlet_lambda1(c.grid)) * c_lo ** 2)
+    lam1 = dirichlet_lambda1(c.grid)
+    return grad_inf * (c_hi + alpha) / (math.sqrt(lam1) * (c_lo + alpha) ** 2)
+
+
+def ratio_criterion(c: ScalarField) -> float:
+    """|grad c|_inf * c_max / (sqrt(lambda1) * c_min^2), i.e. ratio_gap(c, 0) + 1."""
+    return shifted_ratio(c, 0.0)
 
 
 def ratio_gap(c: ScalarField, alpha: float) -> float:
@@ -116,13 +128,7 @@ def ratio_gap(c: ScalarField, alpha: float) -> float:
     """
     if alpha < 0.0:
         raise ValueError(f"alpha must be nonnegative, got {alpha:.6g}")
-    if float(c.values.min()) <= 0.0:
-        raise NonPositiveC(f"ratio field must be positive, min = {c.values.min():.6g}")
-    grad_inf = coeff_grad_inf(c)
-    c_lo = float(c.values.min())
-    c_hi = float(c.values.max())
-    lam1 = dirichlet_lambda1(c.grid)
-    return grad_inf * (c_hi + alpha) / (math.sqrt(lam1) * (c_lo + alpha) ** 2) - 1.0
+    return shifted_ratio(c, alpha) - 1.0
 
 
 def certify(a: ScalarField, b: ScalarField) -> Certificate:
@@ -170,8 +176,7 @@ def pointwise_certified_ratio(grid: Grid) -> ScalarField:
     facts are re-verified on the discrete field and a failure (grid too
     coarse) raises ConstructionFailed.
     """
-    A = assemble_weighted_laplacian(ScalarField.full(grid, 1.0))
-    e = ScalarField(grid, cg_solve(A, -np.ones(grid.n_nodes)))
+    e = ScalarField(grid, poisson_solve(grid, -np.ones(grid.n_nodes)))
     gx, gy = node_gradient(e)
     grad_inf = float(np.hypot(gx, gy).max())
     e_inf = float(np.abs(e.values).max())

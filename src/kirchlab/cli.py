@@ -139,6 +139,10 @@ def parse_config(path: str) -> Config:
     a = _load_coefficient(csec, "a", grid)
     b = _load_coefficient(csec, "b", grid)
     h = _load_coefficient(csec, "h", grid)
+    for name, f in (("a", a), ("b", b)):
+        if float(f.values.min()) <= 0.0:
+            raise ConfigError(f"coefficient '{name}' must be positive everywhere, "
+                              f"min = {f.values.min():.6g}")
 
     ssec = parser["solver"] if "solver" in parser else parser["DEFAULT"]
     n_samples = _get(ssec, "n_samples", int, 256)
@@ -211,12 +215,14 @@ def run_solve(cfg: Config, out_dir: Path, quiet: bool) -> int:
     problem = Problem(cfg.a, cfg.b, cfg.h)
     report = fixed_point_scan(problem, cfg.n_samples, s_max=cfg.s_max_override)
 
-    newton_info = {"converged": False, "s": None, "residual": None}
     try:
         sol = newton_solve(problem, tol=cfg.newton_tol)
-        newton_info = {"converged": True, "s": sol.s, "residual": sol.residual}
-    except (NoConvergence, SingularJacobian):
-        pass  # scan remains the ground truth
+        newton_info = {"converged": True, "s": sol.s, "residual": sol.residual,
+                       "reason": None}
+    except (NoConvergence, SingularJacobian) as err:
+        # the scan remains the ground truth; record why the cross-check failed
+        newton_info = {"converged": False, "s": None, "residual": None,
+                       "reason": str(err)}
 
     rows = [(s, phi, "sample") for s, phi in report.samples]
     rows += [(r.s, r.s, "root") for r in report.roots]

@@ -18,17 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (FaceField, ScalarField, coeff_grad_inf, dirichlet_lambda1,
-                   divergence, face_average, gradient, grad_norm_sq, integrate)
+from .certify import NonPositiveC, shifted_ratio
+from .grid import (FaceField, ScalarField, divergence, face_average, gradient,
+                   grad_norm_sq, integrate)
 from .linalg import NoConvergence, Pencil, assemble_weighted_laplacian, smallest_positive
 
 ADMISSIBLE_TOL = 1e-10
 SIGN_TOL = 1e-8
 PENCIL_RESID_TOL = 1e-8
-
-
-class NonPositiveC(Exception):
-    pass
 
 
 class NotInA(Exception):
@@ -136,7 +133,8 @@ def principal_eigenpair(c: ScalarField, alpha: float) -> EigenPair:
         raise NotInA(f"weight is nowhere positive at alpha = {alpha:.6g}")
     g = c.grid
     w = ScalarField(g, 1.0 / (c.values + alpha))
-    A = assemble_weighted_laplacian(w).scaled(g.cell_area)
+    A = assemble_weighted_laplacian(w)
+    A *= g.cell_area
     m = eigen_weight(c, alpha)
     B = g.cell_area * m.values
 
@@ -145,8 +143,9 @@ def principal_eigenpair(c: ScalarField, alpha: float) -> EigenPair:
         raise NoConvergence(f"no positive eigenvalue resolved at alpha = {alpha:.6g}")
     lam, v = found
 
-    resid = np.linalg.norm(A.matvec(v) - lam * B * v)
-    scale = np.linalg.norm(A.matvec(v))
+    Av = A @ v
+    resid = np.linalg.norm(Av - lam * B * v)
+    scale = np.linalg.norm(Av)
     if scale > 0.0 and resid > PENCIL_RESID_TOL * scale:
         raise NoConvergence(f"pencil residual {resid / scale:.3e} too large "
                             f"at alpha = {alpha:.6g}")
@@ -183,17 +182,14 @@ def rayleigh_quotient(c: ScalarField, alpha: float, u: ScalarField) -> float:
 def eigenvalue_lower_bound(c: ScalarField, alpha: float) -> float:
     """Closed-form floor for the principal eigenvalue.
 
-    sqrt(lambda1) * (c_min + alpha)^2 / (2 |grad c|_inf (c_max + alpha)); for
-    constant c the gradient sup vanishes and the bound is +inf.
+    sqrt(lambda1) * (c_min + alpha)^2 / (2 |grad c|_inf (c_max + alpha)), i.e.
+    1 / (2 (ratio_gap + 1)); for constant c the gradient sup vanishes and the
+    bound is +inf.
     """
-    _check_c(c)
-    grad_inf = coeff_grad_inf(c)
-    if grad_inf == 0.0:
+    ratio = shifted_ratio(c, alpha)
+    if ratio == 0.0:
         return math.inf
-    c_lo = float(c.values.min())
-    c_hi = float(c.values.max())
-    lam1 = dirichlet_lambda1(c.grid)
-    return math.sqrt(lam1) * (c_lo + alpha) ** 2 / (2.0 * grad_inf * (c_hi + alpha))
+    return 1.0 / (2.0 * ratio)
 
 
 def eigen_curve(c: ScalarField, alphas) -> EigenCurve:

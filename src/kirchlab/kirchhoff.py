@@ -10,16 +10,15 @@ using the closed-form inverse of the rank-one-perturbed Jacobian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import eigen
 from .grid import (Grid, ScalarField, grad_inner, grad_norm_sq, integrate,
                    laplacian, node_grad_sq, dirichlet_lambda1)
-from .linalg import NoConvergence, SparseMatrix, assemble_weighted_laplacian, cg_solve
+from .linalg import NoConvergence, poisson_solve
 
-CG_TOL = 1e-12
 ROOT_RTOL = 1e-10          # |Phi(s) - s| <= ROOT_RTOL * (1 + s) at a root
 TANGENCY_RTOL = 1e-6
 BISECT_MAX = 120
@@ -45,7 +44,6 @@ class Problem:
     a: ScalarField
     b: ScalarField
     h: ScalarField
-    _lap: SparseMatrix | None = dc_field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.b.grid != self.a.grid or self.h.grid != self.a.grid:
@@ -59,13 +57,6 @@ class Problem:
     @property
     def grid(self) -> Grid:
         return self.a.grid
-
-    @property
-    def minus_laplacian(self) -> SparseMatrix:
-        """The plain five-point -Lap on this grid, assembled once."""
-        if self._lap is None:
-            self._lap = assemble_weighted_laplacian(ScalarField.full(self.grid, 1.0))
-        return self._lap
 
 
 @dataclass
@@ -91,11 +82,10 @@ def diffusion_coefficient(P: Problem, s: float) -> ScalarField:
     return ScalarField(P.grid, P.a.values + s * P.b.values)
 
 
-def solve_frozen(P: Problem, s: float, x0: np.ndarray | None = None) -> ScalarField:
-    """Solve -Lap u = h / (a + s*b) at frozen energy s (CG to 1e-12)."""
+def solve_frozen(P: Problem, s: float) -> ScalarField:
+    """Solve -Lap u = h / (a + s*b) at frozen energy s (exact sine-transform solve)."""
     m = diffusion_coefficient(P, s)
-    rhs = P.h.values / m.values
-    return ScalarField(P.grid, cg_solve(P.minus_laplacian, rhs, tol=CG_TOL, x0=x0))
+    return ScalarField(P.grid, poisson_solve(P.grid, P.h.values / m.values))
 
 
 def fixed_point_map(P: Problem, s: float) -> float:
@@ -138,12 +128,7 @@ def fixed_point_scan(P: Problem, n_samples: int = 256,
                       BRACKET_EPS)
     ss = np.linspace(0.0, s_hi, n_samples)
 
-    guess = None
-    phis = np.empty(n_samples)
-    for i, s in enumerate(ss):
-        u = solve_frozen(P, float(s), x0=guess)
-        guess = u.values
-        phis[i] = grad_norm_sq(u)
+    phis = np.array([grad_norm_sq(solve_frozen(P, float(s))) for s in ss])
     gs = phis - ss
 
     # candidate roots: (s, |g|) from direct hits and refined sign changes
@@ -244,7 +229,7 @@ def linearized_solve(P: Problem, u: ScalarField, g: ScalarField) -> ScalarField:
             "the linearized operator is not surjective here")
     t = integrate(ScalarField(P.grid, g.values * u.values / m)) / denom
     w = t * 2.0 * P.b.values * lap_u / m - g.values / m
-    v = ScalarField(P.grid, cg_solve(P.minus_laplacian, -w, tol=CG_TOL))
+    v = ScalarField(P.grid, poisson_solve(P.grid, -w))
 
     check = 2.0 * P.b.values * lap_u * grad_inner(u, v) \
         + m * laplacian(v).values + g.values

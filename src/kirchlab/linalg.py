@@ -1,19 +1,23 @@
-"""Sparse symmetric linear algebra for the five-point operators.
+"""Linear algebra for the five-point operators.
 
-Three pieces: CSR assembly of weighted Dirichlet Laplacians, a Jacobi
-preconditioned conjugate gradient, and a dense generalized eigensolver for
-pencils A x = lambda diag(B) x with A positive definite and B possibly
-indefinite (reduce with the Cholesky factor of A and invert the spectrum,
-which keeps the indefinite weight on the harmless side).
+Two pieces: an exact Dirichlet Poisson solve by the discrete sine transform,
+and, for the weighted eigenproblem, dense assembly of weighted Dirichlet
+Laplacians with a generalized eigensolver for pencils A x = lambda diag(B) x
+with A positive definite and B possibly indefinite (reduce with the Cholesky
+factor of A and invert the spectrum, which keeps the indefinite weight on the
+harmless side).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Grid, ScalarField, face_average
+
+DENSE_MAX_NODES = 10_000
 
 
 class NonPositiveWeight(Exception):
@@ -38,166 +42,78 @@ class DimensionMismatch(Exception):
 
 
 @dataclass
-class SparseMatrix:
-    """Square CSR matrix: row offsets indptr (n+1), column indices, values.
-
-    Assembled matrices never have empty rows (the diagonal is always present),
-    which the reduceat-based matvec relies on.
-    """
-
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-
-    def __post_init__(self):
-        self._diag = None
-        self._rows = None
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(self.data * x[self.indices], self.indptr[:-1])
-
-    def _row_of_entry(self) -> np.ndarray:
-        if self._rows is None:
-            self._rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        return self._rows
-
-    def diagonal(self) -> np.ndarray:
-        if self._diag is None:
-            rows = self._row_of_entry()
-            on_diag = self.indices == rows
-            d = np.zeros(self.n)
-            d[rows[on_diag]] = self.data[on_diag]
-            self._diag = d
-        return self._diag
-
-    def to_dense(self) -> np.ndarray:
-        A = np.zeros((self.n, self.n))
-        A[self._row_of_entry(), self.indices] = self.data
-        return A
-
-    def scaled(self, factor: float) -> "SparseMatrix":
-        return SparseMatrix(self.n, self.indptr, self.indices, self.data * factor)
-
-
-@dataclass
 class Pencil:
-    """Pair (A, B) for A x = lambda diag(B) x; A SPD, B any sign pattern."""
+    """Pair (A, B) for A x = lambda diag(B) x; A dense SPD, B any sign pattern."""
 
-    A: SparseMatrix
+    A: np.ndarray
     B: np.ndarray
 
     def __post_init__(self):
         self.B = np.asarray(self.B, dtype=float).reshape(-1)
-        if self.B.size != self.A.n:
+        if self.B.size != self.A.shape[0]:
             raise DimensionMismatch(
-                f"weight length {self.B.size} != matrix dimension {self.A.n}")
+                f"weight length {self.B.size} != matrix dimension {self.A.shape[0]}")
 
 
-def _coo_to_csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> SparseMatrix:
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    indptr = np.cumsum(indptr)
-    return SparseMatrix(n, indptr, cols.astype(np.int64), vals)
+def _sine_basis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal symmetric sine matrix of the 1-D Dirichlet second difference
+    on n interior nodes of width h, with its eigenvalues."""
+    k = np.arange(1, n + 1)
+    S = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+    lam = 4.0 / h ** 2 * np.sin(0.5 * np.pi * k / (n + 1)) ** 2
+    return S, lam
 
 
-def assemble_weighted_laplacian(w: ScalarField, grid: Grid | None = None) -> SparseMatrix:
-    """Matrix of u -> -divergence(w_face * gradient(u)) on the interior nodes.
+def poisson_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
+    """Exact solve of -Lap u = rhs for the five-point Dirichlet Laplacian.
+
+    The sine basis diagonalizes both one-dimensional second differences, so
+    u = Sy ((Sy F Sx) / (lam_y + lam_x)) Sx with F the (ny, nx) right-hand
+    side (Buzbee, Golub & Nielson 1970).  Only roundoff separates the result
+    from the exact discrete solution; a zero right-hand side gives exactly zero.
+    """
+    rhs = np.asarray(rhs, dtype=float).reshape(-1)
+    if rhs.size != grid.n_nodes:
+        raise DimensionMismatch(f"rhs length {rhs.size} != grid nodes {grid.n_nodes}")
+    Sx, lx = _sine_basis(grid.nx, grid.hx)
+    Sy, ly = _sine_basis(grid.ny, grid.hy)
+    F = rhs.reshape(grid.ny, grid.nx)
+    return (Sy @ ((Sy @ F @ Sx) / (ly[:, None] + lx[None, :])) @ Sx).reshape(-1)
+
+
+def assemble_weighted_laplacian(w: ScalarField, grid: Grid | None = None) -> np.ndarray:
+    """Dense matrix of u -> -divergence(w_face * gradient(u)) on the interior nodes.
 
     Face weights are arithmetic means of the two adjacent node values of w;
     boundary faces take the bare interior node value.  The result is exactly
-    symmetric and, for w > 0, positive definite.
+    symmetric and, for w > 0, positive definite.  Grids above 10000 nodes are
+    refused before the n x n array is allocated.
     """
     g = grid if grid is not None else w.grid
     if g != w.grid:
         raise DimensionMismatch("weight field lives on a different grid")
     if float(w.values.min()) <= 0.0:
         raise NonPositiveWeight(f"min weight {w.values.min():.6g} <= 0")
+    n = g.n_nodes
+    if n > DENSE_MAX_NODES:
+        raise DimensionMismatch(f"dense operator limited to n <= {DENSE_MAX_NODES}, got {n}")
 
-    nx, ny = g.nx, g.ny
     wf = face_average(w)
     wE = wf.xfaces[:, 1:]   # (ny, nx) weight on the face right of each node
     wW = wf.xfaces[:, :-1]
     wN = wf.yfaces[1:, :]
     wS = wf.yfaces[:-1, :]
 
-    idx = np.arange(nx * ny).reshape(ny, nx)
+    idx = np.arange(n).reshape(g.ny, g.nx)
     hx2, hy2 = g.hx ** 2, g.hy ** 2
 
-    rows = [idx.reshape(-1)]
-    cols = [idx.reshape(-1)]
-    vals = [((wE + wW) / hx2 + (wN + wS) / hy2).reshape(-1)]
-
-    rows.append(idx[:, :-1].reshape(-1))   # east neighbour
-    cols.append(idx[:, 1:].reshape(-1))
-    vals.append((-wE[:, :-1] / hx2).reshape(-1))
-
-    rows.append(idx[:, 1:].reshape(-1))    # west neighbour
-    cols.append(idx[:, :-1].reshape(-1))
-    vals.append((-wW[:, 1:] / hx2).reshape(-1))
-
-    rows.append(idx[:-1, :].reshape(-1))   # north neighbour
-    cols.append(idx[1:, :].reshape(-1))
-    vals.append((-wN[:-1, :] / hy2).reshape(-1))
-
-    rows.append(idx[1:, :].reshape(-1))    # south neighbour
-    cols.append(idx[:-1, :].reshape(-1))
-    vals.append((-wS[1:, :] / hy2).reshape(-1))
-
-    return _coo_to_csr(nx * ny, np.concatenate(rows), np.concatenate(cols),
-                       np.concatenate(vals))
-
-
-def cg_solve(A: SparseMatrix, rhs: np.ndarray, tol: float = 1e-12,
-             x0: np.ndarray | None = None) -> np.ndarray:
-    """Jacobi-preconditioned CG to relative residual |A x - rhs| <= tol |rhs|.
-
-    A zero right-hand side returns the zero vector immediately.  The optional
-    x0 is only a starting guess; it changes the answer by at most the
-    tolerance.  Raises NoConvergence after 10*n iterations.
-    """
-    rhs = np.asarray(rhs, dtype=float).reshape(-1)
-    if rhs.size != A.n:
-        raise DimensionMismatch(f"rhs length {rhs.size} != matrix dimension {A.n}")
-    norm_b = float(np.linalg.norm(rhs))
-    if norm_b == 0.0:
-        return np.zeros(A.n)
-
-    dinv = 1.0 / A.diagonal()
-    x = np.zeros(A.n) if x0 is None else np.array(x0, dtype=float)
-    r = rhs - A.matvec(x)
-    z = dinv * r
-    p = z.copy()
-    rz = float(r @ z)
-    target = tol * norm_b
-    max_iter = 10 * A.n
-
-    for _ in range(max_iter):
-        if np.sqrt(float(r @ r)) <= target:
-            # recurrence can drift: confirm with the true residual
-            r = rhs - A.matvec(x)
-            if np.sqrt(float(r @ r)) <= target:
-                return x
-            z = dinv * r
-            p = z.copy()
-            rz = float(r @ z)
-        Ap = A.matvec(p)
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise NoConvergence("matrix is not positive definite along a search direction")
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        z = dinv * r
-        rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
-        rz = rz_next
-    if np.sqrt(float((rhs - A.matvec(x)) @ (rhs - A.matvec(x)))) <= target:
-        return x
-    raise NoConvergence(f"CG did not reach tol {tol:g} in {max_iter} iterations",
-                        iterate=x, residual=float(np.linalg.norm(rhs - A.matvec(x))) / norm_b)
+    A = np.zeros((n, n))
+    A[idx, idx] = (wE + wW) / hx2 + (wN + wS) / hy2
+    A[idx[:, :-1], idx[:, 1:]] = -wE[:, :-1] / hx2   # east neighbour
+    A[idx[:, 1:], idx[:, :-1]] = -wW[:, 1:] / hx2    # west neighbour
+    A[idx[:-1, :], idx[1:, :]] = -wN[:-1, :] / hy2   # north neighbour
+    A[idx[1:, :], idx[:-1, :]] = -wS[1:, :] / hy2    # south neighbour
+    return A
 
 
 def pencil_eigensolve(P: Pencil) -> list[tuple[float, np.ndarray]]:
@@ -210,12 +126,11 @@ def pencil_eigensolve(P: Pencil) -> list[tuple[float, np.ndarray]]:
     dropped.  Eigenvectors come back in original coordinates, normalized to
     |x^T diag(B) x| = 1 where that quadratic form is nonzero.
     """
-    n = P.A.n
-    if n > 10_000:
-        raise DimensionMismatch(f"dense eigensolve limited to n <= 10000, got {n}")
-    A = P.A.to_dense()
+    n = P.A.shape[0]
+    if n > DENSE_MAX_NODES:
+        raise DimensionMismatch(f"dense eigensolve limited to n <= {DENSE_MAX_NODES}, got {n}")
     try:
-        L = np.linalg.cholesky(A)
+        L = np.linalg.cholesky(P.A)
     except np.linalg.LinAlgError as err:
         raise NotPositiveDefinite(f"Cholesky failed: {err}") from None
 

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from kirchlab.cli import main, to_json_text
-from kirchlab.grid import dirichlet_lambda1, read_field, grad_norm_sq
+from kirchlab.grid import ScalarField, dirichlet_lambda1, grad_norm_sq, read_field, write_field
 from kirchlab.certify import interior_min, pointwise_criterion
 
 from conftest import unit_grid
@@ -41,6 +41,7 @@ def test_solve_cubic_reports_unit_root(tmp_path):
     assert summary["n_roots"] == 1
     assert abs(summary["roots"][0]["s"] - 1.0) <= 1e-8
     assert summary["newton"]["converged"] is True
+    assert summary["newton"]["reason"] is None
     scan_lines = (out / "scan.csv").read_text().strip().split("\n")
     assert scan_lines[0] == "s,phi_s,kind"
     assert any(line.endswith(",root") for line in scan_lines[1:])
@@ -65,6 +66,39 @@ def test_solve_deterministic_output(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out2), "--quiet"]) == 0
     for name in ("scan.csv", "summary.json", "root_000.field"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_solve_records_newton_failure_reason(tmp_path):
+    cfg = cubic_config(tmp_path / "cfg.ini")
+    with open(cfg, "a") as fh:
+        fh.write("newton_tol = 1e-30\n")
+    outs = [tmp_path / "o1", tmp_path / "o2"]
+    for out in outs:
+        assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    newton = json.loads((outs[0] / "summary.json").read_text())["newton"]
+    assert newton["converged"] is False
+    assert isinstance(newton["reason"], str) and newton["reason"]
+    assert (outs[0] / "summary.json").read_bytes() == (outs[1] / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("source", ["expression", "file"])
+@pytest.mark.parametrize("command", [
+    ["solve"], ["certify"], ["eigen", "--alphas", "0.5,2"], ["scan-study", "--scales", "1"]])
+def test_nonpositive_coefficient_exits_2(tmp_path, capsys, command, source):
+    if source == "expression":
+        b_line = "b = x-0.5"
+    else:
+        g = unit_grid(8)
+        X, _ = g.node_coords()
+        write_field(ScalarField(g, X - 0.5), tmp_path / "b.field")
+        b_line = f"b_file = {tmp_path / 'b.field'}"
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 8\nny = 8",
+                       coeffs=f"a = 1\n{b_line}\nh = 1", solver="n_samples = 16")
+    assert main([command[0], "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet", *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert "'b'" in err
+    assert "Traceback" not in err
 
 
 def test_certify_and_eigen_deterministic_output(tmp_path):

@@ -131,6 +131,20 @@ def test_lower_bound_ramp_hand_value():
     assert got == pytest.approx(math.sqrt(2.0) * math.pi * 4.0 / 6.0, rel=0.03)
 
 
+def test_lower_bound_tiny_gradient_stays_finite():
+    # the ratio here is ~2e-17, below the rounding step of ratio_gap + 1: the
+    # bound must still follow the closed form rather than divide by zero
+    g = unit_grid(16)
+    c = field_from(g, lambda X, Y: 1.0 + 1e-12 * X)
+    alpha = 1e4
+    grad_inf = coeff_grad_inf(c)
+    assert grad_inf > 0.0
+    c_lo, c_hi = float(c.values.min()), float(c.values.max())
+    expected = math.sqrt(dirichlet_lambda1(g)) * (c_lo + alpha) ** 2 \
+        / (2.0 * grad_inf * (c_hi + alpha))
+    assert eigenvalue_lower_bound(c, alpha) == pytest.approx(expected, rel=1e-12)
+
+
 def test_lower_bound_constant_c_infinite():
     g = unit_grid(8)
     assert eigenvalue_lower_bound(ScalarField.full(g, 1.0), 1.0) == math.inf

@@ -3,28 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from kirchlab.grid import ScalarField, divergence, dirichlet_lambda1, gradient
-from kirchlab.linalg import (DimensionMismatch, NoConvergence, NonPositiveWeight,
-                             NotPositiveDefinite, Pencil, SparseMatrix,
-                             assemble_weighted_laplacian, cg_solve,
-                             pencil_eigensolve, smallest_positive)
+from kirchlab.grid import (FaceField, Grid, ScalarField, divergence,
+                           dirichlet_lambda1, gradient, laplacian)
+from kirchlab.linalg import (DimensionMismatch, NonPositiveWeight,
+                             NotPositiveDefinite, Pencil,
+                             assemble_weighted_laplacian, pencil_eigensolve,
+                             poisson_solve, smallest_positive)
 
 from conftest import field_from, positive_random, unit_grid
-
-
-def diag_matrix(values) -> SparseMatrix:
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    return SparseMatrix(n, np.arange(n + 1), np.arange(n), values.copy())
 
 
 def test_assembly_row_sums_and_symmetry(rng):
     g = unit_grid(6)
     w = positive_random(g, rng)
     A = assemble_weighted_laplacian(w)
-    dense = A.to_dense()
-    assert np.abs(dense - dense.T).max() == 0.0
-    ones = assemble_weighted_laplacian(ScalarField.full(g, 1.0)).to_dense()
+    assert np.abs(A - A.T).max() == 0.0
+    ones = assemble_weighted_laplacian(ScalarField.full(g, 1.0))
     row_sums = ones.sum(axis=1).reshape(g.ny, g.nx)
     assert row_sums[1:-1, 1:-1] == pytest.approx(np.zeros((4, 4)), abs=1e-12)
 
@@ -42,15 +36,21 @@ def test_assembly_matches_grid_operators(rng):
     wf_x[:, 0], wf_x[:, -1] = W[:, 0], W[:, -1]
     wf_y[1:-1, :] = 0.5 * (W[:-1, :] + W[1:, :])
     wf_y[0, :], wf_y[-1, :] = W[0, :], W[-1, :]
-    from kirchlab.grid import FaceField
     ref = divergence(FaceField(g, wf_x * F.xfaces, wf_y * F.yfaces))
-    assert A.matvec(u.values) == pytest.approx(-ref.values, rel=1e-12, abs=1e-12)
+    assert A @ u.values == pytest.approx(-ref.values, rel=1e-12, abs=1e-12)
 
 
 def test_assembly_rejects_nonpositive_weight():
     g = unit_grid(3)
     with pytest.raises(NonPositiveWeight):
         assemble_weighted_laplacian(ScalarField.zeros(g))
+
+
+def test_assembly_refuses_oversized_grid():
+    # refused before the dense 10100 x 10100 array is allocated
+    g = Grid.over_rectangle(101, 100)
+    with pytest.raises(DimensionMismatch):
+        assemble_weighted_laplacian(ScalarField.full(g, 1.0))
 
 
 def test_smallest_eigenvalue_analytic_3x3():
@@ -62,63 +62,48 @@ def test_smallest_eigenvalue_analytic_3x3():
     assert (v > 0).all()
 
 
-def test_cg_zero_rhs():
+def test_poisson_recovers_sine_mode_rectangular():
+    # hx != hy: 9 nodes over width 2, 6 nodes over height 0.7
+    g = Grid.over_rectangle(9, 6, 2.0, 0.7)
+    assert g.hx != g.hy
+    k, l = 3, 2
+    X, Y = g.node_coords()
+    mode = ScalarField(g, (np.sin(k * np.pi * X / g.lx)
+                           * np.sin(l * np.pi * Y / g.ly)).reshape(-1))
+    lam = (4.0 / g.hx ** 2 * math.sin(k * math.pi * g.hx / (2 * g.lx)) ** 2
+           + 4.0 / g.hy ** 2 * math.sin(l * math.pi * g.hy / (2 * g.ly)) ** 2)
+    u = poisson_solve(g, lam * mode.values)
+    assert np.abs(u - mode.values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (1, 6), (13, 13), (37, 20)])
+def test_poisson_relative_residual(nx, ny, rng):
+    g = Grid.over_rectangle(nx, ny, 1.0 + 0.1 * nx, 1.0)
+    rhs = rng.normal(size=g.n_nodes)
+    u = ScalarField(g, poisson_solve(g, rhs))
+    assert np.linalg.norm(-laplacian(u).values - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_poisson_zero_rhs():
     g = unit_grid(4)
-    A = assemble_weighted_laplacian(ScalarField.full(g, 1.0))
-    assert (cg_solve(A, np.zeros(16)) == 0.0).all()
+    assert (poisson_solve(g, np.zeros(16)) == 0.0).all()
 
 
-def test_cg_recovers_random_vector(rng):
-    g = unit_grid(11)
-    A = assemble_weighted_laplacian(positive_random(g, rng))
-    v = rng.normal(size=g.n_nodes)
-    x = cg_solve(A, A.matvec(v), tol=1e-13)
-    assert x == pytest.approx(v, rel=1e-9, abs=1e-10)
+def test_poisson_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        poisson_solve(unit_grid(2), np.ones(3))
 
 
-def test_cg_poisson_analytic_oracle():
+def test_poisson_analytic_oracle():
     g = unit_grid(64)
-    A = assemble_weighted_laplacian(ScalarField.full(g, 1.0))
     rhs = field_from(g, lambda X, Y: 2 * np.pi ** 2 * np.sin(np.pi * X) * np.sin(np.pi * Y))
-    x = cg_solve(A, rhs.values)
+    x = poisson_solve(g, rhs.values)
     exact = field_from(g, lambda X, Y: np.sin(np.pi * X) * np.sin(np.pi * Y))
     assert np.abs(x - exact.values).max() <= 2e-3
 
 
-def test_cg_relative_residual_contract(rng):
-    g = unit_grid(13)
-    A = assemble_weighted_laplacian(positive_random(g, rng))
-    rhs = rng.normal(size=g.n_nodes)
-    for tol in (1e-8, 1e-12):
-        x = cg_solve(A, rhs, tol=tol)
-        assert np.linalg.norm(A.matvec(x) - rhs) <= tol * np.linalg.norm(rhs)
-
-
-def test_cg_warm_start_agrees(rng):
-    g = unit_grid(10)
-    A = assemble_weighted_laplacian(ScalarField.full(g, 1.0))
-    rhs = rng.normal(size=g.n_nodes)
-    cold = cg_solve(A, rhs)
-    warm = cg_solve(A, rhs, x0=cold + rng.normal(size=g.n_nodes) * 1e-3)
-    assert warm == pytest.approx(cold, rel=1e-8, abs=1e-10)
-
-
-def test_cg_rejects_indefinite():
-    # eigenvalues 3 and -1: CG meets a direction of negative curvature
-    A = SparseMatrix(2, np.array([0, 2, 4]), np.array([0, 1, 0, 1]),
-                     np.array([1.0, 2.0, 2.0, 1.0]))
-    with pytest.raises(NoConvergence):
-        cg_solve(A, np.array([1.0, 0.0]))
-
-
-def test_cg_dimension_mismatch():
-    A = diag_matrix([1.0, 2.0])
-    with pytest.raises(DimensionMismatch):
-        cg_solve(A, np.ones(3))
-
-
 def test_pencil_identity_scaled():
-    A = diag_matrix([1.0, 1.0, 1.0, 1.0])
+    A = np.diag([1.0, 1.0, 1.0, 1.0])
     pairs = pencil_eigensolve(Pencil(A, 2.0 * np.ones(4)))
     assert len(pairs) == 4
     for lam, _ in pairs:
@@ -134,13 +119,13 @@ def test_pencil_negative_weight_gives_negative_spectrum():
 
 
 def test_pencil_requires_positive_definite():
-    A = diag_matrix([1.0, -1.0])
+    A = np.diag([1.0, -1.0])
     with pytest.raises(NotPositiveDefinite):
         pencil_eigensolve(Pencil(A, np.ones(2)))
 
 
 def test_pencil_dimension_mismatch():
-    A = diag_matrix([1.0, 2.0])
+    A = np.diag([1.0, 2.0])
     with pytest.raises(DimensionMismatch):
         Pencil(A, np.ones(3))
 
@@ -151,8 +136,8 @@ def test_pencil_residuals_small():
     X, Y = g.node_coords()
     B = (X - 0.45).reshape(-1)  # indefinite weight
     for lam, v in pencil_eigensolve(Pencil(A, B)):
-        r = np.linalg.norm(A.matvec(v) - lam * B * v)
-        assert r <= 1e-8 * np.linalg.norm(A.matvec(v))
+        r = np.linalg.norm(A @ v - lam * B * v)
+        assert r <= 1e-8 * np.linalg.norm(A @ v)
 
 
 def test_smallest_positive_indefinite_weight_sign_definite(rng):
@@ -166,7 +151,7 @@ def test_smallest_positive_indefinite_weight_sign_definite(rng):
     m = eigen_weight(c, alpha)
     assert m.values.min() < 0 < m.values.max()
     w = ScalarField(g, 1.0 / (c.values + alpha))
-    A = assemble_weighted_laplacian(w).scaled(g.cell_area)
+    A = g.cell_area * assemble_weighted_laplacian(w)
     lam, v = smallest_positive(Pencil(A, g.cell_area * m.values))
     assert lam > 0
     assert float(v.min() * v.max()) >= -1e-8 * float(v.max()) ** 2
