@@ -16,6 +16,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +24,11 @@ import numpy as np
 from . import expr
 from .certify import (ConstructionFailed, GridMismatch, NonPositiveCoefficient,
                       certify, pointwise_certified_ratio)
-from .eigen import NotInA, SignChange, eigen_curve, is_admissible, principal_eigenpair
+from .eigen import NotInA, SignChange, eigen_curve
 from .grid import Grid, ScalarField, read_field, write_field
 from .kirchhoff import (NEWTON_TOL, Problem, SingularJacobian, fixed_point_scan,
                         newton_solve)
-from .linalg import NoConvergence, NotPositiveDefinite
+from .linalg import DENSE_MAX_NODES, NoConvergence, NotPositiveDefinite
 
 ALL_FORMATS = ("csv", "json", "fields")
 
@@ -268,14 +269,13 @@ def run_certify(cfg: Config, out_dir: Path, quiet: bool) -> int:
 def run_eigen(cfg: Config, alphas: list, out_dir: Path, quiet: bool,
               write_fields: bool) -> int:
     c = ScalarField(cfg.grid, cfg.a.values / cfg.b.values)
-    if not any(is_admissible(c, alpha) for alpha in alphas):
+    curve = eigen_curve(c, alphas)
+    if not curve.rows:
         print("eigen: admissible set empty for the sampled alphas", file=sys.stderr)
         return 1
-    curve = eigen_curve(c, alphas)
     _write_text(out_dir / "eigen_curve.csv", curve.to_csv())
     if write_fields and "fields" in cfg.formats:
-        for i, alpha in enumerate(alpha for alpha, *_ in curve.rows):
-            pair = principal_eigenpair(c, alpha)
+        for i, pair in enumerate(curve.pairs):
             write_field(pair.u, out_dir / f"eigenfunction_{i:03d}.field")
     if not quiet:
         print(f"eigen: {len(curve.rows)} admissible alpha(s) -> {out_dir}",
@@ -313,8 +313,8 @@ def _parse_float_list(raw: str, what: str) -> list:
         try:
             lo, hi, count = raw[len("logspace:"):].split(",")
             lo, hi, count = float(lo), float(hi), int(count)
-            if lo <= 0 or hi <= 0 or count < 1:
-                raise ValueError("logspace needs positive endpoints and count >= 1")
+            if not (0 < lo < math.inf and 0 < hi < math.inf) or count < 1:
+                raise ValueError("logspace needs finite positive endpoints and count >= 1")
         except ValueError as err:
             raise ConfigError(f"malformed {what} '{raw}': {err}") from None
         return list(np.logspace(math.log10(lo), math.log10(hi), count))
@@ -324,6 +324,8 @@ def _parse_float_list(raw: str, what: str) -> list:
         raise ConfigError(f"malformed {what} '{raw}': {err}") from None
     if not values:
         raise ConfigError(f"empty {what} list")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"malformed {what} '{raw}': values must be finite")
     return values
 
 
@@ -357,37 +359,46 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(args) -> tuple:
+    """Parse phase: config, grid, --alphas and --scales.
+
+    Returns the run phase as a callable of (output directory, quiet), and the
+    output directory.
+    """
+    if args.command == "example":
+        grid, cfg_out = parse_grid_only(args.config)
+        return partial(run_example, grid), args.out if args.out is not None else cfg_out
+    cfg = parse_config(args.config)
+    out = args.out if args.out is not None else cfg.out_dir
+    if args.command == "solve":
+        return partial(run_solve, cfg), out
+    if args.command == "certify":
+        return partial(run_certify, cfg), out
+    if args.command == "eigen":
+        if cfg.grid.n_nodes > DENSE_MAX_NODES:
+            raise ConfigError(f"eigen is limited to {DENSE_MAX_NODES:,} grid nodes (dense "
+                              f"eigensolve), got {cfg.grid.nx}x{cfg.grid.ny}")
+        alphas = _parse_float_list(args.alphas, "alpha")
+        if any(alpha <= 0 for alpha in alphas):
+            raise ConfigError("alphas must be positive")
+        return partial(run_eigen, cfg, alphas, write_fields=args.write_fields), out
+    if args.command == "scan-study":
+        return partial(run_scan_study, cfg, _parse_float_list(args.scales, "scale")), out
+    raise AssertionError(f"unhandled command {args.command}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "example":
-            grid, cfg_out = parse_grid_only(args.config)
-            out_dir = Path(args.out if args.out is not None else cfg_out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            return run_example(grid, out_dir, args.quiet)
-        cfg = parse_config(args.config)
-        out_dir = Path(args.out if args.out is not None else cfg.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "solve":
-            return run_solve(cfg, out_dir, args.quiet)
-        if args.command == "certify":
-            return run_certify(cfg, out_dir, args.quiet)
-        if args.command == "eigen":
-            alphas = _parse_float_list(args.alphas, "alpha")
-            if any(alpha <= 0 for alpha in alphas):
-                raise ConfigError("alphas must be positive")
-            return run_eigen(cfg, alphas, out_dir, args.quiet, args.write_fields)
-        if args.command == "scan-study":
-            scales = _parse_float_list(args.scales, "scale")
-            return run_scan_study(cfg, scales, out_dir, args.quiet)
-        raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as err:
+        run, out = _parse(args)
+    except (ConfigError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except (NoConvergence, NotPositiveDefinite, NotInA, SignChange,
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        return run(out_dir, args.quiet)
+    except (ValueError, NoConvergence, NotPositiveDefinite, NotInA, SignChange,
             ConstructionFailed, NonPositiveCoefficient, GridMismatch) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3

@@ -14,7 +14,7 @@ sign-definite eigenfunction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,17 +52,13 @@ class EigenCurve:
     """Rows (alpha, lambda, ee_bound, rayleigh_gap) for the admissible alphas."""
 
     rows: list
+    pairs: list = field(default_factory=list, init=False)  # the EigenPair behind each row
 
     def to_csv(self) -> str:
         lines = ["alpha,lambda,ee_bound,rayleigh_gap"]
         for alpha, lam, bound, gap in self.rows:
             lines.append(f"{alpha:.17g},{lam:.17g},{bound:.17g},{gap:.17g}")
         return "\n".join(lines) + "\n"
-
-
-def _check_c(c: ScalarField):
-    if float(c.values.min()) <= 0.0:
-        raise NonPositiveC(f"ratio field must be positive, min = {c.values.min():.6g}")
 
 
 def weight_flux(c: ScalarField, alpha: float) -> FaceField:
@@ -74,37 +70,28 @@ def weight_flux(c: ScalarField, alpha: float) -> FaceField:
     extrapolated from the two nearest parallel interior faces, falling back to
     a copy (or zero) on very thin grids.
     """
-    _check_c(c)
+    if float(c.values.min()) <= 0.0:
+        raise NonPositiveC(f"ratio field must be positive, min = {c.values.min():.6g}")
     if alpha < 0.0:
         raise ValueError(f"alpha must be nonnegative, got {alpha:.6g}")
     g = c.grid
-    U = c.mat
+    return FaceField(g, _column_flux(c.mat, g.hx, alpha),
+                     _column_flux(c.mat.T, g.hy, alpha).T.copy())
 
-    xf = np.zeros((g.ny, g.nx + 1))
-    if g.nx >= 2:
-        gx = (U[:, 1:] - U[:, :-1]) / g.hx
+
+def _column_flux(U: np.ndarray, h: float, alpha: float) -> np.ndarray:
+    """weight_flux on the faces between the columns of U, spacing h."""
+    f = np.zeros((U.shape[0], U.shape[1] + 1))
+    if U.shape[1] >= 2:
         cf = 0.5 * (U[:, 1:] + U[:, :-1])
-        xf[:, 1:-1] = gx / (cf + alpha) ** 2
-        if g.nx >= 3:
-            xf[:, 0] = 2.0 * xf[:, 1] - xf[:, 2]
-            xf[:, -1] = 2.0 * xf[:, -2] - xf[:, -3]
+        f[:, 1:-1] = (U[:, 1:] - U[:, :-1]) / h / (cf + alpha) ** 2
+        if U.shape[1] >= 3:
+            f[:, 0] = 2.0 * f[:, 1] - f[:, 2]
+            f[:, -1] = 2.0 * f[:, -2] - f[:, -3]
         else:
-            xf[:, 0] = xf[:, 1]
-            xf[:, -1] = xf[:, 1]
-
-    yf = np.zeros((g.ny + 1, g.nx))
-    if g.ny >= 2:
-        gy = (U[1:, :] - U[:-1, :]) / g.hy
-        cf = 0.5 * (U[1:, :] + U[:-1, :])
-        yf[1:-1, :] = gy / (cf + alpha) ** 2
-        if g.ny >= 3:
-            yf[0, :] = 2.0 * yf[1, :] - yf[2, :]
-            yf[-1, :] = 2.0 * yf[-2, :] - yf[-3, :]
-        else:
-            yf[0, :] = yf[1, :]
-            yf[-1, :] = yf[1, :]
-
-    return FaceField(g, xf, yf)
+            f[:, 0] = f[:, 1]
+            f[:, -1] = f[:, 1]
+    return f
 
 
 def eigen_weight(c: ScalarField, alpha: float) -> ScalarField:
@@ -113,11 +100,16 @@ def eigen_weight(c: ScalarField, alpha: float) -> ScalarField:
     return ScalarField(c.grid, -m.values)
 
 
-def is_admissible(c: ScalarField, alpha: float) -> bool:
-    """True when the weight is positive (above 1e-10) at one node or more."""
+def _weight(c: ScalarField, alpha: float) -> tuple[ScalarField, bool]:
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha:.6g}")
-    return float(eigen_weight(c, alpha).values.max()) > ADMISSIBLE_TOL
+    m = eigen_weight(c, alpha)
+    return m, float(m.values.max()) > ADMISSIBLE_TOL
+
+
+def is_admissible(c: ScalarField, alpha: float) -> bool:
+    """True when the weight is positive (above 1e-10) at one node or more."""
+    return _weight(c, alpha)[1]
 
 
 def principal_eigenpair(c: ScalarField, alpha: float) -> EigenPair:
@@ -129,13 +121,17 @@ def principal_eigenpair(c: ScalarField, alpha: float) -> EigenPair:
     normalized to gradient energy alpha and oriented positive; a sign change
     beyond tolerance is an error rather than a warning.
     """
-    if not is_admissible(c, alpha):
+    m, admissible = _weight(c, alpha)
+    if not admissible:
         raise NotInA(f"weight is nowhere positive at alpha = {alpha:.6g}")
+    return _eigenpair(c, alpha, m)
+
+
+def _eigenpair(c: ScalarField, alpha: float, m: ScalarField) -> EigenPair:
     g = c.grid
     w = ScalarField(g, 1.0 / (c.values + alpha))
     A = assemble_weighted_laplacian(w)
     A *= g.cell_area
-    m = eigen_weight(c, alpha)
     B = g.cell_area * m.values
 
     found = smallest_positive(Pencil(A, B))
@@ -167,13 +163,16 @@ def rayleigh_quotient(c: ScalarField, alpha: float, u: ScalarField) -> float:
     1/(c + alpha) -- the same face coefficient the stiffness assembly uses, so
     the quotient of an eigenpair reproduces its eigenvalue exactly.
     """
-    _check_c(c)
+    return _rayleigh(c, alpha, u, eigen_weight(c, alpha))
+
+
+def _rayleigh(c: ScalarField, alpha: float, u: ScalarField, m: ScalarField) -> float:
     g = u.grid
     wf = face_average(ScalarField(g, 1.0 / (c.values + alpha)))
     F = gradient(u)
     num = g.cell_area * float((wf.xfaces * F.xfaces ** 2).sum()
                               + (wf.yfaces * F.yfaces ** 2).sum())
-    den = integrate(ScalarField(g, u.values ** 2 * eigen_weight(c, alpha).values))
+    den = integrate(ScalarField(g, u.values ** 2 * m.values))
     if den == 0.0:
         raise ZeroDenominator("weighted mass of u vanishes")
     return num / den
@@ -194,12 +193,13 @@ def eigenvalue_lower_bound(c: ScalarField, alpha: float) -> float:
 
 def eigen_curve(c: ScalarField, alphas) -> EigenCurve:
     """Solve the eigenproblem for every admissible alpha in the given order."""
-    rows = []
-    for alpha in alphas:
-        alpha = float(alpha)
-        if not is_admissible(c, alpha):
+    curve = EigenCurve([])
+    for alpha in map(float, alphas):
+        m, admissible = _weight(c, alpha)
+        if not admissible:
             continue
-        pair = principal_eigenpair(c, alpha)
-        gap = abs(rayleigh_quotient(c, alpha, pair.u) - pair.lam)
-        rows.append((alpha, pair.lam, eigenvalue_lower_bound(c, alpha), gap))
-    return EigenCurve(rows)
+        pair = _eigenpair(c, alpha, m)
+        gap = abs(_rayleigh(c, alpha, pair.u, m) - pair.lam)
+        curve.rows.append((alpha, pair.lam, eigenvalue_lower_bound(c, alpha), gap))
+        curve.pairs.append(pair)
+    return curve

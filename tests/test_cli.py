@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from kirchlab.cli import main, to_json_text
+import kirchlab.eigen
+from kirchlab.cli import main, parse_config, to_json_text
+from kirchlab.eigen import principal_eigenpair
 from kirchlab.grid import ScalarField, dirichlet_lambda1, grad_norm_sq, read_field, write_field
 from kirchlab.certify import interior_min, pointwise_criterion
 
@@ -181,6 +183,60 @@ def test_eigen_ramp_writes_curve(tmp_path):
         assert grad_norm_sq(f) == pytest.approx(alpha, rel=1e-7)
 
 
+def test_eigen_write_fields_solves_each_alpha_once(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 12\nny = 12",
+                       coeffs="a = 1+x\nb = 1\nh = 0")
+    calls = {"smallest_positive": 0, "eigen_weight": 0}
+
+    def counted(name):
+        fn = getattr(kirchlab.eigen, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(kirchlab.eigen, name, counted(name))
+    out = tmp_path / "out"
+    assert main(["eigen", "--config", cfg, "--alphas", "0.5,1,2",
+                 "--write-fields", "--out", str(out), "--quiet"]) == 0
+    assert calls == {"smallest_positive": 3, "eigen_weight": 3}
+    monkeypatch.undo()
+
+    parsed = parse_config(cfg)
+    c = ScalarField(parsed.grid, parsed.a.values / parsed.b.values)
+    assert not (out / "eigenfunction_003.field").exists()
+    for i, alpha in enumerate([0.5, 1.0, 2.0]):
+        write_field(principal_eigenpair(c, alpha).u, tmp_path / "reference.field")
+        assert (out / f"eigenfunction_{i:03d}.field").read_bytes() == \
+            (tmp_path / "reference.field").read_bytes()
+
+
+def test_eigen_oversized_grid_exits_2(tmp_path, capsys, monkeypatch):
+    def no_weight(*args):
+        raise AssertionError("eigen_weight called for a refused grid")
+
+    monkeypatch.setattr(kirchlab.eigen, "eigen_weight", no_weight)
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 101\nny = 100",
+                       coeffs="a = 1+x\nb = 1\nh = 0")
+    assert main(["eigen", "--config", cfg, "--alphas", "1",
+                 "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "10,000" in err
+    assert "Traceback" not in err
+
+
+def test_solve_overflow_exits_3(tmp_path, capsys):
+    # a valid config whose energy bound overflows: a numerical failure, not a config error
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 8\nny = 8",
+                       coeffs="a = 1\nb = 1\nh = 1e200", solver="n_samples = 16")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert "Traceback" not in err
+
+
 def test_eigen_logspace_alphas(tmp_path):
     cfg = write_config(tmp_path / "cfg.ini", grid="nx = 12\nny = 12",
                        coeffs="a = 1+x\nb = 1\nh = 0")
@@ -192,8 +248,13 @@ def test_eigen_logspace_alphas(tmp_path):
 
 def test_eigen_malformed_alphas_exit_2(tmp_path):
     cfg = write_config(tmp_path / "cfg.ini", coeffs="a = 1+x\nb = 1\nh = 0")
-    assert main(["eigen", "--config", cfg, "--alphas", "0.1,zebra", "--quiet"]) == 2
-    assert main(["eigen", "--config", cfg, "--alphas=-1,2", "--quiet"]) == 2
+    for alphas in ("0.1,zebra", "-1,2", "inf", "0.5,nan", "logspace:0.1,inf,3"):
+        assert main(["eigen", "--config", cfg, f"--alphas={alphas}", "--quiet"]) == 2
+
+
+def test_scan_study_nonfinite_scales_exit_2(tmp_path):
+    cfg = write_config(tmp_path / "cfg.ini", coeffs="a = 1\nb = 1\nh = 1")
+    assert main(["scan-study", "--config", cfg, "--scales", "nan", "--quiet"]) == 2
 
 
 def test_scan_study_constant_ratio(tmp_path):
