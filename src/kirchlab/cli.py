@@ -28,7 +28,7 @@ from .eigen import NotInA, SignChange, eigen_curve
 from .grid import Grid, ScalarField, read_field, write_field
 from .kirchhoff import (NEWTON_TOL, Problem, SingularJacobian, fixed_point_scan,
                         newton_solve)
-from .linalg import DENSE_MAX_NODES, NoConvergence, NotPositiveDefinite
+from .linalg import NoConvergence, NotPositiveDefinite
 
 ALL_FORMATS = ("csv", "json", "fields")
 
@@ -363,7 +363,7 @@ def _parse(args) -> tuple:
     """Parse phase: config, grid, --alphas and --scales.
 
     Returns the run phase as a callable of (output directory, quiet), and the
-    output directory.
+    output directory, which main creates before the run phase.
     """
     if args.command == "example":
         grid, cfg_out = parse_grid_only(args.config)
@@ -375,9 +375,6 @@ def _parse(args) -> tuple:
     if args.command == "certify":
         return partial(run_certify, cfg), out
     if args.command == "eigen":
-        if cfg.grid.n_nodes > DENSE_MAX_NODES:
-            raise ConfigError(f"eigen is limited to {DENSE_MAX_NODES:,} grid nodes (dense "
-                              f"eigensolve), got {cfg.grid.nx}x{cfg.grid.ny}")
         alphas = _parse_float_list(args.alphas, "alpha")
         if any(alpha <= 0 for alpha in alphas):
             raise ConfigError("alphas must be positive")
@@ -395,7 +392,11 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"config error: cannot create output directory {out}: {err}", file=sys.stderr)
+        return 2
     try:
         return run(out_dir, args.quiet)
     except (ValueError, NoConvergence, NotPositiveDefinite, NotInA, SignChange,

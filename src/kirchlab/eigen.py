@@ -21,7 +21,7 @@ import numpy as np
 from .certify import NonPositiveC, shifted_ratio
 from .grid import (FaceField, ScalarField, divergence, face_average, gradient,
                    grad_norm_sq, integrate)
-from .linalg import NoConvergence, Pencil, assemble_weighted_laplacian, smallest_positive
+from .linalg import NoConvergence, lobpcg_smallest_positive
 
 ADMISSIBLE_TOL = 1e-10
 SIGN_TOL = 1e-8
@@ -42,9 +42,14 @@ class ZeroDenominator(Exception):
 
 @dataclass
 class EigenPair:
+    """Principal pair at one alpha, with the solver's iteration count and its
+    relative pencil residual |A v - lam B v| / |A v|."""
+
     alpha: float
     lam: float
     u: ScalarField
+    iterations: int
+    residual: float
 
 
 @dataclass
@@ -115,11 +120,16 @@ def is_admissible(c: ScalarField, alpha: float) -> bool:
 def principal_eigenpair(c: ScalarField, alpha: float) -> EigenPair:
     """Smallest positive eigenvalue with its positive eigenfunction.
 
-    The pencil pairs the energy-scaled weighted stiffness matrix with the
-    lumped weight (both carry the cell area, so the eigenvalue is the ratio of
-    the two quadratures and is grid-scale free).  The eigenfunction is
-    normalized to gradient energy alpha and oriented positive; a sign change
-    beyond tolerance is an error rather than a warning.
+    The pencil pairs the weighted stiffness operator with the lumped weight
+    (the common cell-area factor of the two quadratures cancels, so the
+    eigenvalue is grid-scale free) and is solved matrix-free by
+    linalg.lobpcg_smallest_positive.  A - lambda diag(B) is an irreducible
+    Z-matrix, so a converged eigenvector that is strictly positive with
+    lambda > 0 proves lambda is the smallest positive eigenvalue
+    (Perron-Frobenius): the sign check below is what rules out a stop on a
+    higher eigenvalue.  The eigenfunction is normalized to gradient energy
+    alpha and oriented positive; a sign change beyond tolerance is an error
+    rather than a warning, as is a pencil residual above PENCIL_RESID_TOL.
     """
     m, admissible = _weight(c, alpha)
     if not admissible:
@@ -130,21 +140,9 @@ def principal_eigenpair(c: ScalarField, alpha: float) -> EigenPair:
 def _eigenpair(c: ScalarField, alpha: float, m: ScalarField) -> EigenPair:
     g = c.grid
     w = ScalarField(g, 1.0 / (c.values + alpha))
-    A = assemble_weighted_laplacian(w)
-    A *= g.cell_area
-    B = g.cell_area * m.values
-
-    found = smallest_positive(Pencil(A, B))
-    if found is None:
-        raise NoConvergence(f"no positive eigenvalue resolved at alpha = {alpha:.6g}")
-    lam, v = found
-
-    Av = A @ v
-    resid = np.linalg.norm(Av - lam * B * v)
-    scale = np.linalg.norm(Av)
-    if scale > 0.0 and resid > PENCIL_RESID_TOL * scale:
-        raise NoConvergence(f"pencil residual {resid / scale:.3e} too large "
-                            f"at alpha = {alpha:.6g}")
+    lam, v, iterations, resid = lobpcg_smallest_positive(w, m.values)
+    if resid > PENCIL_RESID_TOL:
+        raise NoConvergence(f"pencil residual {resid:.3e} too large at alpha = {alpha:.6g}")
 
     u = ScalarField(g, v)
     u = ScalarField(g, v * math.sqrt(alpha / grad_norm_sq(u)))
@@ -153,7 +151,7 @@ def _eigenpair(c: ScalarField, alpha: float, m: ScalarField) -> EigenPair:
         raise SignChange(
             f"principal eigenfunction changes sign at alpha = {alpha:.6g} "
             f"(min {u.values.min():.3e} vs max {vmax:.3e}); refine the grid")
-    return EigenPair(alpha=alpha, lam=lam, u=u)
+    return EigenPair(alpha=alpha, lam=lam, u=u, iterations=iterations, residual=resid)
 
 
 def rayleigh_quotient(c: ScalarField, alpha: float, u: ScalarField) -> float:

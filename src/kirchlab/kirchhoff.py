@@ -98,10 +98,17 @@ def energy_upper_bound(P: Problem) -> float:
 
     At a fixed point, s equals the weighted pairing of h/M with the solution;
     Cauchy-Schwarz plus the discrete Poincare inequality (exact for these
-    operators) gives s <= integral(h^2) / (a0^2 * lambda1).
+    operators) gives s <= integral(h^2) / (a0^2 * lambda1).  A bound that
+    does not fit in a double raises ValueError naming it.
     """
-    h2 = integrate(ScalarField(P.grid, P.h.values ** 2))
-    return h2 / (P.a0 ** 2 * dirichlet_lambda1(P.grid))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        h2 = P.grid.cell_area * np.sum(P.h.values ** 2)
+        bound = float(np.divide(h2, P.a0 ** 2 * dirichlet_lambda1(P.grid)))
+    if not np.isfinite(bound):
+        raise ValueError(f"energy bound integral(h^2)/(min(a)^2 lambda1) = {bound} is not "
+                         f"a finite double (max |h| = {np.abs(P.h.values).max():.3g}, "
+                         f"min a = {P.a0:.3g})")
+    return bound
 
 
 def residual(P: Problem, u: ScalarField) -> float:

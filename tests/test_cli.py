@@ -186,7 +186,7 @@ def test_eigen_ramp_writes_curve(tmp_path):
 def test_eigen_write_fields_solves_each_alpha_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "cfg.ini", grid="nx = 12\nny = 12",
                        coeffs="a = 1+x\nb = 1\nh = 0")
-    calls = {"smallest_positive": 0, "eigen_weight": 0}
+    calls = {"lobpcg_smallest_positive": 0, "eigen_weight": 0}
 
     def counted(name):
         fn = getattr(kirchlab.eigen, name)
@@ -201,7 +201,7 @@ def test_eigen_write_fields_solves_each_alpha_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["eigen", "--config", cfg, "--alphas", "0.5,1,2",
                  "--write-fields", "--out", str(out), "--quiet"]) == 0
-    assert calls == {"smallest_positive": 3, "eigen_weight": 3}
+    assert calls == {"lobpcg_smallest_positive": 3, "eigen_weight": 3}
     monkeypatch.undo()
 
     parsed = parse_config(cfg)
@@ -213,17 +213,31 @@ def test_eigen_write_fields_solves_each_alpha_once(tmp_path, monkeypatch):
             (tmp_path / "reference.field").read_bytes()
 
 
-def test_eigen_oversized_grid_exits_2(tmp_path, capsys, monkeypatch):
-    def no_weight(*args):
-        raise AssertionError("eigen_weight called for a refused grid")
-
-    monkeypatch.setattr(kirchlab.eigen, "eigen_weight", no_weight)
+def test_eigen_large_grid_runs(tmp_path):
+    # 10,100 nodes: above the size the dense eigensolve accepted
     cfg = write_config(tmp_path / "cfg.ini", grid="nx = 101\nny = 100",
                        coeffs="a = 1+x\nb = 1\nh = 0")
-    assert main(["eigen", "--config", cfg, "--alphas", "1",
-                 "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    out = tmp_path / "out"
+    assert main(["eigen", "--config", cfg, "--alphas", "1", "--write-fields",
+                 "--out", str(out), "--quiet"]) == 0
+    lines = (out / "eigen_curve.csv").read_text().strip().split("\n")
+    assert len(lines) == 2
+    alpha, lam, bound, gap = (float(t) for t in lines[1].split(","))
+    assert alpha == 1.0
+    assert lam >= bound - 1e-8
+    assert gap <= 1e-8
+    f = read_field(out / "eigenfunction_000.field")
+    assert f.grid.n_nodes == 10100
+    assert f.values.min() >= -1e-8 * f.values.max()
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.ini", coeffs="a = 1+x\nb = 1\nh = x-y")
+    (tmp_path / "afile").write_text("")
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "afile" / "sub"),
+                 "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "10,000" in err
+    assert err.startswith("config error: cannot create output directory")
     assert "Traceback" not in err
 
 
@@ -233,7 +247,7 @@ def test_solve_overflow_exits_3(tmp_path, capsys):
                        coeffs="a = 1\nb = 1\nh = 1e200", solver="n_samples = 16")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure:")
+    assert err.startswith("numerical failure: energy bound")
     assert "Traceback" not in err
 
 

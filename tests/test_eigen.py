@@ -9,6 +9,7 @@ from kirchlab.eigen import (EigenCurve, NonPositiveC, NotInA, ZeroDenominator,
                             weight_flux)
 from kirchlab.grid import (ScalarField, coeff_grad_inf, dirichlet_lambda1,
                            grad_norm_sq, gradient, integrate)
+from kirchlab.linalg import Pencil, assemble_weighted_laplacian, smallest_positive
 
 from conftest import field_from, smooth_random, unit_grid
 
@@ -77,6 +78,47 @@ def test_principal_eigenpair_ramp():
     assert (pair.u.values > 0).all()
     assert grad_norm_sq(pair.u) == pytest.approx(alpha, rel=1e-8)
     assert rayleigh_quotient(c, alpha, pair.u) == pytest.approx(pair.lam, rel=1e-8)
+
+
+# Ratio fields c checked against the dense pencil: two ramps (positive
+# weight), a field whose weight changes sign, and a bump whose weight is
+# negative inside, with a four-fold cluster of edge modes at small alpha.
+ORACLE_RATIOS = {
+    "ramp": lambda X, Y: 1.0 + X,
+    "plane": lambda X, Y: 1.0 + 0.8 * X + 0.5 * Y,
+    "sign-changing": lambda X, Y: 1.0 + 0.5 * np.sin(2 * np.pi * X) * np.sin(np.pi * Y) + 0.3 * X,
+    "bump": lambda X, Y: 2.0 - 0.8 * np.sin(np.pi * X) * np.sin(np.pi * Y),
+}
+ORACLE_CASES = (
+    [(name, 16, alpha) for name in ("ramp", "plane") for alpha in np.logspace(-2, 2, 8)]
+    + [("sign-changing", 20, alpha) for alpha in (0.01, 0.1, 1.0, 10.0)]
+    + [("bump", n, alpha) for n in (12, 32) for alpha in (0.01, 0.1)]
+)
+
+
+@pytest.mark.parametrize("name,n,alpha", ORACLE_CASES,
+                         ids=[f"{name}-{n}-{alpha:.3g}" for name, n, alpha in ORACLE_CASES])
+def test_principal_eigenpair_matches_dense_oracle(name, n, alpha):
+    g = unit_grid(n)
+    c = field_from(g, ORACLE_RATIOS[name])
+    m = eigen_weight(c, alpha)
+    assert (m.values.min() < 0.0) == (name in ("sign-changing", "bump"))
+    pair = principal_eigenpair(c, alpha)
+    A = assemble_weighted_laplacian(ScalarField(g, 1.0 / (c.values + alpha)))
+    lam, _ = smallest_positive(Pencil(A, m.values))
+    assert pair.lam == pytest.approx(lam, rel=1e-10)
+    assert pair.residual <= 1e-10
+    assert pair.u.values.min() >= -1e-8 * pair.u.values.max()
+
+
+def test_eigenpair_reports_iterations_and_residual():
+    g = unit_grid(12)
+    c = field_from(g, lambda X, Y: 2.0 - 0.8 * np.sin(np.pi * X) * np.sin(np.pi * Y))
+    first, second = principal_eigenpair(c, 0.1), principal_eigenpair(c, 0.1)
+    assert first.iterations == second.iterations >= 1
+    assert first.residual == second.residual <= 1e-10
+    assert first.lam == second.lam
+    assert (first.u.values == second.u.values).all()
 
 
 def test_principal_eigenpair_requires_admissible():

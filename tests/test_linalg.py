@@ -6,9 +6,9 @@ import pytest
 from kirchlab.grid import (FaceField, Grid, ScalarField, divergence,
                            dirichlet_lambda1, gradient, laplacian)
 from kirchlab.linalg import (DimensionMismatch, NonPositiveWeight,
-                             NotPositiveDefinite, Pencil,
-                             assemble_weighted_laplacian, pencil_eigensolve,
-                             poisson_solve, smallest_positive)
+                             NotPositiveDefinite, Pencil, apply_weighted_laplacian,
+                             assemble_weighted_laplacian, lobpcg_smallest_positive,
+                             pencil_eigensolve, poisson_solve, smallest_positive)
 
 from conftest import field_from, positive_random, unit_grid
 
@@ -53,6 +53,26 @@ def test_assembly_refuses_oversized_grid():
         assemble_weighted_laplacian(ScalarField.full(g, 1.0))
 
 
+@pytest.mark.parametrize("nx,ny,k", [(1, 1, 3), (9, 6, 1), (13, 7, 5)])
+def test_stencil_matches_dense_assembly(nx, ny, k, rng):
+    g = Grid.over_rectangle(nx, ny, 2.0, 0.7)
+    w = positive_random(g, rng)
+    A = assemble_weighted_laplacian(w)
+    X = rng.normal(size=(g.n_nodes, k))
+    AX = apply_weighted_laplacian(w, X)
+    assert AX.shape == X.shape
+    assert np.abs(AX - A @ X).max() <= 1e-12 * np.abs(A @ X).max()
+    Ax = apply_weighted_laplacian(w, X[:, 0])
+    assert Ax.shape == (g.n_nodes,)
+    assert np.abs(Ax - AX[:, 0]).max() <= 1e-12 * np.abs(Ax).max()
+
+
+def test_stencil_dimension_mismatch():
+    g = unit_grid(3)
+    with pytest.raises(DimensionMismatch):
+        apply_weighted_laplacian(ScalarField.full(g, 1.0), np.ones((8, 2)))
+
+
 def test_smallest_eigenvalue_analytic_3x3():
     g = unit_grid(3)
     A = assemble_weighted_laplacian(ScalarField.full(g, 1.0))
@@ -82,6 +102,18 @@ def test_poisson_relative_residual(nx, ny, rng):
     rhs = rng.normal(size=g.n_nodes)
     u = ScalarField(g, poisson_solve(g, rhs))
     assert np.linalg.norm(-laplacian(u).values - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_poisson_block_solves_each_column(rng):
+    g = Grid.over_rectangle(11, 6, 1.3, 1.0)
+    R = rng.normal(size=(g.n_nodes, 4))
+    U = poisson_solve(g, R)
+    assert U.shape == R.shape
+    for j in range(4):
+        col = poisson_solve(g, R[:, j])
+        assert np.abs(U[:, j] - col).max() <= 1e-14 * np.abs(col).max()
+    with pytest.raises(DimensionMismatch):
+        poisson_solve(g, np.ones((g.n_nodes + 1, 2)))
 
 
 def test_poisson_zero_rhs():
@@ -163,3 +195,59 @@ def test_smallest_positive_laplacian_first_mode():
     lam, v = smallest_positive(Pencil(A, np.ones(g.n_nodes)))
     assert lam == pytest.approx(dirichlet_lambda1(g), rel=1e-10)
     assert (v > 0).all()
+
+
+def dense_smallest_positive(w, B):
+    return smallest_positive(Pencil(assemble_weighted_laplacian(w), B))
+
+
+def test_lobpcg_analytic_3x3():
+    g = unit_grid(3)
+    lam, v, iterations, residual = lobpcg_smallest_positive(ScalarField.full(g, 1.0), np.ones(9))
+    assert lam == pytest.approx(128.0 * math.sin(math.pi / 8) ** 2, rel=1e-12)
+    assert (v > 0).all()
+    assert iterations >= 1 and residual <= 1e-10
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (2, 3), (5, 4)])
+def test_lobpcg_grids_smaller_than_the_block(nx, ny, rng):
+    # n below the block size, and below the three blocks of a step
+    g = Grid.over_rectangle(nx, ny, 1.0, 1.5)
+    w = positive_random(g, rng)
+    B = rng.uniform(-0.5, 1.0, size=g.n_nodes)
+    B[0] = 1.0
+    lam, v, _, residual = lobpcg_smallest_positive(w, B)
+    ref, _ = dense_smallest_positive(w, B)
+    assert lam == pytest.approx(ref, rel=1e-10)
+    assert residual <= 1e-10
+
+
+def test_lobpcg_laplacian_first_mode_rectangular():
+    g = Grid.over_rectangle(23, 17, 2.0, 1.0)
+    lam, v, _, _ = lobpcg_smallest_positive(ScalarField.full(g, 1.0), np.ones(g.n_nodes))
+    assert lam == pytest.approx(dirichlet_lambda1(g), rel=1e-10)
+    assert (v > 0).all()
+
+
+def test_lobpcg_indefinite_weight_matches_dense(rng):
+    g = Grid.over_rectangle(14, 9, 1.0, 0.8)
+    w = positive_random(g, rng)
+    X, Y = g.node_coords()
+    B = (X - 0.45).reshape(-1)
+    lam, v, _, residual = lobpcg_smallest_positive(w, B)
+    ref, v_ref = dense_smallest_positive(w, B)
+    assert lam == pytest.approx(ref, rel=1e-10)
+    assert residual <= 1e-10
+    A = assemble_weighted_laplacian(w)
+    assert np.linalg.norm(A @ v - lam * B * v) <= 1e-10 * np.linalg.norm(A @ v)
+    assert float(v.min()) >= -1e-8 * float(v.max())
+
+
+def test_lobpcg_rejects_bad_input():
+    g = unit_grid(4)
+    with pytest.raises(NonPositiveWeight):
+        lobpcg_smallest_positive(ScalarField.full(g, 1.0), -np.ones(16))
+    with pytest.raises(NonPositiveWeight):
+        lobpcg_smallest_positive(ScalarField.zeros(g), np.ones(16))
+    with pytest.raises(DimensionMismatch):
+        lobpcg_smallest_positive(ScalarField.full(g, 1.0), np.ones(15))
