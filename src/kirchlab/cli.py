@@ -76,9 +76,8 @@ def _load_coefficient(section, name: str, grid: Grid) -> ScalarField:
         try:
             tree = expr.parse(section[name].strip())
             return expr.eval_field(tree, grid)
-        except expr.ExprError as err:
-            raise ConfigError(f"coefficient '{name}': {err}") from None
-        except expr.DomainError as err:
+        except (expr.ExprError, expr.DomainError, ValueError) as err:
+            # ValueError: ScalarField refuses a value that overflowed in + - * /
             raise ConfigError(f"coefficient '{name}': {err}") from None
     path = section[file_key].strip()
     try:
@@ -399,6 +398,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(out_dir, args.quiet)
+    except OSError as err:
+        print(f"config error: cannot write output in {out}: {err}", file=sys.stderr)
+        return 2
     except (ValueError, NoConvergence, NotPositiveDefinite, NotInA, SignChange,
             ConstructionFailed, NonPositiveCoefficient, GridMismatch) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

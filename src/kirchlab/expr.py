@@ -1,4 +1,4 @@
-"""Closed-form coefficient expressions: parsing and node-wise evaluation.
+"""Closed-form coefficient expressions: parsing and evaluation on node arrays.
 
 Grammar: decimal literals, variables x and y, constants pi and e, binary
 + - * / ^, unary minus, and the calls sin cos exp log sqrt abs tanh.
@@ -12,6 +12,14 @@ Precedence, tightest first:
 so "-x^2" is -(x^2) while "2^-3" still parses (the exponent starts a fresh
 prefix expression).  Every syntax error carries the byte offset it was
 detected at.
+
+One evaluator walks the tree once per call and applies each node as one
+numpy operation to whole coordinate arrays; `eval_field` runs it on the grid's
+node coordinates and `eval_at` on one point.  Values leaving the reals (log of
+a value <= 0, sqrt of a value < 0, division by zero, zero to a negative power,
+a non-finite power, a non-finite function value from a finite argument) raise
+DomainError naming the first failing node in row-major order.  An overflow in
++ - * / is not checked here; ScalarField rejects the non-finite field.
 """
 
 from __future__ import annotations
@@ -85,13 +93,13 @@ class Call:
 Expr = Num | Var | Neg | BinOp | Call
 
 FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "tanh": math.tanh,
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "tanh": np.tanh,
 }
 CONSTANTS = {"pi": math.pi, "e": math.e}
 VARIABLES = ("x", "y")
@@ -234,31 +242,54 @@ def parse(src: str) -> Expr:
     return _Parser(src).parse()
 
 
-def eval_at(expr: Expr, x: float, y: float) -> float:
-    """Evaluate at a point; DomainError when the value leaves the reals."""
+def _evaluate(expr: Expr, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Evaluate on equal-length coordinate arrays, one numpy operation per tree node.
+
+    Raises DomainError when the value leaves the reals at some node.  The
+    message names the first such node in array order and the reason found
+    first there, checks taken in the order of a depth-first, left-to-right
+    walk (operands before the operation that uses them).
+    """
+    failures = []
+    with np.errstate(all="ignore"):
+        values = _walk(expr, x, y, failures)
+    if failures:
+        k = min(int(np.argmax(mask)) for mask, _ in failures)
+        reason = next(message(k) for mask, message in failures if mask[k])
+        raise DomainError(f"{reason} at node ({x[k]:.17g}, {y[k]:.17g})")
+    return values
+
+
+def _check(failures: list, mask: np.ndarray, message) -> None:
+    """Record the nodes where a domain check fails; message(k) names node k's reason."""
+    if mask.any():
+        failures.append((mask, message))
+
+
+def _walk(expr: Expr, x: np.ndarray, y: np.ndarray, failures: list) -> np.ndarray:
     if isinstance(expr, Num):
-        return expr.value
+        return np.full(x.shape, expr.value)
     if isinstance(expr, Var):
         if expr.name == "x":
             return x
         if expr.name == "y":
             return y
-        return CONSTANTS[expr.name]
+        return np.full(x.shape, CONSTANTS[expr.name])
     if isinstance(expr, Neg):
-        return -eval_at(expr.arg, x, y)
+        return -_walk(expr.arg, x, y, failures)
     if isinstance(expr, Call):
-        v = eval_at(expr.arg, x, y)
-        if expr.fn == "log" and v <= 0.0:
-            raise DomainError(f"log of non-positive value {v:.6g}")
-        if expr.fn == "sqrt" and v < 0.0:
-            raise DomainError(f"sqrt of negative value {v:.6g}")
-        try:
-            return float(FUNCTIONS[expr.fn](v))
-        except OverflowError:
-            raise DomainError(f"{expr.fn} overflow at argument {v:.6g}") from None
+        v = _walk(expr.arg, x, y, failures)
+        if expr.fn == "log":
+            _check(failures, v <= 0.0, lambda k: f"log of non-positive value {v[k]:.6g}")
+        if expr.fn == "sqrt":
+            _check(failures, v < 0.0, lambda k: f"sqrt of negative value {v[k]:.6g}")
+        r = FUNCTIONS[expr.fn](v)
+        _check(failures, np.isfinite(v) & ~np.isfinite(r),
+               lambda k: f"{expr.fn} overflow at argument {v[k]:.6g}")
+        return r
     if isinstance(expr, BinOp):
-        a = eval_at(expr.left, x, y)
-        b = eval_at(expr.right, x, y)
+        a = _walk(expr.left, x, y, failures)
+        b = _walk(expr.right, x, y, failures)
         if expr.op == "+":
             return a + b
         if expr.op == "-":
@@ -266,33 +297,29 @@ def eval_at(expr: Expr, x: float, y: float) -> float:
         if expr.op == "*":
             return a * b
         if expr.op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero")
+            _check(failures, b == 0.0, lambda k: "division by zero")
             return a / b
-        # power
-        if a == 0.0 and b < 0.0:
-            raise DomainError("zero raised to a negative power")
-        try:
-            r = a ** b
-        except (OverflowError, ZeroDivisionError):
-            raise DomainError(f"power overflow in {a:.6g}^{b:.6g}") from None
-        if isinstance(r, complex) or not math.isfinite(r):
-            raise DomainError(f"power {a:.6g}^{b:.6g} is not a finite real")
+        # power: a negative base with a non-integer exponent gives nan
+        _check(failures, (a == 0.0) & (b < 0.0), lambda k: "zero raised to a negative power")
+        r = np.power(a, b)
+        _check(failures, ~np.isfinite(r),
+               lambda k: f"power {a[k]:.6g}^{b[k]:.6g} is not a finite real")
         return r
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+def eval_at(expr: Expr, x: float, y: float) -> float:
+    """Evaluate at a point; DomainError when the value leaves the reals."""
+    return float(_evaluate(expr, np.array([x], dtype=float), np.array([y], dtype=float))[0])
+
+
 def eval_field(expr: Expr, grid: Grid) -> ScalarField:
-    """Sample the expression at every interior node center."""
+    """Sample the expression at every interior node center.
+
+    A DomainError names the first failing node in row-major order.
+    """
     X, Y = grid.node_coords()
-    vals = np.empty(grid.n_nodes)
-    xs, ys = X.reshape(-1), Y.reshape(-1)
-    for k in range(grid.n_nodes):
-        try:
-            vals[k] = eval_at(expr, xs[k], ys[k])
-        except DomainError as err:
-            raise DomainError(f"{err} at node ({xs[k]:.17g}, {ys[k]:.17g})") from None
-    return ScalarField(grid, vals)
+    return ScalarField(grid, _evaluate(expr, X.reshape(-1), Y.reshape(-1)))
 
 
 def to_string(expr: Expr) -> str:

@@ -192,7 +192,9 @@ def smallest_positive(P: Pencil) -> tuple[float, np.ndarray] | None:
     """Least positive eigenvalue of the pencil with its eigenvector (dense reference).
 
     None when the weight is nowhere positive (no positive eigenvalue can
-    exist).  The eigenvector is flipped so its maximum entry is positive.
+    exist).  The eigenvector is oriented to a positive entry sum, as in
+    lobpcg_smallest_positive, so a sign-definite eigenvector is positive even
+    when roundoff leaves one of its entries on the other side of zero.
     """
     if float(P.B.max()) <= 0.0:
         return None
@@ -200,7 +202,7 @@ def smallest_positive(P: Pencil) -> tuple[float, np.ndarray] | None:
     if not positives:
         return None
     lam, v = positives[0]
-    if float(v.max()) <= 0.0:
+    if float(v.sum()) <= 0.0:
         v = -v
     return lam, v
 

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -239,6 +240,77 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot create output directory")
     assert "Traceback" not in err
+
+
+def test_unwritable_output_file_exits_2(tmp_path, capsys):
+    # the directory exists, but the file certify writes is a directory
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 8\nny = 8",
+                       coeffs="a = 1+x\nb = 1\nh = x-y")
+    (tmp_path / "wout" / "certificate.json").mkdir(parents=True)
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "wout"),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("h", ["(x-2)^0.5", "sin(1e308*x*10)"])
+def test_domain_failing_forcing_exits_2_without_warnings(tmp_path, capsys, h):
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 8\nny = 8",
+                       coeffs=f"a = 1\nb = 1\nh = {h}", solver="n_samples = 16")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: coefficient 'h': ")
+    assert "Warning" not in err
+    assert "Traceback" not in err
+
+
+def _robustness_case(rng: random.Random, tmp_path, i: int) -> tuple:
+    """One seeded config and output directory; most of them are wrong on purpose."""
+    good = ["1", "1+x", "2-0.8*sin(pi*x)*sin(pi*y)", "exp(x*y)", "1+0.5*x^2+y",
+            "sin(pi*x)*sin(2*pi*y)"]
+    broken = ["sin(pi*x", "1+*2", "foo(x)", "x$", "", "2^", "(1))",
+              "log(x-1)", "1/(x-0.5)", "sqrt(-1-x)", "(x-2)^0.5", "0^(-x)",
+              "10^(500*x)", "exp(1000*x)", "sin(1e308*x*10)", "1e308*x*10",
+              "x-0.5", "0", "-1", "nan"]
+    grids = ["nx = 8\nny = 8", "nx = 3\nny = 5", "nx = 1\nny = 1",
+             "nx = 6\nny = 4\nx0 = -1\nlx = 2"]
+    bad_grids = ["nx = 0\nny = 4", "nx = -3\nny = 4", "nx = abc\nny = 4", "nx = 4",
+                 "nx = 4\nny = 4\nlx = 0", "nx = 4\nny = 4\nly = -1", "nx = 2.5\nny = 4"]
+    coeffs = {key: rng.choice(good) for key in "abh"}
+    for _ in range(rng.randint(0, 2)):
+        coeffs[rng.choice("abh")] = rng.choice(broken)
+    grid = rng.choice(bad_grids) if rng.random() < 0.2 else rng.choice(grids)
+    solver = rng.choice(["n_samples = 16", "n_samples = 16", "n_samples = 3",
+                         "n_samples = 16\nnewton_tol = -1", "n_samples = 16\ns_max_override = 0"])
+    cfg = write_config(tmp_path / f"cfg{i}.ini", grid=grid, solver=solver,
+                       coeffs="\n".join(f"{k} = {v}" for k, v in coeffs.items()))
+    out = tmp_path / f"out{i}"
+    blocker = rng.random()
+    if blocker < 0.1:
+        (tmp_path / f"file{i}").write_text("")
+        out = tmp_path / f"file{i}" / "sub"
+    elif blocker < 0.2:
+        for name in ("scan.csv", "summary.json", "certificate.json", "eigen_curve.csv",
+                     "scan_study.csv", "example_ratio.field"):
+            (out / name).mkdir(parents=True)
+    return cfg, out
+
+
+def test_cli_never_raises_on_random_inputs(tmp_path, capsys):
+    rng = random.Random(20261018)
+    commands = [["solve"], ["certify"], ["eigen", "--alphas", "0.5,2"],
+                ["scan-study", "--scales", "0.5,1"], ["example"]]
+    codes = []
+    for i in range(40):
+        cfg, out = _robustness_case(rng, tmp_path, i)
+        for command in commands:
+            code = main([command[0], "--config", cfg, "--out", str(out), "--quiet",
+                         *command[1:]])
+            assert code in (0, 1, 2, 3), (i, command, code)
+            codes.append(code)
+    assert "Traceback" not in capsys.readouterr().err
+    assert {0, 1, 2} <= set(codes)
 
 
 def test_solve_overflow_exits_3(tmp_path, capsys):

@@ -105,10 +105,12 @@ def test_principal_eigenpair_matches_dense_oracle(name, n, alpha):
     assert (m.values.min() < 0.0) == (name in ("sign-changing", "bump"))
     pair = principal_eigenpair(c, alpha)
     A = assemble_weighted_laplacian(ScalarField(g, 1.0 / (c.values + alpha)))
-    lam, _ = smallest_positive(Pencil(A, m.values))
+    lam, v = smallest_positive(Pencil(A, m.values))
     assert pair.lam == pytest.approx(lam, rel=1e-10)
     assert pair.residual <= 1e-10
     assert pair.u.values.min() >= -1e-8 * pair.u.values.max()
+    assert v.sum() > 0.0
+    assert v.min() >= -1e-8 * v.max()
 
 
 def test_eigenpair_reports_iterations_and_residual():

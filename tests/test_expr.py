@@ -1,9 +1,11 @@
 import math
+import sys
 
+import numpy as np
 import pytest
 
-from kirchlab.expr import (BinOp, Call, DomainError, EmptyInput, Neg, Num,
-                           UnbalancedParen, UnexpectedToken, UnknownIdentifier,
+from kirchlab.expr import (CONSTANTS, BinOp, Call, DomainError, EmptyInput, Neg,
+                           Num, UnbalancedParen, UnexpectedToken, UnknownIdentifier,
                            Var, eval_at, eval_field, parse, to_string)
 from kirchlab.grid import Grid
 
@@ -12,6 +14,84 @@ from conftest import unit_grid
 
 def ev(src, x=0.0, y=0.0):
     return eval_at(parse(src), x, y)
+
+
+MATH_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
+                  "sqrt": math.sqrt, "abs": abs, "tanh": math.tanh}
+
+
+def oracle_at(expr, x, y):
+    """Independent scalar reference: one Python-float recursion per point.
+
+    Same domain rules and messages as the array evaluator; a function of a
+    non-finite argument that math refuses (sin(inf)) gives nan, which the
+    field then rejects.
+    """
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Var):
+        return {"x": x, "y": y}.get(expr.name, CONSTANTS.get(expr.name))
+    if isinstance(expr, Neg):
+        return -oracle_at(expr.arg, x, y)
+    if isinstance(expr, Call):
+        v = oracle_at(expr.arg, x, y)
+        if expr.fn == "log" and v <= 0.0:
+            raise DomainError(f"log of non-positive value {v:.6g}")
+        if expr.fn == "sqrt" and v < 0.0:
+            raise DomainError(f"sqrt of negative value {v:.6g}")
+        try:
+            return float(MATH_FUNCTIONS[expr.fn](v))
+        except OverflowError:
+            raise DomainError(f"{expr.fn} overflow at argument {v:.6g}") from None
+        except ValueError:
+            return math.nan
+    a = oracle_at(expr.left, x, y)
+    b = oracle_at(expr.right, x, y)
+    if expr.op == "+":
+        return a + b
+    if expr.op == "-":
+        return a - b
+    if expr.op == "*":
+        return a * b
+    if expr.op == "/":
+        if b == 0.0:
+            raise DomainError("division by zero")
+        return a / b
+    if a == 0.0 and b < 0.0:
+        raise DomainError("zero raised to a negative power")
+    try:
+        r = a ** b
+    except OverflowError:
+        r = math.inf
+    if isinstance(r, complex) or not math.isfinite(r):
+        raise DomainError(f"power {a:.6g}^{b:.6g} is not a finite real")
+    return r
+
+
+def oracle_field(expr, grid):
+    """Values at every node in row-major order, or the DomainError text of the first failing node."""
+    X, Y = grid.node_coords()
+    values = []
+    for x, y in zip(X.reshape(-1).tolist(), Y.reshape(-1).tolist()):
+        try:
+            values.append(oracle_at(expr, x, y))
+        except DomainError as err:
+            return f"{err} at node ({x:.17g}, {y:.17g})"
+    return np.array(values)
+
+
+def random_tree(rng, depth, fns=("sin", "cos", "exp", "abs", "tanh")):
+    """Random expression tree over x, y and the integers 1-4."""
+    if depth == 0 or rng.uniform() < 0.3:
+        return Var("xy"[rng.integers(0, 2)]) if rng.uniform() < 0.5 \
+            else Num(float(rng.integers(1, 5)))
+    r = rng.uniform()
+    if r < 0.2:
+        return Neg(random_tree(rng, depth - 1, fns))
+    if r < 0.4:
+        return Call(fns[rng.integers(0, len(fns))], random_tree(rng, depth - 1, fns))
+    op = "+-*/^"[rng.integers(0, 5)]
+    return BinOp(op, random_tree(rng, depth - 1, fns), random_tree(rng, depth - 1, fns))
 
 
 def test_precedence_basics():
@@ -95,6 +175,45 @@ def test_eval_field_domain_error_names_node():
         eval_field(parse("sqrt(-1-x)"), g)
 
 
+@pytest.mark.parametrize("src,message", [
+    ("1/(x-0.5)", "division by zero at node (0.5, 0.5)"),
+    ("log(x-1)", "log of non-positive value -0.75 at node (0.25, 0.5)"),
+    ("sqrt(-1-x)", "sqrt of negative value -1.25 at node (0.25, 0.5)"),
+    ("0^(-x)", "zero raised to a negative power at node (0.25, 0.5)"),
+    ("(x-1)^0.5", "power -0.75^0.5 is not a finite real at node (0.25, 0.5)"),
+    ("10^(500*x)", "power 10^375 is not a finite real at node (0.75, 0.5)"),
+    ("exp(1000*x)", "exp overflow at argument 750 at node (0.75, 0.5)"),
+    # the first failing node wins over a check met earlier in the walk
+    ("1/(x-0.75) + log(x-0.3)", "log of non-positive value -0.05 at node (0.25, 0.5)"),
+    # at one node, the check met first in the walk wins
+    ("log(x-1)/(x-0.25)", "log of non-positive value -0.75 at node (0.25, 0.5)"),
+])
+def test_eval_field_domain_failure_kinds(src, message):
+    g = Grid.over_rectangle(3, 1, 1.0, 1.0)
+    with pytest.raises(DomainError) as exc:
+        eval_field(parse(src), g)
+    assert str(exc.value) == message
+    assert oracle_field(parse(src), g) == message
+
+
+def test_eval_field_overflowed_argument_is_rejected_as_non_finite():
+    # the product overflows to inf unchecked; sin(inf) is nan and the field refuses it
+    g = Grid.over_rectangle(3, 1, 1.0, 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        eval_field(parse("sin(1e308*x*10)"), g)
+
+
+def test_eval_at_is_one_point_of_the_array_evaluator():
+    tree = parse("sin(pi*x)*exp(y)-x^y")
+    g = Grid.over_rectangle(4, 3, 1.0, 1.0)
+    X, Y = g.node_coords()
+    points = [eval_at(tree, x, y) for x, y in zip(X.reshape(-1), Y.reshape(-1))]
+    assert isinstance(points[0], float)
+    assert points == eval_field(tree, g).values.tolist()
+    with pytest.raises(DomainError, match=r"^division by zero at node \(0.5, 0.5\)$"):
+        eval_at(parse("1/(x-y)"), 0.5, 0.5)
+
+
 def test_algebraic_identity_on_grid():
     g = unit_grid(8)
     lhs = eval_field(parse("(x+y)^2"), g)
@@ -126,24 +245,76 @@ def test_pretty_print_roundtrip(src):
 
 
 def test_pretty_print_roundtrip_random(rng):
-    # random trees built from parsed fragments, re-printed and re-parsed
-    leaves = ["x", "y", "pi", "2", "0.5"]
-    ops = ["+", "-", "*", "/", "^"]
-    fns = ["sin", "cos", "exp", "abs", "tanh"]
-
-    def build(depth):
-        if depth == 0 or rng.uniform() < 0.3:
-            return Var(leaves[rng.integers(0, 2)]) if rng.uniform() < 0.5 \
-                else Num(float(rng.integers(1, 5)))
-        r = rng.uniform()
-        if r < 0.2:
-            return Neg(build(depth - 1))
-        if r < 0.4:
-            return Call(fns[rng.integers(0, len(fns))], build(depth - 1))
-        op = ops[rng.integers(0, len(ops))]
-        return BinOp(op, build(depth - 1), build(depth - 1))
-
+    # random trees, re-printed and re-parsed
     for _ in range(200):
-        tree = build(4)
+        tree = random_tree(rng, 4)
         printed = to_string(tree)
         assert parse(printed) == tree, printed
+
+
+def test_eval_field_matches_scalar_oracle_on_random_trees(rng):
+    g = Grid.over_rectangle(5, 4, 2.0, 1.5, -0.7, 0.2)
+    fns = ("sin", "cos", "exp", "log", "sqrt", "abs", "tanh")
+    outcomes = {"values": 0, "domain": 0}
+    for _ in range(300):
+        tree = random_tree(rng, 4, fns)
+        expected = oracle_field(tree, g)
+        if isinstance(expected, str):
+            outcomes["domain"] += 1
+            with pytest.raises(DomainError) as exc:
+                eval_field(tree, g)
+            assert str(exc.value) == expected, to_string(tree)
+        elif not np.isfinite(expected).all():
+            with pytest.raises(ValueError, match="non-finite"):
+                eval_field(tree, g)
+        else:
+            outcomes["values"] += 1
+            got = eval_field(tree, g).values
+            assert got == pytest.approx(expected, rel=1e-12), to_string(tree)
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def _ulps(got, expected):
+    return np.abs(got - expected) / np.spacing(np.abs(expected))
+
+
+@pytest.mark.parametrize("fn,x0,lx", [
+    ("sin", -10.0, 20.0), ("cos", -10.0, 20.0), ("exp", -30.0, 60.0),
+    ("log", 0.0, 50.0), ("sqrt", 0.0, 50.0), ("abs", -5.0, 10.0), ("tanh", -5.0, 10.0)])
+def test_single_function_within_4_ulp_of_math(fn, x0, lx):
+    g = Grid.over_rectangle(500, 1, lx, 1.0, x0, 0.0)
+    got = eval_field(parse(f"{fn}(x)"), g).values
+    X, _ = g.node_coords()
+    expected = np.array([MATH_FUNCTIONS[fn](x) for x in X.reshape(-1).tolist()])
+    assert _ulps(got, expected).max() <= 4.0
+
+
+@pytest.mark.parametrize("op", list("+-*/^"))
+def test_single_operation_within_4_ulp_of_python(op):
+    g = Grid.over_rectangle(40, 30, 7.0, 5.0, 0.05, 0.05)
+    got = eval_field(parse(f"x{op}y"), g).values
+    tree = BinOp(op, Var("x"), Var("y"))
+    X, Y = g.node_coords()
+    expected = np.array([oracle_at(tree, x, y)
+                         for x, y in zip(X.reshape(-1).tolist(), Y.reshape(-1).tolist())])
+    assert _ulps(got, expected).max() <= 4.0
+
+
+def test_eval_field_runs_no_python_code_per_node():
+    g = unit_grid(256)
+    tree = parse("1 + 0.3*sin(pi*x)*sin(2*pi*y) - log(2+x)^0.5/(1+y)")
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        field = eval_field(tree, g)
+    finally:
+        sys.setprofile(previous)
+    assert field.values.size == 65536
+    assert calls < 1000  # a few per tree node (92 with numpy 2.4), none per grid node

@@ -197,6 +197,18 @@ def test_smallest_positive_laplacian_first_mode():
     assert (v > 0).all()
 
 
+def test_smallest_positive_orients_by_entry_sum(monkeypatch):
+    # a negative sign-definite eigenvector whose largest entry is a roundoff-level
+    # positive value: the orientation must still make it positive
+    import kirchlab.linalg
+    v = np.array([-1.0, -2.0, 1e-17, -0.5])
+    monkeypatch.setattr(kirchlab.linalg, "pencil_eigensolve",
+                        lambda P: [(-3.0, np.ones(4)), (2.0, v)])
+    lam, u = smallest_positive(Pencil(np.eye(4), np.ones(4)))
+    assert lam == 2.0
+    assert (u == -v).all()
+
+
 def dense_smallest_positive(w, B):
     return smallest_positive(Pencil(assemble_weighted_laplacian(w), B))
 
