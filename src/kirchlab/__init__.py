@@ -4,13 +4,12 @@ solutions by a scalar fixed-point reduction, solve the associated weighted
 eigenproblem, and certify uniqueness of the solution from the ratio a/b.
 """
 
-from .grid import (FaceField, Grid, ScalarField, dirichlet_lambda1, divergence,
-                   grad_inner, grad_norm_sq, gradient, integrate, laplacian,
-                   read_field, write_field)
+from .grid import (FaceField, Grid, KirchlabError, ScalarField, dirichlet_lambda1,
+                   divergence, grad_inner, grad_norm_sq, gradient, integrate,
+                   laplacian, read_field, write_field)
 from .expr import DomainError, ExprError, eval_field, parse
-from .linalg import (NoConvergence, Pencil, apply_weighted_laplacian,
-                     assemble_weighted_laplacian, lobpcg_smallest_positive,
-                     pencil_eigensolve, poisson_solve, smallest_positive)
+from .linalg import (NoConvergence, apply_weighted_laplacian, lobpcg_smallest_positive,
+                     poisson_solve)
 from .kirchhoff import (NonlocalSolution, Problem, ScanReport, SingularJacobian,
                         diffusion_coefficient, energy_upper_bound,
                         fixed_point_map, fixed_point_scan, jacobian_functional,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Grid, ScalarField, coeff_grad_inf, dirichlet_lambda1,
-                   laplacian, node_grad_sq, node_gradient)
+from .grid import (Grid, KirchlabError, ScalarField, coeff_grad_inf,
+                   dirichlet_lambda1, laplacian, node_grad_sq, node_gradient)
 from .linalg import poisson_solve
 
 CONSTANT_RTOL = 1e-10
@@ -30,19 +30,19 @@ RATIO_LIMIT = 1.5
 CONSTRUCTION_TOL = 1e-6
 
 
-class NonPositiveC(Exception):
+class NonPositiveC(KirchlabError):
     pass
 
 
-class GridMismatch(Exception):
+class GridMismatch(KirchlabError):
     pass
 
 
-class NonPositiveCoefficient(Exception):
+class NonPositiveCoefficient(KirchlabError):
     pass
 
 
-class ConstructionFailed(Exception):
+class ConstructionFailed(KirchlabError):
     def __init__(self, message: str, min_c: float, min_d: float):
         super().__init__(message)
         self.min_c = min_c
@@ -174,7 +174,8 @@ def pointwise_certified_ratio(grid: Grid) -> ScalarField:
     delta = min(1/(4 |grad e|_inf^2), 1/(2 |e|_inf)) and return c = delta*e + 1.
     The cap keeps c above 1/2 and makes Lap c dominate 2|grad c|^2/c; both
     facts are re-verified on the discrete field and a failure (grid too
-    coarse) raises ConstructionFailed.
+    coarse) raises ConstructionFailed.  It succeeds on grids with at least 3
+    interior nodes per axis and fails on every thinner grid.
     """
     e = ScalarField(grid, poisson_solve(grid, -np.ones(grid.n_nodes)))
     gx, gy = node_gradient(e)

@@ -22,18 +22,17 @@ from pathlib import Path
 import numpy as np
 
 from . import expr
-from .certify import (ConstructionFailed, GridMismatch, NonPositiveCoefficient,
-                      certify, pointwise_certified_ratio)
-from .eigen import NotInA, SignChange, eigen_curve
-from .grid import Grid, ScalarField, read_field, write_field
+from .certify import certify, pointwise_certified_ratio
+from .eigen import eigen_curve
+from .grid import Grid, KirchlabError, ScalarField, read_field, write_field
 from .kirchhoff import (NEWTON_TOL, Problem, SingularJacobian, fixed_point_scan,
                         newton_solve)
-from .linalg import NoConvergence, NotPositiveDefinite
+from .linalg import NoConvergence
 
 ALL_FORMATS = ("csv", "json", "fields")
 
 
-class ConfigError(Exception):
+class ConfigError(KirchlabError):
     pass
 
 
@@ -76,7 +75,7 @@ def _load_coefficient(section, name: str, grid: Grid) -> ScalarField:
         try:
             tree = expr.parse(section[name].strip())
             return expr.eval_field(tree, grid)
-        except (expr.ExprError, expr.DomainError, ValueError) as err:
+        except (KirchlabError, ValueError) as err:
             # ValueError: ScalarField refuses a value that overflowed in + - * /
             raise ConfigError(f"coefficient '{name}': {err}") from None
     path = section[file_key].strip()
@@ -366,6 +365,9 @@ def _parse(args) -> tuple:
     """
     if args.command == "example":
         grid, cfg_out = parse_grid_only(args.config)
+        if grid.nx < 3 or grid.ny < 3:
+            raise ConfigError(f"example needs at least 3 interior nodes per axis, "
+                              f"got {grid.nx}x{grid.ny}")
         return partial(run_example, grid), args.out if args.out is not None else cfg_out
     cfg = parse_config(args.config)
     out = args.out if args.out is not None else cfg.out_dir
@@ -387,7 +389,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         run, out = _parse(args)
-    except (ConfigError, ValueError) as err:
+    except (KirchlabError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     out_dir = Path(out)
@@ -401,8 +403,7 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"config error: cannot write output in {out}: {err}", file=sys.stderr)
         return 2
-    except (ValueError, NoConvergence, NotPositiveDefinite, NotInA, SignChange,
-            ConstructionFailed, NonPositiveCoefficient, GridMismatch) as err:
+    except (KirchlabError, ValueError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import NonPositiveC, shifted_ratio
-from .grid import (FaceField, ScalarField, divergence, face_average, gradient,
-                   grad_norm_sq, integrate)
+from .grid import (FaceField, KirchlabError, ScalarField, divergence, face_average,
+                   gradient, grad_norm_sq, integrate)
 from .linalg import NoConvergence, lobpcg_smallest_positive
 
 ADMISSIBLE_TOL = 1e-10
@@ -28,15 +28,15 @@ SIGN_TOL = 1e-8
 PENCIL_RESID_TOL = 1e-8
 
 
-class NotInA(Exception):
+class NotInA(KirchlabError):
     """alpha is outside the admissible set: the weight is nowhere positive."""
 
 
-class SignChange(Exception):
+class SignChange(KirchlabError):
     """The computed principal eigenvector changes sign: grid too coarse to trust."""
 
 
-class ZeroDenominator(Exception):
+class ZeroDenominator(KirchlabError):
     pass
 
 

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, ScalarField
+from .grid import Grid, KirchlabError, ScalarField
 
 
-class ExprError(Exception):
+class ExprError(KirchlabError):
     """Parse error with the byte offset where it was detected."""
 
     def __init__(self, message: str, offset: int):
@@ -56,7 +56,7 @@ class UnexpectedToken(ExprError):
     pass
 
 
-class DomainError(Exception):
+class DomainError(KirchlabError):
     """Evaluation left the real domain (log/sqrt of a negative, division by zero)."""
 
 

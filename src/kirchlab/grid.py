@@ -27,6 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class KirchlabError(Exception):
+    """Root of every error the library raises on purpose."""
+
+
 @dataclass(frozen=True)
 class Grid:
     """nx-by-ny interior nodes over the rectangle [x0, x0+Lx] x [y0, y0+Ly]."""
@@ -207,22 +211,19 @@ def coeff_node_gradient(c: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     contributes 0.
     """
     g = c.grid
-    U = c.mat
-    gx = np.zeros((g.ny, g.nx))
-    if g.nx > 1:
-        xi = (U[:, 1:] - U[:, :-1]) / g.hx
-        gx[:, 0] = xi[:, 0]
-        gx[:, -1] = xi[:, -1]
-        if g.nx > 2:
-            gx[:, 1:-1] = 0.5 * (xi[:, :-1] + xi[:, 1:])
-    gy = np.zeros((g.ny, g.nx))
-    if g.ny > 1:
-        yi = (U[1:, :] - U[:-1, :]) / g.hy
-        gy[0, :] = yi[0, :]
-        gy[-1, :] = yi[-1, :]
-        if g.ny > 2:
-            gy[1:-1, :] = 0.5 * (yi[:-1, :] + yi[1:, :])
-    return gx, gy
+    return _column_gradient(c.mat, g.hx), _column_gradient(c.mat.T, g.hy).T.copy()
+
+
+def _column_gradient(U: np.ndarray, h: float) -> np.ndarray:
+    """coeff_node_gradient across the columns of U, spacing h."""
+    gu = np.zeros(U.shape)
+    if U.shape[1] > 1:
+        d = (U[:, 1:] - U[:, :-1]) / h
+        gu[:, 0] = d[:, 0]
+        gu[:, -1] = d[:, -1]
+        if U.shape[1] > 2:
+            gu[:, 1:-1] = 0.5 * (d[:, :-1] + d[:, 1:])
+    return gu
 
 
 def coeff_grad_inf(c: ScalarField) -> float:
@@ -234,17 +235,16 @@ def coeff_grad_inf(c: ScalarField) -> float:
 def face_average(c: ScalarField) -> FaceField:
     """Coefficient values on faces: arithmetic mean of the two adjacent nodes,
     the bare interior node value on boundary faces."""
-    g = c.grid
-    U = c.mat
-    cfx = np.empty((g.ny, g.nx + 1))
-    cfx[:, 1:-1] = 0.5 * (U[:, :-1] + U[:, 1:])
-    cfx[:, 0] = U[:, 0]
-    cfx[:, -1] = U[:, -1]
-    cfy = np.empty((g.ny + 1, g.nx))
-    cfy[1:-1, :] = 0.5 * (U[:-1, :] + U[1:, :])
-    cfy[0, :] = U[0, :]
-    cfy[-1, :] = U[-1, :]
-    return FaceField(g, cfx, cfy)
+    return FaceField(c.grid, _column_faces(c.mat), _column_faces(c.mat.T).T.copy())
+
+
+def _column_faces(U: np.ndarray) -> np.ndarray:
+    """face_average on the faces between the columns of U."""
+    f = np.empty((U.shape[0], U.shape[1] + 1))
+    f[:, 1:-1] = 0.5 * (U[:, :-1] + U[:, 1:])
+    f[:, 0] = U[:, 0]
+    f[:, -1] = U[:, -1]
+    return f
 
 
 def dirichlet_lambda1(grid: Grid) -> float:

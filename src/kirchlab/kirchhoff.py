@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigen
-from .grid import (Grid, ScalarField, grad_inner, grad_norm_sq, integrate,
-                   laplacian, node_grad_sq, dirichlet_lambda1)
+from .grid import (Grid, KirchlabError, ScalarField, grad_inner, grad_norm_sq,
+                   integrate, laplacian, node_grad_sq, dirichlet_lambda1)
 from .linalg import NoConvergence, poisson_solve
 
 ROOT_RTOL = 1e-10          # |Phi(s) - s| <= ROOT_RTOL * (1 + s) at a root
@@ -29,11 +29,11 @@ SINGULAR_TOL = 1e-8
 LINEARIZED_RTOL = 1e-6
 
 
-class NegativeS(Exception):
+class NegativeS(KirchlabError):
     pass
 
 
-class SingularJacobian(Exception):
+class SingularJacobian(KirchlabError):
     pass
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, ScalarField, face_average
+from .grid import Grid, KirchlabError, ScalarField, face_average
 
 DENSE_MAX_NODES = 10_000
 
@@ -28,11 +28,11 @@ LOBPCG_TOL = 1e-10        # relative pencil residual of the principal pair
 LOBPCG_MAX_ITER = 2000    # about 8x the most steps seen (244, 64x64 bump)
 
 
-class NonPositiveWeight(Exception):
+class NonPositiveWeight(KirchlabError):
     pass
 
 
-class NoConvergence(Exception):
+class NoConvergence(KirchlabError):
     """Iteration budget exhausted; carries the last iterate when available."""
 
     def __init__(self, message: str, iterate=None, residual=None):
@@ -41,11 +41,11 @@ class NoConvergence(Exception):
         self.residual = residual
 
 
-class NotPositiveDefinite(Exception):
+class NotPositiveDefinite(KirchlabError):
     pass
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(KirchlabError):
     pass
 
 
@@ -94,11 +94,12 @@ def poisson_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
 
 
 def apply_weighted_laplacian(w: ScalarField, X: np.ndarray) -> np.ndarray:
-    """Matrix-free assemble_weighted_laplacian(w) @ X for a vector or an (n, k) block.
+    """u -> -divergence(w_face * gradient(u)) on a vector or each column of an (n, k) block.
 
-    The same face weights (face_average of w) multiply the face differences,
-    with the zero Dirichlet ghosts outside the boundary; the products agree
-    with the dense matrix to roundoff.
+    The face weights (face_average of w) multiply the face differences, with
+    the zero Dirichlet ghosts outside the boundary.  This is the one
+    five-point stencil of the weighted operator; assemble_weighted_laplacian
+    applies it to the identity.
     """
     g = w.grid
     X = np.asarray(X, dtype=float)
@@ -116,10 +117,11 @@ def assemble_weighted_laplacian(w: ScalarField, grid: Grid | None = None) -> np.
     """Dense matrix of u -> -divergence(w_face * gradient(u)) on the interior nodes.
 
     Face weights are arithmetic means of the two adjacent node values of w;
-    boundary faces take the bare interior node value.  The result is exactly
-    symmetric and, for w > 0, positive definite.  Grids above 10000 nodes are
-    refused before the n x n array is allocated.  Reference for
-    apply_weighted_laplacian in the tests.
+    boundary faces take the bare interior node value.  The matrix is
+    apply_weighted_laplacian applied to the identity, which is exactly
+    symmetric and, for w > 0, positive definite; that application peaks at
+    about 5 n^2 doubles.  Grids above 10000 nodes are refused before anything
+    n x n is allocated.  Dense reference for the iterative solver in the tests.
     """
     g = grid if grid is not None else w.grid
     if g != w.grid:
@@ -129,23 +131,7 @@ def assemble_weighted_laplacian(w: ScalarField, grid: Grid | None = None) -> np.
     n = g.n_nodes
     if n > DENSE_MAX_NODES:
         raise DimensionMismatch(f"dense operator limited to n <= {DENSE_MAX_NODES}, got {n}")
-
-    wf = face_average(w)
-    wE = wf.xfaces[:, 1:]   # (ny, nx) weight on the face right of each node
-    wW = wf.xfaces[:, :-1]
-    wN = wf.yfaces[1:, :]
-    wS = wf.yfaces[:-1, :]
-
-    idx = np.arange(n).reshape(g.ny, g.nx)
-    hx2, hy2 = g.hx ** 2, g.hy ** 2
-
-    A = np.zeros((n, n))
-    A[idx, idx] = (wE + wW) / hx2 + (wN + wS) / hy2
-    A[idx[:, :-1], idx[:, 1:]] = -wE[:, :-1] / hx2   # east neighbour
-    A[idx[:, 1:], idx[:, :-1]] = -wW[:, 1:] / hx2    # west neighbour
-    A[idx[:-1, :], idx[1:, :]] = -wN[:-1, :] / hy2   # north neighbour
-    A[idx[1:, :], idx[:-1, :]] = -wS[1:, :] / hy2    # south neighbour
-    return A
+    return apply_weighted_laplacian(w, np.eye(n))
 
 
 def pencil_eigensolve(P: Pencil) -> list[tuple[float, np.ndarray]]:

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from kirchlab.certify import (GridMismatch, NonPositiveC, NonPositiveCoefficient,
-                              certify, interior_min, pointwise_certified_ratio,
-                              pointwise_criterion, ratio_criterion, ratio_gap)
-from kirchlab.grid import ScalarField, dirichlet_lambda1
+from kirchlab.certify import (ConstructionFailed, GridMismatch, NonPositiveC,
+                              NonPositiveCoefficient, certify, interior_min,
+                              pointwise_certified_ratio, pointwise_criterion,
+                              ratio_criterion, ratio_gap)
+from kirchlab.grid import Grid, ScalarField, dirichlet_lambda1
 from kirchlab.kirchhoff import Problem, fixed_point_scan, jacobian_functional
 
 from conftest import field_from, sign_changing, smooth_random, unit_grid
@@ -119,6 +120,17 @@ def test_construction_properties():
     assert float(c.values.min()) > 0.0
     assert interior_min(pointwise_criterion(c)) >= -1e-6
     assert float(c.values.max()) <= 1.5  # delta cap keeps c below 1 + 1/2
+
+
+def test_construction_needs_3_nodes_per_axis():
+    # the grid minimum that the example subcommand enforces at load
+    for nx in range(3, 13):
+        for ny in range(3, 13):
+            c = pointwise_certified_ratio(Grid.over_rectangle(nx, ny))
+            assert interior_min(pointwise_criterion(c)) >= -1e-6
+    for nx, ny in ((2, 8), (8, 2)):
+        with pytest.raises(ConstructionFailed):
+            pointwise_certified_ratio(Grid.over_rectangle(nx, ny))
 
 
 def test_construction_weight_never_positive():

@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import json
 import math
 import random
@@ -5,12 +7,15 @@ import random
 import pytest
 
 import kirchlab.eigen
+from kirchlab import KirchlabError, cli, eigen, expr, grid, kirchhoff, linalg
 from kirchlab.cli import main, parse_config, to_json_text
 from kirchlab.eigen import principal_eigenpair
 from kirchlab.grid import ScalarField, dirichlet_lambda1, grad_norm_sq, read_field, write_field
 from kirchlab.certify import interior_min, pointwise_criterion
 
 from conftest import unit_grid
+
+certify = importlib.import_module("kirchlab.certify")  # kirchlab.certify is the function
 
 
 def write_config(path, grid="nx = 24\nny = 24", coeffs="a = 1\nb = 1\nh = sin(pi*x)*sin(pi*y)",
@@ -323,6 +328,55 @@ def test_solve_overflow_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["certify"], ["eigen", "--alphas", "1"]],
+                         ids=["certify", "eigen"])
+def test_underflowing_ratio_exits_3(tmp_path, capsys, command):
+    # a, b > 0 pass the load check, but a/b underflows to 0 inside the run
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 8\nny = 8",
+                       coeffs="a = 1e-300*(1+x)\nb = 1e300\nh = 1")
+    assert main([command[0], "--config", cfg, "--out", str(tmp_path / "out"), "--quiet",
+                 *command[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ratio field must be positive")
+    assert "Traceback" not in err
+
+
+LIBRARY_ERRORS = [  # the 20 classes under KirchlabError, with their constructors' extra args
+    (expr.ExprError, (0,)), (expr.EmptyInput, (0,)), (expr.UnbalancedParen, (0,)),
+    (expr.UnknownIdentifier, (0,)), (expr.UnexpectedToken, (0,)), (expr.DomainError, ()),
+    (linalg.NonPositiveWeight, ()), (linalg.NoConvergence, ()),
+    (linalg.NotPositiveDefinite, ()), (linalg.DimensionMismatch, ()),
+    (kirchhoff.NegativeS, ()), (kirchhoff.SingularJacobian, ()),
+    (eigen.NotInA, ()), (eigen.SignChange, ()), (eigen.ZeroDenominator, ()),
+    (certify.NonPositiveC, ()), (certify.GridMismatch, ()),
+    (certify.NonPositiveCoefficient, ()), (certify.ConstructionFailed, (0.0, 0.0)),
+    (cli.ConfigError, ()),
+]
+
+
+def test_every_library_exception_is_a_kirchlab_error():
+    defined = {cls for module in (grid, expr, linalg, kirchhoff, eigen, certify, cli)
+               for _, cls in inspect.getmembers(module, inspect.isclass)
+               if cls.__module__ == module.__name__ and issubclass(cls, Exception)}
+    assert all(issubclass(cls, KirchlabError) for cls in defined)
+    # listed in LIBRARY_ERRORS, so the exit-code test below covers every class
+    assert defined == {KirchlabError} | {cls for cls, _ in LIBRARY_ERRORS}
+
+
+@pytest.mark.parametrize("error,args", LIBRARY_ERRORS,
+                         ids=[cls.__name__ for cls, _ in LIBRARY_ERRORS])
+def test_library_error_in_run_phase_exits_3(tmp_path, capsys, monkeypatch, error, args):
+    def failing_certify(a, b):
+        raise error("injected failure", *args)
+
+    monkeypatch.setattr(kirchlab.cli, "certify", failing_certify)
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 4\nny = 4")
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: injected failure")
+    assert "Traceback" not in err
+
+
 def test_eigen_logspace_alphas(tmp_path):
     cfg = write_config(tmp_path / "cfg.ini", grid="nx = 12\nny = 12",
                        coeffs="a = 1+x\nb = 1\nh = 0")
@@ -367,6 +421,20 @@ def test_example_emits_certified_field(tmp_path):
     c = read_field(out / "example_ratio.field")
     assert float(c.values.min()) > 0
     assert interior_min(pointwise_criterion(c)) >= -1e-6
+
+
+@pytest.mark.parametrize("nx,ny,code", [(1, 1, 2), (2, 2, 2), (1, 8, 2), (8, 2, 2),
+                                        (3, 3, 0), (3, 5, 0)])
+def test_example_grid_minimum(tmp_path, capsys, nx, ny, code):
+    cfg = write_config(tmp_path / "cfg.ini", grid=f"nx = {nx}\nny = {ny}", coeffs="")
+    out = tmp_path / "out"
+    assert main(["example", "--config", cfg, "--out", str(out), "--quiet"]) == code
+    if code == 2:
+        assert capsys.readouterr().err == (f"config error: example needs at least 3 "
+                                           f"interior nodes per axis, got {nx}x{ny}\n")
+        assert not out.exists()
+    else:
+        assert (out / "example_ratio.field").exists()
 
 
 def test_coefficients_from_field_files(tmp_path):

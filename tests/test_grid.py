@@ -145,21 +145,24 @@ def test_operator_linearity(rng):
 
 
 def test_coeff_node_gradient_linear_ramp():
-    g = unit_grid(16)
-    c = field_from(g, lambda X, Y: 1.0 + X)
+    g = Grid.over_rectangle(16, 9, 2.0, 0.7)   # hx != hy
+    c = field_from(g, lambda X, Y: 1.0 + X + 2.0 * Y)
     gx, gy = coeff_node_gradient(c)
     assert gx == pytest.approx(np.ones_like(gx), rel=1e-12)
-    assert gy == pytest.approx(np.zeros_like(gy), abs=1e-12)
-    assert coeff_grad_inf(c) == pytest.approx(1.0, rel=1e-12)
+    assert gy == pytest.approx(np.full_like(gy, 2.0), rel=1e-12)
+    assert coeff_grad_inf(c) == pytest.approx(math.sqrt(5.0), rel=1e-12)
 
 
 def test_face_average_one_sided_boundary():
-    g = unit_grid(4)
-    c = field_from(g, lambda X, Y: 1.0 + X)
+    g = Grid.over_rectangle(4, 5)
+    c = field_from(g, lambda X, Y: 1.0 + X + 2.0 * Y)
     cf = face_average(c)
     assert cf.xfaces[0, 0] == pytest.approx(c.mat[0, 0])
     assert cf.xfaces[0, -1] == pytest.approx(c.mat[0, -1])
     assert cf.xfaces[0, 2] == pytest.approx(0.5 * (c.mat[0, 1] + c.mat[0, 2]))
+    assert cf.yfaces[0, 1] == pytest.approx(c.mat[0, 1])
+    assert cf.yfaces[-1, 1] == pytest.approx(c.mat[-1, 1])
+    assert cf.yfaces[2, 1] == pytest.approx(0.5 * (c.mat[1, 1] + c.mat[2, 1]))
 
 
 def test_node_grad_sq_counts_interior_faces(rng):

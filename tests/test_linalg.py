@@ -23,21 +23,27 @@ def test_assembly_row_sums_and_symmetry(rng):
     assert row_sums[1:-1, 1:-1] == pytest.approx(np.zeros((4, 4)), abs=1e-12)
 
 
-def test_assembly_matches_grid_operators(rng):
-    g = unit_grid(9)
+@pytest.mark.parametrize("nx,ny,lx,ly", [(9, 9, 1.0, 1.0), (1, 1, 2.0, 0.7),
+                                         (9, 6, 2.0, 0.7), (13, 7, 2.0, 0.7)])
+def test_assembly_matches_grid_operators(nx, ny, lx, ly, rng):
+    # independent reference: grid.gradient/divergence with hand-built face weights
+    g = Grid.over_rectangle(nx, ny, lx, ly)
     w = positive_random(g, rng)
     A = assemble_weighted_laplacian(w)
-    u = ScalarField(g, rng.normal(size=g.n_nodes))
-    F = gradient(u)
-    wf_x = np.empty_like(F.xfaces)
-    wf_y = np.empty_like(F.yfaces)
+    X = rng.normal(size=(g.n_nodes, 3))
+    wf_x = np.empty((g.ny, g.nx + 1))
+    wf_y = np.empty((g.ny + 1, g.nx))
     W = w.mat
     wf_x[:, 1:-1] = 0.5 * (W[:, :-1] + W[:, 1:])
     wf_x[:, 0], wf_x[:, -1] = W[:, 0], W[:, -1]
     wf_y[1:-1, :] = 0.5 * (W[:-1, :] + W[1:, :])
     wf_y[0, :], wf_y[-1, :] = W[0, :], W[-1, :]
-    ref = divergence(FaceField(g, wf_x * F.xfaces, wf_y * F.yfaces))
-    assert A @ u.values == pytest.approx(-ref.values, rel=1e-12, abs=1e-12)
+    ref = np.empty_like(X)
+    for k in range(X.shape[1]):
+        F = gradient(ScalarField(g, X[:, k]))
+        ref[:, k] = -divergence(FaceField(g, wf_x * F.xfaces, wf_y * F.yfaces)).values
+    assert A @ X[:, 0] == pytest.approx(ref[:, 0], rel=1e-12, abs=1e-12)
+    assert apply_weighted_laplacian(w, X) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_assembly_rejects_nonpositive_weight():
