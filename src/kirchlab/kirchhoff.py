@@ -4,7 +4,8 @@ gradient energy of u.
 Freezing the energy at a value s makes the equation linear, so solving
 reduces to the scalar fixed-point problem s = Phi(s), where Phi(s) is the
 gradient energy of the frozen solve.  The scan enumerates every fixed point
-inside a provable bracket; Newton's method solves the full nonlinear system
+inside a provable bracket, evaluating Phi on blocks of samples with one
+block Poisson solve each; Newton's method solves the full nonlinear system
 using the closed-form inverse of the rank-one-perturbed Jacobian.
 """
 
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigen
-from .grid import (Grid, KirchlabError, ScalarField, grad_inner, grad_norm_sq,
-                   integrate, laplacian, node_grad_sq, dirichlet_lambda1)
+from .grid import (Grid, KirchlabError, ScalarField, _face_energy, grad_inner,
+                   grad_norm_sq, integrate, laplacian, node_grad_sq, dirichlet_lambda1)
 from .linalg import NoConvergence, poisson_solve
 
 ROOT_RTOL = 1e-10          # |Phi(s) - s| <= ROOT_RTOL * (1 + s) at a root
@@ -27,6 +28,7 @@ NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 50
 SINGULAR_TOL = 1e-8
 LINEARIZED_RTOL = 1e-6
+SCAN_BLOCK = 16            # Phi samples per block Poisson solve in the scan
 
 
 class NegativeS(KirchlabError):
@@ -77,15 +79,47 @@ class ScanReport:
 
 def diffusion_coefficient(P: Problem, s: float) -> ScalarField:
     """The frozen coefficient a + s*b; its minimum is at least min a."""
-    if s < 0.0:
-        raise NegativeS(f"nonlocal scalar must be nonnegative, got {s:.6g}")
-    return ScalarField(P.grid, P.a.values + s * P.b.values)
+    return ScalarField(P.grid, _frozen_coefficients(P, [s])[0])
+
+
+def _frozen_coefficients(P: Problem, ss) -> np.ndarray:
+    """Rows a + s*b, one per s of ss.
+
+    Raises NegativeS for a negative s, and a ValueError naming the first s at
+    which a + s*b does not fit in a double.
+    """
+    ss = np.asarray(ss, dtype=float)
+    if (ss < 0.0).any():
+        raise NegativeS(f"nonlocal scalar must be nonnegative, got {ss[ss < 0.0][0]:.6g}")
+    with np.errstate(over="ignore"):
+        m = P.a.values + ss[:, None] * P.b.values
+    finite = np.isfinite(m).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"frozen coefficient a + s*b is not a finite double at "
+                         f"s = {ss[~finite][0]:.6g} (max b = {P.b.values.max():.3g})")
+    return m
+
+
+def _frozen_solutions(P: Problem, ss) -> np.ndarray:
+    """Frozen solves -Lap u = h / (a + s*b), one per s of ss, as a (len(ss), ny, nx)
+    stack from one block Poisson solve.
+
+    Each solution has the same bits as when solved on its own.  Raises a
+    ValueError naming the first s whose solution is not finite.
+    """
+    ss = np.asarray(ss, dtype=float)
+    with np.errstate(over="ignore"):
+        rhs = P.h.values / _frozen_coefficients(P, ss)
+    U = poisson_solve(P.grid, rhs.T).T
+    finite = np.isfinite(U).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"frozen solve at s = {ss[~finite][0]:.6g} is not finite")
+    return U.reshape(-1, P.grid.ny, P.grid.nx)
 
 
 def solve_frozen(P: Problem, s: float) -> ScalarField:
     """Solve -Lap u = h / (a + s*b) at frozen energy s (exact sine-transform solve)."""
-    m = diffusion_coefficient(P, s)
-    return ScalarField(P.grid, poisson_solve(P.grid, P.h.values / m.values))
+    return ScalarField(P.grid, _frozen_solutions(P, [s])[0])
 
 
 def fixed_point_map(P: Problem, s: float) -> float:
@@ -122,9 +156,10 @@ def fixed_point_scan(P: Problem, n_samples: int = 256,
                      s_max: float | None = None) -> ScanReport:
     """Enumerate all fixed points of Phi on the provable bracket [0, 1.05*S_max].
 
-    Uniform samples of Phi(s) - s; every strict sign change is refined by
-    bisection to |Phi(s)-s| <= 1e-10*(1+s); samples that already satisfy that
-    bound count as roots directly.  Local minima of |Phi(s)-s| below
+    Uniform samples of Phi(s) - s, SCAN_BLOCK of them per block Poisson solve
+    and each bitwise equal to fixed_point_map; every strict sign change is
+    refined by bisection to |Phi(s)-s| <= 1e-10*(1+s); samples that already
+    satisfy that bound count as roots directly.  Local minima of |Phi(s)-s| below
     1e-6*(1+s) without a crossing are reported as suspected tangencies (a
     double root there is exactly where the Jacobian degenerates).  s_max
     replaces the computed energy bound when given.
@@ -135,7 +170,10 @@ def fixed_point_scan(P: Problem, n_samples: int = 256,
                       BRACKET_EPS)
     ss = np.linspace(0.0, s_hi, n_samples)
 
-    phis = np.array([grad_norm_sq(solve_frozen(P, float(s))) for s in ss])
+    phis = np.empty(n_samples)
+    for j in range(0, n_samples, SCAN_BLOCK):
+        block = ss[j:j + SCAN_BLOCK]
+        phis[j:j + block.size] = _face_energy(P.grid, _frozen_solutions(P, block))
     gs = phis - ss
 
     # candidate roots: (s, |g|) from direct hits and refined sign changes
@@ -154,23 +192,24 @@ def fixed_point_scan(P: Problem, n_samples: int = 256,
                                       "fixed-point-scan"))
     roots.sort(key=lambda r: r.s)
 
-    spacing = ss[1] - ss[0] if n_samples > 1 else 0.0
-    root_ss = [r.s for r in roots]
-    tangencies = []
-    for i in range(1, n_samples - 1):
-        trio = gs[i - 1:i + 2]
-        if not (np.all(trio > 0.0) or np.all(trio < 0.0)):
-            continue
-        if abs(gs[i]) > min(abs(gs[i - 1]), abs(gs[i + 1])):
-            continue
-        if abs(gs[i]) >= TANGENCY_RTOL * (1.0 + ss[i]):
-            continue
-        if any(abs(ss[i] - sr) <= 1.5 * spacing for sr in root_ss):
-            continue
-        tangencies.append(float(ss[i]))
-
+    tangencies = _suspected_tangencies(ss, gs, [r.s for r in roots])
     return ScanReport(s_max=float(s_hi / 1.05), samples=list(zip(ss.tolist(), phis.tolist())),
                       roots=roots, suspected_tangencies=tangencies)
+
+
+def _suspected_tangencies(ss: np.ndarray, gs: np.ndarray, root_ss: list) -> list:
+    """Interior samples where g = Phi(s) - s keeps one strict sign over the sample
+    and both neighbours, |g| is a local minimum below TANGENCY_RTOL*(1+s), and
+    no root lies within 1.5 sample spacings."""
+    mag, mid = np.abs(gs), ss[1:-1]
+    pos, neg = gs > 0.0, gs < 0.0
+    keep = ((pos[:-2] & pos[1:-1] & pos[2:]) | (neg[:-2] & neg[1:-1] & neg[2:]))
+    keep &= mag[1:-1] <= np.minimum(mag[:-2], mag[2:])
+    keep &= mag[1:-1] < TANGENCY_RTOL * (1.0 + mid)
+    if root_ss:
+        spacing = ss[1] - ss[0]
+        keep &= ~(np.abs(np.subtract.outer(mid, root_ss)) <= 1.5 * spacing).any(axis=1)
+    return mid[keep].tolist()
 
 
 def _bisect(P: Problem, sa: float, ga: float, sb: float) -> tuple[float, float]:

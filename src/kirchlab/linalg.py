@@ -14,6 +14,7 @@ tests compare the iterative solver against; no other module calls them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,12 +64,18 @@ class Pencil:
                 f"weight length {self.B.size} != matrix dimension {self.A.shape[0]}")
 
 
+@functools.lru_cache(maxsize=8)
 def _sine_basis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal symmetric sine matrix of the 1-D Dirichlet second difference
-    on n interior nodes of width h, with its eigenvalues."""
+    on n interior nodes of width h, with its eigenvalues.
+
+    Cached per (n, h) and shared by every caller, so both arrays are read-only.
+    """
     k = np.arange(1, n + 1)
     S = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
     lam = 4.0 / h ** 2 * np.sin(0.5 * np.pi * k / (n + 1)) ** 2
+    S.setflags(write=False)
+    lam.setflags(write=False)
     return S, lam
 
 

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import random
+import warnings
 
 import pytest
 
@@ -325,6 +326,22 @@ def test_solve_overflow_exits_3(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: energy bound")
+    assert "Traceback" not in err
+
+
+def test_solve_coefficient_overflow_exits_3_without_warnings(tmp_path, capsys):
+    # the bound fits in a double, but a + s*b overflows at the second scan sample
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 8\nny = 8",
+                       coeffs="a = 1e-100\nb = 1e20\nh = 1e50")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: frozen coefficient a + s*b is not a finite "
+                          "double at s = 1.")
+    assert "Warning" not in err
     assert "Traceback" not in err
 
 

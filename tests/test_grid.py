@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kirchlab.grid import (FaceField, Grid, ScalarField, coeff_grad_inf,
+from kirchlab.grid import (FaceField, Grid, ScalarField, _face_energy, coeff_grad_inf,
                            coeff_node_gradient, dirichlet_lambda1, divergence,
                            face_average, grad_inner, grad_norm_sq, gradient,
                            integrate, laplacian, node_grad_sq, read_field,
@@ -192,6 +192,32 @@ def test_field_file_roundtrip(tmp_path, rng):
     back = read_field(path)
     assert back.grid == g
     assert back.values == pytest.approx(f.values, rel=0, abs=0)
+
+
+def test_write_field_formats_like_repr_17g(tmp_path, rng):
+    g = Grid.over_rectangle(3, 4)
+    extremes = [5e-324, 1.7976931348623157e308, -0.0, 1e-300, -5e-324,
+                -1.7976931348623157e308, 0.1, 1.0 / 3.0]
+    for values in (np.array(extremes + rng.normal(size=4).tolist()),
+                   rng.normal(size=12) * 10.0 ** rng.uniform(-300, 300, size=12)):
+        f = ScalarField(g, values)
+        path = tmp_path / "f.field"
+        write_field(f, path)
+        body = path.read_text().split("\n", 1)[1]
+        assert body == "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in f.mat)
+        assert np.array_equal(read_field(path).values, values)
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (2, 3), (7, 5), (40, 33)])
+def test_face_energy_of_a_stack_matches_grad_norm_sq_bitwise(nx, ny, rng):
+    g = Grid.over_rectangle(nx, ny, 1.3, 0.8)
+    stack = rng.normal(size=(5, ny, nx))
+    energies = _face_energy(g, stack)
+    assert energies.shape == (5,)
+    assert energies.tolist() == [grad_norm_sq(ScalarField(g, U)) for U in stack]
+    u = ScalarField(g, stack[0])
+    F = gradient(u)
+    assert grad_norm_sq(u) == g.cell_area * float((F.xfaces ** 2).sum() + (F.yfaces ** 2).sum())
 
 
 def test_field_file_rejects_mismatched_count(tmp_path):

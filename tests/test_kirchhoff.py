@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kirchlab.kirchhoff as kh
-from kirchlab.grid import ScalarField, grad_norm_sq, laplacian
+from kirchlab.grid import Grid, ScalarField, grad_norm_sq, laplacian
 from kirchlab.kirchhoff import (NegativeS, Problem, SingularJacobian,
                                 diffusion_coefficient, energy_upper_bound,
                                 fixed_point_map, fixed_point_scan,
@@ -187,6 +187,126 @@ def test_scan_signed_forcing_unique(rng):
             h = ScalarField(g, sign * np.abs(raw.values))
             report = fixed_point_scan(Problem(a, b, h), 96)
             assert len(report.roots) == 1
+
+
+SCAN_GRIDS = [(1, 1, 1.0, 1.0), (2, 3, 1.0, 1.0), (7, 5, 1.4, 0.9)]
+
+
+@pytest.mark.parametrize("nx,ny,lx,ly", SCAN_GRIDS, ids=["1x1", "2x3", "7x5"])
+@pytest.mark.parametrize("n_samples", [16, 17, 255, 256, 257])
+def test_scan_samples_equal_fixed_point_map_bitwise(nx, ny, lx, ly, n_samples, rng):
+    g = Grid.over_rectangle(nx, ny, lx, ly)
+    P = Problem(positive_random(g, rng), positive_random(g, rng, base=0.7),
+                ScalarField(g, 3.0 + smooth_random(g, rng).values))
+    report = fixed_point_scan(P, n_samples)
+    ss = [s for s, _ in report.samples]
+    phis = [phi for _, phi in report.samples]
+    assert len(ss) == n_samples
+    assert np.array_equal(phis, [fixed_point_map(P, s) for s in ss])
+
+
+@pytest.mark.parametrize("n_samples", [256, 257])
+def test_scan_samples_are_block_poisson_solves(n_samples, rng, monkeypatch):
+    g = unit_grid(8)
+    P = Problem(positive_random(g, rng), positive_random(g, rng), sign_changing(g, rng))
+    widths, frozen = [], []
+
+    def counting_poisson(grid, rhs):
+        widths.append(1 if rhs.ndim == 1 else rhs.shape[1])
+        return poisson_solve(grid, rhs)
+
+    def counting_frozen(P, s):
+        frozen.append(s)
+        return solve_frozen(P, s)
+
+    monkeypatch.setattr(kh, "poisson_solve", counting_poisson)
+    monkeypatch.setattr(kh, "solve_frozen", counting_frozen)
+    report = fixed_point_scan(P, n_samples)
+    n_blocks = math.ceil(n_samples / kh.SCAN_BLOCK)
+    assert len(report.roots) == 1
+    # the samples first, one block solve each; then one solve per refinement step or root
+    assert sum(widths[:n_blocks]) == n_samples
+    assert widths[:n_blocks - 1] == [kh.SCAN_BLOCK] * (n_blocks - 1)
+    assert len(widths) - n_blocks == len(frozen)
+    assert 0 < len(frozen) < n_samples // 4
+
+
+def _tangencies_loop(ss, gs, root_ss):
+    """The per-sample suspected-tangency rule, one interior sample at a time."""
+    n_samples = len(ss)
+    spacing = ss[1] - ss[0] if n_samples > 1 else 0.0
+    tangencies = []
+    for i in range(1, n_samples - 1):
+        trio = gs[i - 1:i + 2]
+        if not (np.all(trio > 0.0) or np.all(trio < 0.0)):
+            continue
+        if abs(gs[i]) > min(abs(gs[i - 1]), abs(gs[i + 1])):
+            continue
+        if abs(gs[i]) >= kh.TANGENCY_RTOL * (1.0 + ss[i]):
+            continue
+        if any(abs(ss[i] - sr) <= 1.5 * spacing for sr in root_ss):
+            continue
+        tangencies.append(float(ss[i]))
+    return tangencies
+
+
+def _tangency_cases(rng):
+    """(ss, gs, root_ss) triples: seeded random dips and adversarial patterns."""
+    spacing = 1.0 / 32.0             # exact, so a root can sit exactly 1.5 spacings away
+    ss = spacing * np.arange(64)
+    for _ in range(200):
+        signs = rng.choice([-1.0, 1.0], size=ss.size, p=[0.2, 0.8])
+        gs = signs * 10.0 ** rng.uniform(-9.0, -4.0, size=ss.size)
+        roots = list(rng.choice(ss, size=int(rng.integers(0, 3)), replace=False)
+                     + rng.normal(scale=spacing, size=1))
+        yield ss, gs, roots
+    tiny = 1e-7
+    zeros = np.full(ss.size, tiny)
+    zeros[::5] = 0.0
+    flat = np.full(ss.size, tiny)
+    flat_negative = -flat
+    ties = np.tile([2 * tiny, tiny, tiny, 2 * tiny], ss.size // 4)
+    alternating = tiny * (-1.0) ** np.arange(ss.size)
+    above = np.full(ss.size, kh.TANGENCY_RTOL * 3.0)
+    at_bound = kh.TANGENCY_RTOL * (1.0 + ss)
+    dip = np.full(ss.size, 1e-3)
+    dip[[10, 30, 50]] = [1e-8, -1e-8, 0.0]
+    dip[31] = -1e-3
+    for gs in (zeros, flat, flat_negative, ties, alternating, above, at_bound, dip,
+               np.zeros(ss.size)):
+        for roots in ([], [float(ss[20])], [float(ss[20] + 1.5 * spacing)],
+                      [float(ss[0]), float(ss[-1])]):
+            yield ss, gs, roots
+
+
+def test_suspected_tangencies_match_per_sample_rule(rng):
+    found = 0
+    for ss, gs, roots in _tangency_cases(rng):
+        expected = _tangencies_loop(ss, gs, roots)
+        assert kh._suspected_tangencies(ss, gs, roots) == expected
+        found += bool(expected)
+    assert found >= 50
+
+
+def test_suspected_tangencies_hand_case():
+    ss = np.linspace(0.0, 1.0, 16)
+    gs = np.full(16, 1e-2)
+    gs[5] = 1e-8
+    gs[9] = -1e-9                     # no one-signed neighbourhood: a crossing, not a dip
+    gs[12] = 1e-9
+    assert kh._suspected_tangencies(ss, gs, []) == [float(ss[5]), float(ss[12])]
+    assert kh._suspected_tangencies(ss, gs, [float(ss[13])]) == [float(ss[5])]
+
+
+def test_scan_reports_overflowing_coefficient():
+    g = unit_grid(8)
+    P = Problem(ScalarField.full(g, 1e-100), ScalarField.full(g, 1e20),
+                ScalarField.full(g, 1e50))
+    with pytest.raises(ValueError, match=r"frozen coefficient a \+ s\*b is not a finite "
+                                         r"double at s = \d"):
+        fixed_point_scan(P, 16)
+    with pytest.raises(ValueError, match=r"a \+ s\*b is not a finite double at s = 1e\+300"):
+        solve_frozen(P, 1e300)
 
 
 def test_residual_values(rng):

@@ -8,7 +8,8 @@ from kirchlab.grid import (FaceField, Grid, ScalarField, divergence,
 from kirchlab.linalg import (DimensionMismatch, NonPositiveWeight,
                              NotPositiveDefinite, Pencil, apply_weighted_laplacian,
                              assemble_weighted_laplacian, lobpcg_smallest_positive,
-                             pencil_eigensolve, poisson_solve, smallest_positive)
+                             _sine_basis, pencil_eigensolve, poisson_solve,
+                             smallest_positive)
 
 from conftest import field_from, positive_random, unit_grid
 
@@ -120,6 +121,15 @@ def test_poisson_block_solves_each_column(rng):
         assert np.abs(U[:, j] - col).max() <= 1e-14 * np.abs(col).max()
     with pytest.raises(DimensionMismatch):
         poisson_solve(g, np.ones((g.n_nodes + 1, 2)))
+
+
+def test_sine_basis_is_cached_and_read_only():
+    S, lam = _sine_basis(7, 0.125)
+    assert _sine_basis(7, 0.125)[0] is S
+    with pytest.raises(ValueError, match="read-only"):
+        S[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        lam[0] = 1.0
 
 
 def test_poisson_zero_rhs():
