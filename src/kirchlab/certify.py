@@ -60,14 +60,13 @@ class Certificate:
     details: str
 
     def to_json_dict(self) -> dict:
-        g = self.grid
         return {
             "verdict": self.verdict,
             "ratio_value": self.ratio_value,
             "min_D": self.min_d,
             "theta": self.theta,
             "lambda1": self.lambda1,
-            "grid": f"{g.nx} {g.ny} {g.x0:.17g} {g.y0:.17g} {g.hx:.17g} {g.hy:.17g}",
+            "grid": self.grid.header(),
             "details": self.details,
         }
 

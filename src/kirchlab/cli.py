@@ -169,8 +169,6 @@ def parse_config(path: str) -> Config:
 # --- deterministic serialization -------------------------------------------
 
 def fmt(v: float) -> str:
-    if isinstance(v, float) and math.isinf(v):
-        return "inf" if v > 0 else "-inf"
     return f"{v:.17g}"
 
 
@@ -242,8 +240,7 @@ def run_solve(cfg: Config, out_dir: Path, quiet: bool) -> int:
         "roots": root_entries,
         "suspected_tangencies": list(report.suspected_tangencies),
         "newton": newton_info,
-        "grid": f"{cfg.grid.nx} {cfg.grid.ny} {fmt(cfg.grid.x0)} {fmt(cfg.grid.y0)} "
-                f"{fmt(cfg.grid.hx)} {fmt(cfg.grid.hy)}",
+        "grid": cfg.grid.header(),
     }
     if "csv" in cfg.formats:
         _write_text(out_dir / "scan.csv", csv_text)

@@ -70,6 +70,10 @@ class Grid:
     def cell_area(self) -> float:
         return self.hx * self.hy
 
+    def header(self) -> str:
+        """'nx ny x0 y0 hx hy', 17 digits per float, as field files and JSON write it."""
+        return f"{self.nx} {self.ny} {self.x0:.17g} {self.y0:.17g} {self.hx:.17g} {self.hy:.17g}"
+
     def node_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Meshgrids (X, Y) of interior node coordinates, each shaped (ny, nx)."""
         xs = self.x0 + self.hx * np.arange(1, self.nx + 1)
@@ -126,21 +130,17 @@ class FaceField:
             raise ValueError("face field contains non-finite values")
 
 
-def _padded(u: ScalarField) -> np.ndarray:
-    """Node matrix framed with the zero Dirichlet ghosts."""
-    g = u.grid
-    p = np.zeros((g.ny + 2, g.nx + 2))
-    p[1:-1, 1:-1] = u.mat
-    return p
+def _face_differences(U: np.ndarray, axes=(-2, -1)) -> tuple[np.ndarray, np.ndarray]:
+    """Undivided x- and y-face differences against the zero ghosts of the node
+    matrices on the (y, x) axes of U, any other axis a stack: the one face stencil."""
+    return (np.diff(U, axis=axes[1], prepend=0.0, append=0.0),
+            np.diff(U, axis=axes[0], prepend=0.0, append=0.0))
 
 
 def gradient(u: ScalarField) -> FaceField:
     """Forward differences onto faces; boundary faces difference against ghost 0."""
-    g = u.grid
-    p = _padded(u)
-    xf = (p[1:-1, 1:] - p[1:-1, :-1]) / g.hx
-    yf = (p[1:, 1:-1] - p[:-1, 1:-1]) / g.hy
-    return FaceField(g, xf, yf)
+    dx, dy = _face_differences(u.mat)
+    return FaceField(u.grid, dx / u.grid.hx, dy / u.grid.hy)
 
 
 def divergence(F: FaceField) -> ScalarField:
@@ -171,14 +171,16 @@ def grad_norm_sq(u: ScalarField) -> float:
 
 
 def _face_energy(grid: Grid, U: np.ndarray) -> np.ndarray:
-    """grad_norm_sq of each (ny, nx) node matrix in a (..., ny, nx) stack.
-
-    The face differences run against the zero Dirichlet ghosts, as in
-    gradient; each matrix of a stack gets the same bits as on its own.
-    """
-    xf = np.diff(U, axis=-1, prepend=0.0, append=0.0) / grid.hx
-    yf = np.diff(U, axis=-2, prepend=0.0, append=0.0) / grid.hy
-    return grid.cell_area * ((xf ** 2).sum(axis=(-2, -1)) + (yf ** 2).sum(axis=(-2, -1)))
+    """grad_norm_sq of each (ny, nx) matrix of a (..., ny, nx) stack, with the bits it
+    gets alone; raises a ValueError when one does not fit in a double."""
+    dx, dy = _face_differences(U)
+    with np.errstate(over="ignore"):
+        dx /= grid.hx
+        dy /= grid.hy
+        e = grid.cell_area * ((dx ** 2).sum(axis=(-2, -1)) + (dy ** 2).sum(axis=(-2, -1)))
+    if not np.isfinite(e).all():
+        raise ValueError(f"gradient energy overflows a double (max |u| = {np.abs(U).max():.3g})")
+    return e
 
 
 def grad_inner(u: ScalarField, v: ScalarField) -> float:
@@ -275,7 +277,7 @@ def dirichlet_lambda1(grid: Grid) -> float:
 def write_field(f: ScalarField, path) -> None:
     g = f.grid
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# field {g.nx} {g.ny} {g.x0:.17g} {g.y0:.17g} {g.hx:.17g} {g.hy:.17g}\n")
+        fh.write(f"# field {g.header()}\n")
         line = " ".join(["%.17g"] * g.nx) + "\n"
         for row in f.mat.tolist():
             fh.write(line % tuple(row))

@@ -145,11 +145,18 @@ def energy_upper_bound(P: Problem) -> float:
     return bound
 
 
+def _nonlinear_state(P: Problem, u: ScalarField) -> tuple:
+    """(E[u], M, Lap u, r) at u, with M = a + E[u]*b and r = M Lap u + h as node
+    arrays: the one evaluation of the nonlinear operator."""
+    s = grad_norm_sq(u)
+    m = diffusion_coefficient(P, s).values
+    lap_u = laplacian(u).values
+    return s, m, lap_u, m * lap_u + P.h.values
+
+
 def residual(P: Problem, u: ScalarField) -> float:
     """Max-norm of M(., E[u]) * Lap u + h."""
-    m = diffusion_coefficient(P, grad_norm_sq(u))
-    r = m.values * laplacian(u).values + P.h.values
-    return float(np.abs(r).max())
+    return float(np.abs(_nonlinear_state(P, u)[3]).max())
 
 
 def fixed_point_scan(P: Problem, n_samples: int = 256,
@@ -188,8 +195,8 @@ def fixed_point_scan(P: Problem, n_samples: int = 256,
     roots = []
     for s_root in _merge_candidates(candidates):
         u = solve_frozen(P, s_root)
-        roots.append(NonlocalSolution(u, grad_norm_sq(u), residual(P, u),
-                                      "fixed-point-scan"))
+        s, _, _, r = _nonlinear_state(P, u)
+        roots.append(NonlocalSolution(u, s, float(np.abs(r).max()), "fixed-point-scan"))
     roots.sort(key=lambda r: r.s)
 
     tangencies = _suspected_tangencies(ss, gs, [r.s for r in roots])
@@ -247,9 +254,8 @@ def jacobian_functional(P: Problem, u: ScalarField) -> float:
     The linearized operator at u is invertible exactly when this differs
     from 1/2.
     """
-    m = diffusion_coefficient(P, grad_norm_sq(u))
-    return integrate(ScalarField(
-        P.grid, P.b.values * u.values * laplacian(u).values / m.values))
+    _, m, lap_u, _ = _nonlinear_state(P, u)
+    return integrate(ScalarField(P.grid, P.b.values * u.values * lap_u / m))
 
 
 def linearized_solve(P: Problem, u: ScalarField, g: ScalarField) -> ScalarField:
@@ -265,9 +271,7 @@ def linearized_solve(P: Problem, u: ScalarField, g: ScalarField) -> ScalarField:
     result is checked a posteriori against the defining equation to
     1e-6*(1+|g|_inf).
     """
-    s = grad_norm_sq(u)
-    m = diffusion_coefficient(P, s).values
-    lap_u = laplacian(u).values
+    _, m, lap_u, _ = _nonlinear_state(P, u)
     denom = integrate(ScalarField(P.grid, 2.0 * P.b.values * u.values * lap_u / m)) - 1.0
     if abs(denom) < SINGULAR_TOL:
         raise SingularJacobian(
@@ -292,23 +296,20 @@ def newton_solve(P: Problem, u0: ScalarField | None = None,
     """Full-step Newton iteration on M(., E[u]) Lap u + h = 0.
 
     Starts from the frozen solve at s = 0 unless told otherwise; each step is
-    one linearized_solve.  Raises NoConvergence (with the last iterate) after
-    50 steps.
+    one linearized_solve, and each iterate's nonlinear state is evaluated
+    once.  Raises NoConvergence (with the last iterate) after 50 steps.
     """
     u = u0 if u0 is not None else solve_frozen(P, 0.0)
-    res = residual(P, u)
-    for _ in range(NEWTON_MAX_ITER):
-        if res <= tol:
-            return NonlocalSolution(u, grad_norm_sq(u), res, "newton")
-        m = diffusion_coefficient(P, grad_norm_sq(u))
-        r_field = ScalarField(P.grid, m.values * laplacian(u).values + P.h.values)
-        step = linearized_solve(P, u, r_field)
-        u = ScalarField(P.grid, u.values + step.values)
-        res = residual(P, u)
-    if res <= tol:
-        return NonlocalSolution(u, grad_norm_sq(u), res, "newton")
-    raise NoConvergence(f"Newton stalled at residual {res:.3e} after "
-                        f"{NEWTON_MAX_ITER} iterations", iterate=u, residual=res)
+    for steps in range(NEWTON_MAX_ITER + 1):
+        s, _, _, r = _nonlinear_state(P, u)
+        res = float(np.abs(r).max())
+        if res <= tol or steps == NEWTON_MAX_ITER:
+            break
+        u = ScalarField(P.grid, u.values + linearized_solve(P, u, ScalarField(P.grid, r)).values)
+    if not res <= tol:
+        raise NoConvergence(f"Newton stalled at residual {res:.3e} after "
+                            f"{NEWTON_MAX_ITER} iterations", iterate=u, residual=res)
+    return NonlocalSolution(u, s, res, "newton")
 
 
 def jacobian_identity(P: Problem, u: ScalarField) -> tuple[float, float]:

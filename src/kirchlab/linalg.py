@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, KirchlabError, ScalarField, face_average
+from .grid import Grid, KirchlabError, ScalarField, _face_differences, face_average
 
 DENSE_MAX_NODES = 10_000
 
@@ -103,9 +103,9 @@ def poisson_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
 def apply_weighted_laplacian(w: ScalarField, X: np.ndarray) -> np.ndarray:
     """u -> -divergence(w_face * gradient(u)) on a vector or each column of an (n, k) block.
 
-    The face weights (face_average of w) multiply the face differences, with
-    the zero Dirichlet ghosts outside the boundary.  This is the one
-    five-point stencil of the weighted operator; assemble_weighted_laplacian
+    The face weights (face_average of w) multiply the ghost-zero face
+    differences of grid.gradient, taken on an (ny, nx, k) stack.  This is the
+    one five-point stencil of the weighted operator; assemble_weighted_laplacian
     applies it to the identity.
     """
     g = w.grid
@@ -114,9 +114,9 @@ def apply_weighted_laplacian(w: ScalarField, X: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"block shape {X.shape} != ({g.n_nodes},) or "
                                 f"({g.n_nodes}, k)")
     wf = face_average(w)
-    U = X.reshape(g.ny, g.nx, -1)
-    fx = (wf.xfaces / g.hx ** 2)[:, :, None] * np.diff(U, axis=1, prepend=0.0, append=0.0)
-    fy = (wf.yfaces / g.hy ** 2)[:, :, None] * np.diff(U, axis=0, prepend=0.0, append=0.0)
+    fx, fy = _face_differences(X.reshape(g.ny, g.nx, -1), axes=(0, 1))
+    fx *= (wf.xfaces / g.hx ** 2)[:, :, None]
+    fy *= (wf.yfaces / g.hy ** 2)[:, :, None]
     return -(np.diff(fx, axis=1) + np.diff(fy, axis=0)).reshape(X.shape)
 
 

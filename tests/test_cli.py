@@ -345,6 +345,22 @@ def test_solve_coefficient_overflow_exits_3_without_warnings(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_solve_energy_overflow_exits_3_without_warnings(tmp_path, capsys):
+    # s_max_override skips the energy bound; the frozen solve at s = 0 is about
+    # 1e198, and its squared face differences overflow the gradient energy
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 8\nny = 8",
+                       coeffs="a = 1e-150\nb = 1\nh = 1e50", solver="s_max_override = 1")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: gradient energy")
+    assert "Warning" not in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [["certify"], ["eigen", "--alphas", "1"]],
                          ids=["certify", "eigen"])
 def test_underflowing_ratio_exits_3(tmp_path, capsys, command):

@@ -220,6 +220,18 @@ def test_face_energy_of_a_stack_matches_grad_norm_sq_bitwise(nx, ny, rng):
     assert grad_norm_sq(u) == g.cell_area * float((F.xfaces ** 2).sum() + (F.yfaces ** 2).sum())
 
 
+def test_gradient_energy_overflow_raises(rng):
+    g = Grid.over_rectangle(4, 3)
+    stack = rng.normal(size=(3, 3, 4))
+    stack[1, 1, 2] = 1e200
+    with pytest.raises(ValueError, match=r"gradient energy overflows a double "
+                                         r"\(max \|u\| = 1e\+200\)"):
+        _face_energy(g, stack)
+    with pytest.raises(ValueError, match="gradient energy overflows"):
+        grad_norm_sq(ScalarField(g, stack[1]))
+    assert np.isfinite(_face_energy(g, stack[[0, 2]])).all()
+
+
 def test_field_file_rejects_mismatched_count(tmp_path):
     path = tmp_path / "bad.field"
     path.write_text("# field 2 2 0 0 0.5 0.5\n1.0 2.0 3.0\n")

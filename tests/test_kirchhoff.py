@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import kirchlab.kirchhoff as kh
-from kirchlab.grid import Grid, ScalarField, grad_norm_sq, laplacian
+from kirchlab.grid import Grid, ScalarField, grad_norm_sq, integrate, laplacian
 from kirchlab.kirchhoff import (NegativeS, Problem, SingularJacobian,
                                 diffusion_coefficient, energy_upper_bound,
                                 fixed_point_map, fixed_point_scan,
                                 jacobian_functional, jacobian_identity,
                                 linearized_solve, newton_solve, residual,
                                 solve_frozen)
-from kirchlab.linalg import poisson_solve
+from kirchlab.linalg import NoConvergence, poisson_solve
 
 from conftest import (field_from, positive_random, sign_changing, smooth_random,
                       unit_grid)
@@ -434,6 +434,97 @@ def test_newton_converges_quickly_constant_ratio(rng, monkeypatch):
         P = Problem(ScalarField(g, theta * b.values), b, sign_changing(g, rng))
         sol = newton_solve(P)
         assert sol.residual <= 1e-9
+
+
+def ref_residual_field(P, u):
+    """M(., E[u]) Lap u + h, written out with no shared helper."""
+    m = diffusion_coefficient(P, grad_norm_sq(u))
+    return m.values * laplacian(u).values + P.h.values
+
+
+def ref_linearized_solve(P, u, gfield):
+    """linearized_solve's closed form written out: energy, M and Lap u of its own."""
+    m = diffusion_coefficient(P, grad_norm_sq(u)).values
+    lap_u = laplacian(u).values
+    denom = integrate(ScalarField(P.grid, 2.0 * P.b.values * u.values * lap_u / m)) - 1.0
+    t = integrate(ScalarField(P.grid, gfield.values * u.values / m)) / denom
+    w = t * 2.0 * P.b.values * lap_u / m - gfield.values / m
+    return poisson_solve(P.grid, -w)
+
+
+def ref_newton(P, tol=kh.NEWTON_TOL):
+    """The Newton loop with each iterate's state rebuilt wherever it is needed;
+    returns (u, s, residual)."""
+    u = solve_frozen(P, 0.0)
+    res = float(np.abs(ref_residual_field(P, u)).max())
+    for _ in range(kh.NEWTON_MAX_ITER):
+        if res <= tol:
+            return u, grad_norm_sq(u), res
+        step = ref_linearized_solve(P, u, ScalarField(P.grid, ref_residual_field(P, u)))
+        u = ScalarField(P.grid, u.values + step)
+        res = float(np.abs(ref_residual_field(P, u)).max())
+    if res <= tol:
+        return u, grad_norm_sq(u), res
+    raise AssertionError(f"reference Newton stalled at residual {res:.3e}")
+
+
+def newton_cases():
+    rng = np.random.default_rng(20261018)
+    cases = [cubic_problem(unit_grid(24), 4.0), cubic_problem(unit_grid(16), 1.125)]
+    for n in (8, 12, 20):
+        g = unit_grid(n)
+        cases.append(Problem(positive_random(g, rng), positive_random(g, rng),
+                             sign_changing(g, rng)))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_newton_matches_reference_loop_bitwise(case):
+    P = newton_cases()[case]
+    u, s, res = ref_newton(P)
+    sol = newton_solve(P)
+    assert np.array_equal(sol.u.values, u.values)
+    assert (sol.s, sol.residual) == (s, res)
+    assert residual(P, sol.u) == res
+    assert np.array_equal(linearized_solve(P, u, P.h).values,
+                          ref_linearized_solve(P, u, P.h))
+    assert jacobian_functional(P, u) == integrate(ScalarField(
+        P.grid, P.b.values * u.values * laplacian(u).values
+        / diffusion_coefficient(P, s).values))
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(kh, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(kh, name, counted)
+    return calls
+
+
+def test_newton_evaluates_each_iterate_once(monkeypatch):
+    P = cubic_problem(unit_grid(24), 4.0)
+    steps = count_calls(monkeypatch, "linearized_solve")
+    energies = count_calls(monkeypatch, "grad_norm_sq")
+    laplacians = count_calls(monkeypatch, "laplacian")
+    newton_solve(P)
+    # one state per iterate, and each step's linearized_solve one more plus Lap v:
+    # 2 energies and 3 Laplacians per step
+    k = len(steps)
+    assert k > 1
+    assert (len(energies), len(laplacians)) == (1 + 2 * k, 1 + 3 * k)
+
+
+def test_newton_gives_up_after_max_iter_steps(monkeypatch):
+    P = cubic_problem(unit_grid(16), 4.0)
+    steps = count_calls(monkeypatch, "linearized_solve")
+    with pytest.raises(NoConvergence, match="after 50 iterations") as info:
+        newton_solve(P, tol=1e-30)
+    assert len(steps) == kh.NEWTON_MAX_ITER
+    assert info.value.residual == residual(P, info.value.iterate)
 
 
 def test_jacobian_identity_zero():
