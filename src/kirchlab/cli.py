@@ -25,11 +25,19 @@ from . import expr
 from .certify import certify, pointwise_certified_ratio
 from .eigen import eigen_curve
 from .grid import Grid, KirchlabError, ScalarField, read_field, write_field
-from .kirchhoff import (NEWTON_TOL, Problem, SingularJacobian, fixed_point_scan,
-                        newton_solve)
-from .linalg import NoConvergence
+from .kirchhoff import NEWTON_TOL, Problem, fixed_point_scan, newton_solve
 
 ALL_FORMATS = ("csv", "json", "fields")
+
+# What a phase can fail with: the library's own errors, a value that does not fit
+# (ScalarField, Grid), and Python float arithmetic (OverflowError, ZeroDivisionError).
+# The phase decides the exit code: 2 while parsing, 3 while running.
+FAILURES = (KirchlabError, ValueError, ArithmeticError)
+
+
+def _reason(err: Exception) -> str:
+    """A failure as text; Python's float errors say little, so they carry their class."""
+    return f"{type(err).__name__}: {err}" if isinstance(err, ArithmeticError) else str(err)
 
 
 class ConfigError(KirchlabError):
@@ -71,20 +79,15 @@ def _load_coefficient(section, name: str, grid: Grid) -> ScalarField:
         raise ConfigError(
             f"coefficient '{name}' needs exactly one of '{name}' (expression) "
             f"or '{file_key}' (field file) in [coefficients]")
-    if has_expr:
-        try:
-            tree = expr.parse(section[name].strip())
-            return expr.eval_field(tree, grid)
-        except (KirchlabError, ValueError) as err:
-            # ValueError: ScalarField refuses a value that overflowed in + - * /
-            raise ConfigError(f"coefficient '{name}': {err}") from None
-    path = section[file_key].strip()
+    path = section[file_key].strip() if has_file else None
     try:
+        if has_expr:
+            return expr.eval_field(expr.parse(section[name].strip()), grid)
         f = read_field(path)
     except OSError as err:
         raise ConfigError(f"coefficient '{name}': cannot read {path}: {err}") from None
-    except ValueError as err:
-        raise ConfigError(f"coefficient '{name}': {err}") from None
+    except FAILURES as err:
+        raise ConfigError(f"coefficient '{name}': {_reason(err)}") from None
     if f.grid != grid:
         raise ConfigError(f"coefficient '{name}': field file grid {f.grid} does not "
                           f"match the [grid] section")
@@ -103,34 +106,38 @@ def _read_ini(path: str) -> configparser.ConfigParser:
     return parser
 
 
-def _grid_from(parser: configparser.ConfigParser) -> Grid:
+def _section(parser: configparser.ConfigParser, name: str):
+    """An optional section; the empty DEFAULT section when it is absent."""
+    return parser[name] if name in parser else parser["DEFAULT"]
+
+
+def _positive_float(raw: str) -> float:
+    v = float(raw)
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"{v} is not a positive finite number")
+    return v
+
+
+def _grid_and_out_dir(parser: configparser.ConfigParser) -> tuple:
+    """The [grid] section as a Grid, which checks the geometry, and the output directory."""
     if "grid" not in parser:
         raise ConfigError("missing required section [grid]")
     gsec = parser["grid"]
-    nx = _get(gsec, "nx", int, required=True)
-    ny = _get(gsec, "ny", int, required=True)
-    x0 = _get(gsec, "x0", float, 0.0)
-    y0 = _get(gsec, "y0", float, 0.0)
-    lx = _get(gsec, "lx", float, 1.0)
-    ly = _get(gsec, "ly", float, 1.0)
-    if nx < 1 or ny < 1:
-        raise ConfigError(f"grid needs nx, ny >= 1, got {nx}x{ny}")
-    if lx <= 0 or ly <= 0:
-        raise ConfigError(f"grid needs positive side lengths, got lx={lx}, ly={ly}")
-    return Grid.over_rectangle(nx, ny, lx, ly, x0, y0)
+    grid = Grid.over_rectangle(
+        _get(gsec, "nx", int, required=True), _get(gsec, "ny", int, required=True),
+        _get(gsec, "lx", float, 1.0), _get(gsec, "ly", float, 1.0),
+        _get(gsec, "x0", float, 0.0), _get(gsec, "y0", float, 0.0))
+    return grid, _get(_section(parser, "output"), "directory", str, ".")
 
 
 def parse_grid_only(path: str) -> tuple:
     """Grid plus output directory; enough for the example subcommand."""
-    parser = _read_ini(path)
-    grid = _grid_from(parser)
-    osec = parser["output"] if "output" in parser else parser["DEFAULT"]
-    return grid, _get(osec, "directory", str, ".")
+    return _grid_and_out_dir(_read_ini(path))
 
 
 def parse_config(path: str) -> Config:
     parser = _read_ini(path)
-    grid = _grid_from(parser)
+    grid, out_dir = _grid_and_out_dir(parser)
     if "coefficients" not in parser:
         raise ConfigError("missing required section [coefficients]")
 
@@ -143,20 +150,14 @@ def parse_config(path: str) -> Config:
             raise ConfigError(f"coefficient '{name}' must be positive everywhere, "
                               f"min = {f.values.min():.6g}")
 
-    ssec = parser["solver"] if "solver" in parser else parser["DEFAULT"]
+    ssec = _section(parser, "solver")
     n_samples = _get(ssec, "n_samples", int, 256)
-    newton_tol = _get(ssec, "newton_tol", float, NEWTON_TOL)
-    s_max_override = _get(ssec, "s_max_override", float, None)
+    newton_tol = _get(ssec, "newton_tol", _positive_float, NEWTON_TOL)
+    s_max_override = _get(ssec, "s_max_override", _positive_float, None)
     if n_samples < 16:
         raise ConfigError(f"'n_samples' must be >= 16, got {n_samples}")
-    if newton_tol <= 0:
-        raise ConfigError(f"'newton_tol' must be positive, got {newton_tol}")
-    if s_max_override is not None and s_max_override <= 0:
-        raise ConfigError(f"'s_max_override' must be positive, got {s_max_override}")
 
-    osec = parser["output"] if "output" in parser else parser["DEFAULT"]
-    out_dir = _get(osec, "directory", str, ".")
-    formats_raw = _get(osec, "formats", str, ",".join(ALL_FORMATS))
+    formats_raw = _get(_section(parser, "output"), "formats", str, ",".join(ALL_FORMATS))
     formats = tuple(tok.strip() for tok in formats_raw.split(",") if tok.strip())
     for tok in formats:
         if tok not in ALL_FORMATS:
@@ -216,10 +217,10 @@ def run_solve(cfg: Config, out_dir: Path, quiet: bool) -> int:
         sol = newton_solve(problem, tol=cfg.newton_tol)
         newton_info = {"converged": True, "s": sol.s, "residual": sol.residual,
                        "reason": None}
-    except (NoConvergence, SingularJacobian) as err:
+    except FAILURES as err:
         # the scan remains the ground truth; record why the cross-check failed
         newton_info = {"converged": False, "s": None, "residual": None,
-                       "reason": str(err)}
+                       "reason": _reason(err)}
 
     rows = [(s, phi, "sample") for s, phi in report.samples]
     rows += [(r.s, r.s, "root") for r in report.roots]
@@ -304,23 +305,20 @@ def run_example(grid: Grid, out_dir: Path, quiet: bool) -> int:
 
 def _parse_float_list(raw: str, what: str) -> list:
     raw = raw.strip()
-    if raw.startswith("logspace:"):
-        try:
-            lo, hi, count = raw[len("logspace:"):].split(",")
-            lo, hi, count = float(lo), float(hi), int(count)
-            if not (0 < lo < math.inf and 0 < hi < math.inf) or count < 1:
-                raise ValueError("logspace needs finite positive endpoints and count >= 1")
-        except ValueError as err:
-            raise ConfigError(f"malformed {what} '{raw}': {err}") from None
-        return list(np.logspace(math.log10(lo), math.log10(hi), count))
     try:
+        if raw.startswith("logspace:"):
+            lo, hi, count = raw[len("logspace:"):].split(",")
+            lo, hi, count = _positive_float(lo), _positive_float(hi), int(count)
+            if count < 1:
+                raise ValueError("logspace needs count >= 1")
+            return list(np.logspace(math.log10(lo), math.log10(hi), count))
         values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("values must be finite")
     except ValueError as err:
         raise ConfigError(f"malformed {what} '{raw}': {err}") from None
     if not values:
         raise ConfigError(f"empty {what} list")
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"malformed {what} '{raw}': values must be finite")
     return values
 
 
@@ -386,8 +384,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         run, out = _parse(args)
-    except (KirchlabError, ValueError) as err:
-        print(f"config error: {err}", file=sys.stderr)
+    except FAILURES as err:
+        print(f"config error: {_reason(err)}", file=sys.stderr)
         return 2
     out_dir = Path(out)
     try:
@@ -400,8 +398,8 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"config error: cannot write output in {out}: {err}", file=sys.stderr)
         return 2
-    except (KirchlabError, ValueError) as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
+    except FAILURES as err:
+        print(f"numerical failure: {_reason(err)}", file=sys.stderr)
         return 3
 
 

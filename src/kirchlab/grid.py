@@ -45,14 +45,18 @@ class Grid:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"grid needs at least one interior node per axis, got {self.nx}x{self.ny}")
-        if not (self.hx > 0.0 and self.hy > 0.0):
-            raise ValueError(f"mesh widths must be positive, got hx={self.hx}, hy={self.hy}")
+        if not (0.0 < self.hx < math.inf and 0.0 < self.hy < math.inf):
+            raise ValueError(f"mesh widths must be positive and finite, got hx={self.hx}, "
+                             f"hy={self.hy}")
+        if not (math.isfinite(self.x0) and math.isfinite(self.y0)):
+            raise ValueError(f"grid origin must be finite, got x0={self.x0}, y0={self.y0}")
 
     @staticmethod
     def over_rectangle(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0,
                        x0: float = 0.0, y0: float = 0.0) -> "Grid":
         """Grid with nx x ny interior nodes on a rectangle of side lengths lx, ly."""
-        return Grid(nx, ny, x0, y0, lx / (nx + 1), ly / (ny + 1))
+        # max(): __post_init__ refuses nx, ny < 1 before a width of nx = -1 matters
+        return Grid(nx, ny, x0, y0, lx / max(nx + 1, 1), ly / max(ny + 1, 1))
 
     @property
     def lx(self) -> float:
@@ -133,8 +137,17 @@ class FaceField:
 def _face_differences(U: np.ndarray, axes=(-2, -1)) -> tuple[np.ndarray, np.ndarray]:
     """Undivided x- and y-face differences against the zero ghosts of the node
     matrices on the (y, x) axes of U, any other axis a stack: the one face stencil."""
-    return (np.diff(U, axis=axes[1], prepend=0.0, append=0.0),
-            np.diff(U, axis=axes[0], prepend=0.0, append=0.0))
+    return _ghost_difference(U, axes[1]), _ghost_difference(U, axes[0])
+
+
+def _ghost_difference(U: np.ndarray, axis: int) -> np.ndarray:
+    """Differences along axis of U padded with a zero slab at both ends; the bits
+    of np.diff with prepend=0 and append=0, without its scalar broadcasting."""
+    axis %= U.ndim
+    slab = np.zeros(U.shape[:axis] + (1,) + U.shape[axis + 1:])
+    padded = np.concatenate((slab, U, slab), axis=axis)
+    head = (slice(None),) * axis
+    return padded[head + (slice(1, None),)] - padded[head + (slice(None, -1),)]
 
 
 def gradient(u: ScalarField) -> FaceField:

@@ -24,6 +24,8 @@ ROOT_RTOL = 1e-10          # |Phi(s) - s| <= ROOT_RTOL * (1 + s) at a root
 TANGENCY_RTOL = 1e-6
 BISECT_MAX = 120
 BRACKET_EPS = 1e-12
+CEILING_RTOL = 1e-6        # relative width at which the ceiling bisection stops
+CEILING_MAX_STEPS = 2200   # enough halvings to cross the whole double range
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 50
 SINGULAR_TOL = 1e-8
@@ -145,6 +147,30 @@ def energy_upper_bound(P: Problem) -> float:
     return bound
 
 
+def _scan_ceiling(P: Problem) -> float:
+    """Tight provable cap on the energy of any solution, below energy_upper_bound.
+
+    At a fixed point s = E[u_s] <= B(s) = integral(h^2/(a + s b)^2) / lambda1 by
+    Cauchy-Schwarz and the discrete Poincare inequality.  B decreases in s, so
+    every root lies below the fixed point of B; bisection on s - B(s) over
+    [0, energy_upper_bound(P)], with no Poisson solve, returns the upper end of
+    the bracket once it is CEILING_RTOL wide relative to that end.
+    """
+    lo, hi = 0.0, energy_upper_bound(P)
+    scale = P.grid.cell_area / dirichlet_lambda1(P.grid)
+    a, b, h = P.a.values, P.b.values, P.h.values
+    with np.errstate(all="ignore"):  # an overflowing B(mid) is +inf: mid lies below
+        for _ in range(CEILING_MAX_STEPS):
+            if not hi - lo > CEILING_RTOL * hi:
+                break
+            mid = 0.5 * (lo + hi)
+            if mid < scale * float(np.sum((h / (a + mid * b)) ** 2)):
+                lo = mid
+            else:
+                hi = mid
+    return hi
+
+
 def _nonlinear_state(P: Problem, u: ScalarField) -> tuple:
     """(E[u], M, Lap u, r) at u, with M = a + E[u]*b and r = M Lap u + h as node
     arrays: the one evaluation of the nonlinear operator."""
@@ -161,7 +187,8 @@ def residual(P: Problem, u: ScalarField) -> float:
 
 def fixed_point_scan(P: Problem, n_samples: int = 256,
                      s_max: float | None = None) -> ScanReport:
-    """Enumerate all fixed points of Phi on the provable bracket [0, 1.05*S_max].
+    """Enumerate all fixed points of Phi on the provable bracket [0, 1.05*S_max],
+    S_max the tight energy cap of _scan_ceiling.
 
     Uniform samples of Phi(s) - s, SCAN_BLOCK of them per block Poisson solve
     and each bitwise equal to fixed_point_map; every strict sign change is
@@ -169,13 +196,12 @@ def fixed_point_scan(P: Problem, n_samples: int = 256,
     satisfy that bound count as roots directly.  Local minima of |Phi(s)-s| below
     1e-6*(1+s) without a crossing are reported as suspected tangencies (a
     double root there is exactly where the Jacobian degenerates).  s_max
-    replaces the computed energy bound when given.
+    replaces the computed ceiling when given.
     """
     if n_samples < 16:
         raise ValueError(f"need at least 16 samples, got {n_samples}")
-    s_hi = 1.05 * max(s_max if s_max is not None else energy_upper_bound(P),
-                      BRACKET_EPS)
-    ss = np.linspace(0.0, s_hi, n_samples)
+    ceiling = s_max if s_max is not None else _scan_ceiling(P)
+    ss = np.linspace(0.0, 1.05 * max(ceiling, BRACKET_EPS), n_samples)
 
     phis = np.empty(n_samples)
     for j in range(0, n_samples, SCAN_BLOCK):
@@ -187,10 +213,10 @@ def fixed_point_scan(P: Problem, n_samples: int = 256,
     candidates = [(float(ss[i]), abs(float(gs[i])))
                   for i in range(n_samples)
                   if abs(gs[i]) <= ROOT_RTOL * (1.0 + ss[i])]
-    for i in range(n_samples - 1):
-        if gs[i] * gs[i + 1] < 0.0:
-            s_root, g_root = _bisect(P, float(ss[i]), float(gs[i]), float(ss[i + 1]))
-            candidates.append((s_root, abs(g_root)))
+    # compare signs: the product of two samples of |Phi(s) - s| > 1e154 overflows
+    for i in np.flatnonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0.0):
+        s_root, g_root = _bisect(P, float(ss[i]), float(gs[i]), float(ss[i + 1]))
+        candidates.append((s_root, abs(g_root)))
 
     roots = []
     for s_root in _merge_candidates(candidates):
@@ -200,7 +226,7 @@ def fixed_point_scan(P: Problem, n_samples: int = 256,
     roots.sort(key=lambda r: r.s)
 
     tangencies = _suspected_tangencies(ss, gs, [r.s for r in roots])
-    return ScanReport(s_max=float(s_hi / 1.05), samples=list(zip(ss.tolist(), phis.tolist())),
+    return ScanReport(s_max=float(ceiling), samples=list(zip(ss.tolist(), phis.tolist())),
                       roots=roots, suspected_tangencies=tangencies)
 
 

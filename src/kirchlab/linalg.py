@@ -117,10 +117,10 @@ def apply_weighted_laplacian(w: ScalarField, X: np.ndarray) -> np.ndarray:
     fx, fy = _face_differences(X.reshape(g.ny, g.nx, -1), axes=(0, 1))
     fx *= (wf.xfaces / g.hx ** 2)[:, :, None]
     fy *= (wf.yfaces / g.hy ** 2)[:, :, None]
-    return -(np.diff(fx, axis=1) + np.diff(fy, axis=0)).reshape(X.shape)
+    return -((fx[:, 1:] - fx[:, :-1]) + (fy[1:] - fy[:-1])).reshape(X.shape)
 
 
-def assemble_weighted_laplacian(w: ScalarField, grid: Grid | None = None) -> np.ndarray:
+def assemble_weighted_laplacian(w: ScalarField) -> np.ndarray:
     """Dense matrix of u -> -divergence(w_face * gradient(u)) on the interior nodes.
 
     Face weights are arithmetic means of the two adjacent node values of w;
@@ -130,12 +130,9 @@ def assemble_weighted_laplacian(w: ScalarField, grid: Grid | None = None) -> np.
     about 5 n^2 doubles.  Grids above 10000 nodes are refused before anything
     n x n is allocated.  Dense reference for the iterative solver in the tests.
     """
-    g = grid if grid is not None else w.grid
-    if g != w.grid:
-        raise DimensionMismatch("weight field lives on a different grid")
     if float(w.values.min()) <= 0.0:
         raise NonPositiveWeight(f"min weight {w.values.min():.6g} <= 0")
-    n = g.n_nodes
+    n = w.grid.n_nodes
     if n > DENSE_MAX_NODES:
         raise DimensionMismatch(f"dense operator limited to n <= {DENSE_MAX_NODES}, got {n}")
     return apply_weighted_laplacian(w, np.eye(n))

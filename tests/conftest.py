@@ -54,3 +54,19 @@ def positive_random(grid: Grid, rng: np.random.Generator, base: float = 1.0,
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260808)
+
+
+# Eight-strip coefficients on a 64x1 grid (node i in strip i // 8) with three
+# fixed points, near s = 0.01460, 0.02293 and 0.06931.
+THREE_ROOT_STRIPS = {
+    "a": [1350.99, 505.324, 0.00203151, 2.23609, 0.0149147, 31.4686, 2.2886, 22.8997],
+    "b": [1.21559, 2973.66, 9.57186, 0.00288197, 147.095, 0.22566, 147.42, 3.07095],
+    "h": [-0.4991, -12.8058, -0.591349, 15.845, -14.2632, 153.657, -9.63217, -2.21766e-05],
+}
+
+
+def three_root_fields() -> dict:
+    """The coefficients a, b, h of the three-root problem as fields."""
+    grid = Grid.over_rectangle(64, 1)
+    strip = np.arange(64) // 8
+    return {k: ScalarField(grid, np.array(v)[strip]) for k, v in THREE_ROOT_STRIPS.items()}

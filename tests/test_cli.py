@@ -14,7 +14,7 @@ from kirchlab.eigen import principal_eigenpair
 from kirchlab.grid import ScalarField, dirichlet_lambda1, grad_norm_sq, read_field, write_field
 from kirchlab.certify import interior_min, pointwise_criterion
 
-from conftest import unit_grid
+from conftest import three_root_fields, unit_grid
 
 certify = importlib.import_module("kirchlab.certify")  # kirchlab.certify is the function
 
@@ -280,15 +280,17 @@ def _robustness_case(rng: random.Random, tmp_path, i: int) -> tuple:
               "10^(500*x)", "exp(1000*x)", "sin(1e308*x*10)", "1e308*x*10",
               "x-0.5", "0", "-1", "nan"]
     grids = ["nx = 8\nny = 8", "nx = 3\nny = 5", "nx = 1\nny = 1",
-             "nx = 6\nny = 4\nx0 = -1\nlx = 2"]
+             "nx = 6\nny = 4\nx0 = -1\nlx = 2", "nx = 4\nny = 4\nlx = 1e200"]
     bad_grids = ["nx = 0\nny = 4", "nx = -3\nny = 4", "nx = abc\nny = 4", "nx = 4",
-                 "nx = 4\nny = 4\nlx = 0", "nx = 4\nny = 4\nly = -1", "nx = 2.5\nny = 4"]
+                 "nx = 4\nny = 4\nlx = 0", "nx = 4\nny = 4\nly = -1", "nx = 2.5\nny = 4",
+                 "nx = -1\nny = 4", "nx = 4\nny = 4\nx0 = nan", "nx = 4\nny = 4\nly = inf"]
     coeffs = {key: rng.choice(good) for key in "abh"}
     for _ in range(rng.randint(0, 2)):
         coeffs[rng.choice("abh")] = rng.choice(broken)
     grid = rng.choice(bad_grids) if rng.random() < 0.2 else rng.choice(grids)
     solver = rng.choice(["n_samples = 16", "n_samples = 16", "n_samples = 3",
-                         "n_samples = 16\nnewton_tol = -1", "n_samples = 16\ns_max_override = 0"])
+                         "n_samples = 16\nnewton_tol = -1", "n_samples = 16\ns_max_override = 0",
+                         "n_samples = 16\nnewton_tol = nan", "n_samples = 16\ns_max_override = inf"])
     cfg = write_config(tmp_path / f"cfg{i}.ini", grid=grid, solver=solver,
                        coeffs="\n".join(f"{k} = {v}" for k, v in coeffs.items()))
     out = tmp_path / f"out{i}"
@@ -330,9 +332,10 @@ def test_solve_overflow_exits_3(tmp_path, capsys):
 
 
 def test_solve_coefficient_overflow_exits_3_without_warnings(tmp_path, capsys):
-    # the bound fits in a double, but a + s*b overflows at the second scan sample
+    # a ceiling that fits in a double, but a + s*b overflows at the second scan
+    # sample, s = 1.05 * 2.5e300 / 255 = 1.03e298
     cfg = write_config(tmp_path / "cfg.ini", grid="nx = 8\nny = 8",
-                       coeffs="a = 1e-100\nb = 1e20\nh = 1e50")
+                       coeffs="a = 1e-100\nb = 1e20\nh = 1e50", solver="s_max_override = 2.5e300")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["solve", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
@@ -343,6 +346,72 @@ def test_solve_coefficient_overflow_exits_3_without_warnings(tmp_path, capsys):
                           "double at s = 1.")
     assert "Warning" not in err
     assert "Traceback" not in err
+
+
+def test_solve_overflow_config_records_newton_failure(tmp_path, capsys):
+    # the tight ceiling (3.4e19) keeps every scan sample finite; Newton, which
+    # starts from the frozen solve at s = 0, overflows a + s*b on its way
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 8\nny = 8",
+                       coeffs="a = 1e-100\nb = 1e20\nh = 1e50")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_roots"] == 1
+    assert summary["newton"]["converged"] is False
+    assert summary["newton"]["reason"].startswith(
+        "frozen coefficient a + s*b is not a finite double")
+
+
+EXTREME_CONFIGS = [  # (extra [grid] line, a, extra [solver] line, subcommands, exit code)
+    ("", "1e200", "", ["solve", "certify"], 3),
+    ("lx = 1e200", "1", "", ["solve", "certify", "example"], 3),
+    ("lx = 1e-300", "1", "", ["solve", "certify", "example"], 3),
+    ("x0 = nan", "1", "", ["solve"], 2),
+    ("y0 = inf", "1", "", ["solve"], 2),
+    ("lx = inf", "1", "", ["solve", "certify"], 2),
+    ("", "1", "newton_tol = nan", ["solve"], 2),
+    ("", "1", "newton_tol = inf", ["solve"], 2),
+    ("", "1", "s_max_override = nan", ["solve"], 2),
+    ("", "1", "s_max_override = inf", ["solve"], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "command,grid_line,a,solver_line,code",
+    [(command, grid_line, a, solver_line, code)
+     for grid_line, a, solver_line, commands, code in EXTREME_CONFIGS for command in commands],
+    ids=[f"{command}-{grid_line or solver_line or 'a = ' + a}".replace(" ", "")
+         for grid_line, a, solver_line, commands, _ in EXTREME_CONFIGS for command in commands])
+def test_extreme_config_exit_code(tmp_path, capsys, command, grid_line, a, solver_line, code):
+    # finite extremes overflow Python floats during the run (3); non-finite
+    # geometry or [solver] values are bad input (2) and create no output directory
+    cfg = write_config(tmp_path / "cfg.ini", grid=f"nx = 8\nny = 8\n{grid_line}",
+                       coeffs=f"a = {a}\nb = 1\nh = 1", solver=f"n_samples = 16\n{solver_line}")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if code == 2 else "numerical failure: ")
+    assert "Traceback" not in err
+    assert "Warning" not in err
+    if code == 2:
+        assert not out.exists()
+
+
+def test_solve_three_root_problem_from_field_files(tmp_path):
+    fields = three_root_fields()
+    lines = []
+    for name, f in fields.items():
+        write_field(f, tmp_path / f"{name}.field")
+        lines.append(f"{name}_file = {tmp_path / f'{name}.field'}")
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 64\nny = 1", coeffs="\n".join(lines),
+                       solver="n_samples = 64")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_roots"] == 3
+    assert [root["s"] for root in summary["roots"]] == pytest.approx(
+        [0.014602577044, 0.022932092594, 0.069306972350], abs=1e-8)
 
 
 def test_solve_energy_overflow_exits_3_without_warnings(tmp_path, capsys):

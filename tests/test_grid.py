@@ -22,6 +22,20 @@ def test_grid_validation():
     assert g.hx == pytest.approx(0.5) and g.hy == pytest.approx(0.125)
 
 
+@pytest.mark.parametrize("x0,y0,hx,hy", [(math.nan, 0.0, 0.1, 0.1), (0.0, math.inf, 0.1, 0.1),
+                                         (0.0, 0.0, math.inf, 0.1), (0.0, 0.0, 0.1, math.nan),
+                                         (-math.inf, 0.0, 0.1, 0.1)])
+def test_grid_rejects_nonfinite_geometry(x0, y0, hx, hy):
+    with pytest.raises(ValueError, match="finite"):
+        Grid(3, 3, x0, y0, hx, hy)
+
+
+def test_over_rectangle_reports_node_count():
+    # nx = -1 would divide by nx + 1 = 0 before the node-count check
+    with pytest.raises(ValueError, match="at least one interior node per axis, got -1x4"):
+        Grid.over_rectangle(-1, 4)
+
+
 def test_field_validation():
     g = unit_grid(3)
     with pytest.raises(ValueError):
@@ -243,4 +257,14 @@ def test_field_file_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.field"
     path.write_text("# notafield 2 2 0 0 0.5 0.5\n1 2 3 4\n")
     with pytest.raises(ValueError, match="malformed field header"):
+        read_field(path)
+
+
+def test_field_file_rejects_nonfinite_header(tmp_path):
+    path = tmp_path / "bad.field"
+    path.write_text("# field 2 2 nan 0 0.5 0.5\n1 2 3 4\n")
+    with pytest.raises(ValueError, match="grid origin must be finite"):
+        read_field(path)
+    path.write_text("# field 2 2 0 0 inf 0.5\n1 2 3 4\n")
+    with pytest.raises(ValueError, match="mesh widths must be positive and finite"):
         read_field(path)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import kirchlab.kirchhoff as kh
-from kirchlab.grid import Grid, ScalarField, grad_norm_sq, integrate, laplacian
+from kirchlab.grid import (Grid, ScalarField, dirichlet_lambda1, grad_norm_sq, integrate,
+                           laplacian)
 from kirchlab.kirchhoff import (NegativeS, Problem, SingularJacobian,
                                 diffusion_coefficient, energy_upper_bound,
                                 fixed_point_map, fixed_point_scan,
@@ -14,7 +15,7 @@ from kirchlab.kirchhoff import (NegativeS, Problem, SingularJacobian,
 from kirchlab.linalg import NoConvergence, poisson_solve
 
 from conftest import (field_from, positive_random, sign_changing, smooth_random,
-                      unit_grid)
+                      three_root_fields, unit_grid)
 
 
 def constant_problem(grid, h_field, a=1.0, b=1.0) -> Problem:
@@ -126,6 +127,67 @@ def test_all_roots_lie_under_energy_bound(rng):
         assert report.roots, "scan must find at least one root"
         for root in report.roots:
             assert -1e-12 <= root.s <= bound * (1 + 1e-9)
+
+
+def _poincare_bound(P, s):
+    """B(s) = integral(h^2 / (a + s b)^2) / lambda1, written out on its own."""
+    m = P.a.values + s * P.b.values
+    return P.grid.cell_area * float(np.sum(P.h.values ** 2 / m ** 2)) / dirichlet_lambda1(P.grid)
+
+
+def test_scan_ceiling_is_the_tight_bracket(rng):
+    g = unit_grid(6)
+    assert kh._scan_ceiling(constant_problem(g, ScalarField.zeros(g))) == 0.0
+    for _ in range(50):
+        P = Problem(positive_random(g, rng, base=rng.uniform(0.3, 2.0)),
+                    positive_random(g, rng, base=rng.uniform(0.3, 2.0)),
+                    smooth_random(g, rng, amp=rng.uniform(0.2, 5.0)))
+        ceiling = kh._scan_ceiling(P)
+        assert 0.0 < ceiling <= energy_upper_bound(P)
+        # above the fixed point of B, and within 2 * CEILING_RTOL of it
+        assert ceiling >= _poincare_bound(P, ceiling) * (1.0 - 1e-12)
+        below = ceiling * (1.0 - 2.0 * kh.CEILING_RTOL)
+        assert below < _poincare_bound(P, below)
+        report = fixed_point_scan(P, 32)
+        assert report.s_max == ceiling
+        assert report.roots
+        assert all(root.s <= ceiling * (1.0 + 1e-9) for root in report.roots)
+
+
+def _bisect_fixed_point(P, lo, hi):
+    """Plain bisection of Phi(s) - s with fixed_point_map down to a 1e-15 bracket."""
+    g_lo = fixed_point_map(P, lo) - lo
+    assert (g_lo > 0.0) != (fixed_point_map(P, hi) - hi > 0.0)
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        g_mid = fixed_point_map(P, mid) - mid
+        if (g_mid > 0.0) == (g_lo > 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("n_samples", [16, 64, 256])
+def test_scan_finds_all_three_roots(n_samples):
+    # energy_upper_bound, from min(a) alone, is 2.03e7: a scan up to it finds only 0.06931
+    P = Problem(**three_root_fields())
+    expected = [_bisect_fixed_point(P, lo, hi)
+                for lo, hi in ((0.0145, 0.0147), (0.0228, 0.0230), (0.0692, 0.0694))]
+    report = fixed_point_scan(P, n_samples)
+    assert report.s_max < 0.3
+    assert [root.s for root in report.roots] == pytest.approx(expected, rel=0, abs=1e-8)
+
+
+def test_scan_sign_test_without_products():
+    # |Phi(s) - s| is of order 1e158 across the bracket (b s is negligible next to
+    # a), so the product of two neighbouring samples overflows
+    g = unit_grid(8)
+    P = constant_problem(g, ScalarField.full(g, 1e80), b=1e-200)
+    report = fixed_point_scan(P)
+    assert len(report.roots) == 1
+    s = report.roots[0].s
+    assert abs(fixed_point_map(P, s) - s) <= kh.ROOT_RTOL * (1.0 + s)
 
 
 def test_scan_zero_forcing():
@@ -304,7 +366,7 @@ def test_scan_reports_overflowing_coefficient():
                 ScalarField.full(g, 1e50))
     with pytest.raises(ValueError, match=r"frozen coefficient a \+ s\*b is not a finite "
                                          r"double at s = \d"):
-        fixed_point_scan(P, 16)
+        fixed_point_scan(P, 16, s_max=1e300)
     with pytest.raises(ValueError, match=r"a \+ s\*b is not a finite double at s = 1e\+300"):
         solve_frozen(P, 1e300)
 
