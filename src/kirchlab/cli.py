@@ -270,6 +270,13 @@ def run_eigen(cfg: Config, alphas: list, out_dir: Path, quiet: bool,
         print("eigen: admissible set empty for the sampled alphas", file=sys.stderr)
         return 1
     _write_text(out_dir / "eigen_curve.csv", curve.to_csv())
+    if "json" in cfg.formats:
+        summary = {
+            "grid": cfg.grid.header(),
+            "rows": [{"alpha": p.alpha, "iterations": p.iterations, "residual": p.residual}
+                     for p in curve.pairs],
+        }
+        _write_text(out_dir / "eigen_summary.json", to_json_text(summary) + "\n")
     if write_fields and "fields" in cfg.formats:
         for i, pair in enumerate(curve.pairs):
             write_field(pair.u, out_dir / f"eigenfunction_{i:03d}.field")

@@ -50,6 +50,11 @@ class Grid:
                              f"hy={self.hy}")
         if not (math.isfinite(self.x0) and math.isfinite(self.y0)):
             raise ValueError(f"grid origin must be finite, got x0={self.x0}, y0={self.y0}")
+        # the far edges bound every node coordinate, so node_coords cannot overflow
+        for name, edge in (("x0 + (nx+1)*hx", self.x0 + (self.nx + 1) * self.hx),
+                           ("y0 + (ny+1)*hy", self.y0 + (self.ny + 1) * self.hy)):
+            if not math.isfinite(edge):
+                raise ValueError(f"grid far edge {name} = {edge} is not a finite double")
 
     @staticmethod
     def over_rectangle(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0,

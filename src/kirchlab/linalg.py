@@ -4,7 +4,7 @@ Three pieces: an exact Dirichlet Poisson solve by the discrete sine transform;
 the weighted Dirichlet Laplacian u -> -div(w grad u), applied matrix-free to a
 block of vectors; and the principal eigenpair of the pencil
 A x = lambda diag(B) x (A that weighted Laplacian, B an indefinite weight) by
-block LOBPCG preconditioned with the Poisson solve, in O(n) memory.
+single-vector LOBPCG preconditioned with the Poisson solve, in O(n) memory.
 
 The dense assembly and the dense generalized eigensolver (reduce with the
 Cholesky factor of A and invert the spectrum, which keeps the indefinite
@@ -24,9 +24,8 @@ from .grid import Grid, KirchlabError, ScalarField, _face_differences, face_aver
 
 DENSE_MAX_NODES = 10_000
 
-LOBPCG_BLOCK = 8          # holds the four-fold clusters of edge-localized modes
 LOBPCG_TOL = 1e-10        # relative pencil residual of the principal pair
-LOBPCG_MAX_ITER = 2000    # about 8x the most steps seen (244, 64x64 bump)
+LOBPCG_MAX_ITER = 2000    # about 2x the most steps seen (1023, 64x64 bump at alpha = 5)
 
 
 class NonPositiveWeight(KirchlabError):
@@ -106,17 +105,30 @@ def apply_weighted_laplacian(w: ScalarField, X: np.ndarray) -> np.ndarray:
     The face weights (face_average of w) multiply the ghost-zero face
     differences of grid.gradient, taken on an (ny, nx, k) stack.  This is the
     one five-point stencil of the weighted operator; assemble_weighted_laplacian
-    applies it to the identity.
+    applies it to the identity, and lobpcg_smallest_positive calls its kernel
+    with face weights built once.
     """
     g = w.grid
     X = np.asarray(X, dtype=float)
     if X.ndim not in (1, 2) or X.shape[0] != g.n_nodes:
         raise DimensionMismatch(f"block shape {X.shape} != ({g.n_nodes},) or "
                                 f"({g.n_nodes}, k)")
+    return _weighted_laplacian(g, *_face_weights(w), X)
+
+
+def _face_weights(w: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """The x- and y-face weights of the stencil, face_average(w) over hx^2 and hy^2,
+    each with a trailing axis for the block columns."""
+    g = w.grid
     wf = face_average(w)
+    return (wf.xfaces / g.hx ** 2)[:, :, None], (wf.yfaces / g.hy ** 2)[:, :, None]
+
+
+def _weighted_laplacian(g: Grid, wx: np.ndarray, wy: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """apply_weighted_laplacian with the face weights of _face_weights and no checks."""
     fx, fy = _face_differences(X.reshape(g.ny, g.nx, -1), axes=(0, 1))
-    fx *= (wf.xfaces / g.hx ** 2)[:, :, None]
-    fy *= (wf.yfaces / g.hy ** 2)[:, :, None]
+    fx *= wx
+    fy *= wy
     return -((fx[:, 1:] - fx[:, :-1]) + (fy[1:] - fy[:-1])).reshape(X.shape)
 
 
@@ -197,32 +209,31 @@ def smallest_positive(P: Pencil) -> tuple[float, np.ndarray] | None:
     return lam, v
 
 
-def _lowest_sine_modes(grid: Grid, k: int) -> np.ndarray:
-    """(n, k) block of the k lowest Dirichlet sine modes of the five-point Laplacian."""
-    Sx, lx = _sine_basis(grid.nx, grid.hx)
-    Sy, ly = _sine_basis(grid.ny, grid.hy)
-    order = np.argsort((ly[:, None] + lx[None, :]).reshape(-1), kind="stable")[:k]
-    jy, ix = np.divmod(order, grid.nx)
-    return (Sy[:, jy][:, None, :] * Sx[:, ix][None, :, :]).reshape(grid.n_nodes, k)
+def _lowest_sine_mode(grid: Grid) -> np.ndarray:
+    """The lowest Dirichlet sine mode of the five-point Laplacian, a positive n-vector."""
+    Sx, _ = _sine_basis(grid.nx, grid.hx)
+    Sy, _ = _sine_basis(grid.ny, grid.hy)
+    return np.outer(Sy[:, 0], Sx[:, 0]).reshape(-1)
 
 
 def lobpcg_smallest_positive(w: ScalarField, B: np.ndarray) -> tuple[float, np.ndarray, int, float]:
     """Least positive eigenvalue of A x = lambda diag(B) x, A = assemble_weighted_laplacian(w).
 
-    Matrix-free block LOBPCG (Knyazev 2001) for the largest eigenvalue mu of
-    diag(B) x = mu A x, the extremal end of a definite pencil, and
-    lambda = 1/mu.  The residual block is preconditioned by the exact Poisson
-    solve, spectrally equivalent to A within max(w)/min(w).  Each step
-    normalizes the columns of [X, W, P] (Ritz block, preconditioned residuals,
-    previous directions), orthonormalizes them by Householder QR, and does the
-    Rayleigh-Ritz step with the Cholesky factor of the A-Gram matrix of that
-    basis.  The start block is the LOBPCG_BLOCK lowest sine modes; nothing is
-    random, so equal inputs give equal bits.
+    Matrix-free single-vector LOBPCG (Knyazev 2001) for the largest eigenvalue
+    mu of diag(B) x = mu A x, the extremal end of a definite pencil, and
+    lambda = 1/mu.  The residual is preconditioned by the exact Poisson solve,
+    spectrally equivalent to A within max(w)/min(w).  Each step normalizes the
+    columns of [x, w, p] (Ritz vector, preconditioned residual, previous
+    direction), orthonormalizes them by Householder QR, and does the
+    Rayleigh-Ritz step on that 3-column basis with the Cholesky factor of its
+    A-Gram matrix: one Poisson solve and three stencil applications, with the
+    face weights of A built once per call.  The start vector is the lowest
+    sine mode; nothing is random, so equal inputs give equal bits.
 
     Returns (lambda, x, iterations, residual): x is oriented to a positive
     entry sum (so a sign-definite x is positive) and residual is
     |A x - lambda B x| / |A x|, recomputed from x.  The iteration stops once
-    the principal Ritz pair's residual reaches LOBPCG_TOL.
+    the Ritz pair's residual reaches LOBPCG_TOL.
     Raises NonPositiveWeight when B is nowhere positive (no positive
     eigenvalue exists) and NoConvergence after LOBPCG_MAX_ITER steps.
     """
@@ -234,44 +245,43 @@ def lobpcg_smallest_positive(w: ScalarField, B: np.ndarray) -> tuple[float, np.n
         raise NonPositiveWeight(f"min weight {w.values.min():.6g} <= 0")
     if float(B.max()) <= 0.0:
         raise NonPositiveWeight("pencil weight is nowhere positive: no positive eigenvalue")
-    k = min(LOBPCG_BLOCK, g.n_nodes)
+    wx, wy = _face_weights(w)
     b = B[:, None]
 
-    S = _lowest_sine_modes(g, k)
+    S = _lowest_sine_mode(g)[:, None]
     rel = math.inf
     for iteration in range(1, LOBPCG_MAX_ITER + 1):
         Q = np.linalg.qr(S)[0]
-        AQ = apply_weighted_laplacian(w, Q)
+        AQ = _weighted_laplacian(g, wx, wy, Q)
         try:
             L = np.linalg.cholesky(Q.T @ AQ)
         except np.linalg.LinAlgError as err:
             raise NotPositiveDefinite(f"Cholesky of the Gram matrix failed: {err}") from None
         Linv = np.linalg.inv(L)
         C = Linv @ (Q.T @ (b * Q)) @ Linv.T
-        mu, Z = np.linalg.eigh(0.5 * (C + C.T))
-        mu = mu[::-1][:k]
-        Y = Linv.T @ Z[:, ::-1][:, :k]
-        X, AX = Q @ Y, AQ @ Y
-        R = b * X - AX * mu
-        if mu[0] > 0.0:
-            rel = float(np.linalg.norm(R[:, 0]) / (mu[0] * np.linalg.norm(AX[:, 0])))
+        mus, Z = np.linalg.eigh(0.5 * (C + C.T))
+        mu, y = mus[-1], Linv.T @ Z[:, -1]
+        x, ax = Q @ y, AQ @ y
+        r = B * x - mu * ax
+        if mu > 0.0:
+            rel = float(np.linalg.norm(r) / (mu * np.linalg.norm(ax)))
             if rel <= LOBPCG_TOL:
                 break
-        W = poisson_solve(g, R)
-        blocks = [X, W]
-        if Q.shape[1] > k:
-            # P: the part of the new Ritz block outside the span of the old one
-            blocks.append(Q[:, k:] @ Y[k:, :])
-        S = np.hstack(blocks)
+        columns = [x, poisson_solve(g, r)]
+        if Q.shape[1] > 1:
+            # p: the part of the new Ritz vector outside the span of the old one
+            columns.append(Q[:, 1:] @ y[1:])
+        S = np.column_stack(columns)
         # unit columns: at large alpha |B| ~ 1e-9, and residual directions that
-        # small would be swamped by the Ritz block in the QR
+        # small would be swamped by the Ritz vector in the QR
         norms = np.linalg.norm(S, axis=0)
         S = S / np.where(norms > 0.0, norms, 1.0)
     else:
-        raise NoConvergence(f"LOBPCG: principal residual {rel:.3e} after "
-                            f"{LOBPCG_MAX_ITER} iterations", iterate=X[:, 0], residual=rel)
+        raise NoConvergence(f"LOBPCG: residual {rel:.3e} after {LOBPCG_MAX_ITER} "
+                            f"iterations", iterate=x, residual=rel)
 
-    lam = 1.0 / float(mu[0])
-    x = X[:, 0] if float(X[:, 0].sum()) > 0.0 else -X[:, 0]
-    Ax = apply_weighted_laplacian(w, x)
+    lam = 1.0 / float(mu)
+    if float(x.sum()) <= 0.0:
+        x = -x
+    Ax = _weighted_laplacian(g, wx, wy, x)
     return lam, x, iteration, float(np.linalg.norm(Ax - lam * B * x) / np.linalg.norm(Ax))

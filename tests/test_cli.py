@@ -118,7 +118,7 @@ def test_certify_and_eigen_deterministic_output(tmp_path):
         assert main(["certify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         assert main(["eigen", "--config", cfg, "--alphas", "0.5,2",
                      "--out", str(out), "--quiet"]) == 0
-    for name in ("certificate.json", "eigen_curve.csv"):
+    for name in ("certificate.json", "eigen_curve.csv", "eigen_summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -398,6 +398,23 @@ def test_extreme_config_exit_code(tmp_path, capsys, command, grid_line, a, solve
         assert not out.exists()
 
 
+@pytest.mark.parametrize("a", ["1", "1+x"])
+def test_overflowing_far_edge_exits_2_without_warnings(tmp_path, capsys, a):
+    # x0 and lx are finite doubles, but x0 + lx and the last node coordinates are not
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 4\nny = 4\nx0 = 1.7e308\nlx = 1e308",
+                       coeffs=f"a = {a}\nb = 1\nh = 1")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid far edge x0 + (nx+1)*hx = inf")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_solve_three_root_problem_from_field_files(tmp_path):
     fields = three_root_fields()
     lines = []
@@ -477,6 +494,34 @@ def test_library_error_in_run_phase_exits_3(tmp_path, capsys, monkeypatch, error
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: injected failure")
     assert "Traceback" not in err
+
+
+def test_eigen_summary_reports_each_row(tmp_path):
+    # one entry per curve row, in the order of --alphas, with the solver's own counts
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 12\nny = 10",
+                       coeffs="a = 1+x\nb = 1\nh = 0")
+    out = tmp_path / "out"
+    assert main(["eigen", "--config", cfg, "--alphas", "2,0.5,1",
+                 "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "eigen_summary.json").read_text())
+    parsed = parse_config(cfg)
+    assert summary["grid"] == parsed.grid.header()
+    c = ScalarField(parsed.grid, parsed.a.values / parsed.b.values)
+    assert [row["alpha"] for row in summary["rows"]] == [2.0, 0.5, 1.0]
+    for row in summary["rows"]:
+        pair = principal_eigenpair(c, row["alpha"])
+        assert set(row) == {"alpha", "iterations", "residual"}
+        assert row["iterations"] == pair.iterations >= 1
+        assert row["residual"] == pair.residual <= 1e-10
+
+
+def test_eigen_summary_follows_json_format(tmp_path):
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 8\nny = 8",
+                       coeffs="a = 1+x\nb = 1\nh = 0", output="formats = csv")
+    out = tmp_path / "out"
+    assert main(["eigen", "--config", cfg, "--alphas", "1", "--out", str(out), "--quiet"]) == 0
+    assert (out / "eigen_curve.csv").exists()
+    assert not (out / "eigen_summary.json").exists()
 
 
 def test_eigen_logspace_alphas(tmp_path):

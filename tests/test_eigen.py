@@ -81,18 +81,24 @@ def test_principal_eigenpair_ramp():
 
 
 # Ratio fields c checked against the dense pencil: two ramps (positive
-# weight), a field whose weight changes sign, and a bump whose weight is
-# negative inside, with a four-fold cluster of edge modes at small alpha.
+# weight), a field whose weight changes sign, a bump whose weight is negative
+# inside, with a four-fold cluster of edge modes at small alpha, its second
+# harmonic and a Gaussian bump, all three sign-changing.
 ORACLE_RATIOS = {
     "ramp": lambda X, Y: 1.0 + X,
     "plane": lambda X, Y: 1.0 + 0.8 * X + 0.5 * Y,
     "sign-changing": lambda X, Y: 1.0 + 0.5 * np.sin(2 * np.pi * X) * np.sin(np.pi * Y) + 0.3 * X,
     "bump": lambda X, Y: 2.0 - 0.8 * np.sin(np.pi * X) * np.sin(np.pi * Y),
+    "second-harmonic": lambda X, Y: 2.0 - 0.8 * np.sin(2 * np.pi * X) * np.sin(2 * np.pi * Y),
+    "gaussian": lambda X, Y: 1.0 + 0.5 * np.exp(-30.0 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2)),
 }
+POSITIVE_WEIGHT = ("ramp", "plane")
 ORACLE_CASES = (
-    [(name, 16, alpha) for name in ("ramp", "plane") for alpha in np.logspace(-2, 2, 8)]
+    [(name, 16, alpha) for name in POSITIVE_WEIGHT for alpha in np.logspace(-2, 2, 8)]
     + [("sign-changing", 20, alpha) for alpha in (0.01, 0.1, 1.0, 10.0)]
     + [("bump", n, alpha) for n in (12, 32) for alpha in (0.01, 0.1)]
+    + [(name, n, alpha) for name in ("second-harmonic", "gaussian") for n in (16, 24)
+       for alpha in (0.01, 0.1, 1.0)]
 )
 
 
@@ -102,7 +108,7 @@ def test_principal_eigenpair_matches_dense_oracle(name, n, alpha):
     g = unit_grid(n)
     c = field_from(g, ORACLE_RATIOS[name])
     m = eigen_weight(c, alpha)
-    assert (m.values.min() < 0.0) == (name in ("sign-changing", "bump"))
+    assert (m.values.min() < 0.0) == (name not in POSITIVE_WEIGHT)
     pair = principal_eigenpair(c, alpha)
     A = assemble_weighted_laplacian(ScalarField(g, 1.0 / (c.values + alpha)))
     lam, v = smallest_positive(Pencil(A, m.values))
@@ -111,6 +117,18 @@ def test_principal_eigenpair_matches_dense_oracle(name, n, alpha):
     assert pair.u.values.min() >= -1e-8 * pair.u.values.max()
     assert v.sum() > 0.0
     assert v.min() >= -1e-8 * v.max()
+
+
+def test_sign_changing_bump_converges_at_64():
+    # no dense oracle at 4096 nodes: a positive eigenvector with a small
+    # residual is the principal pair (Perron-Frobenius); 87 steps measured
+    g = unit_grid(64)
+    c = field_from(g, ORACLE_RATIOS["bump"])
+    assert eigen_weight(c, 0.01).values.min() < 0.0
+    pair = principal_eigenpair(c, 0.01)
+    assert 1 <= pair.iterations <= 150
+    assert pair.residual <= 1e-10
+    assert pair.u.values.min() >= -1e-8 * pair.u.values.max()
 
 
 def test_eigenpair_reports_iterations_and_residual():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,15 @@ def test_grid_validation():
                                          (-math.inf, 0.0, 0.1, 0.1)])
 def test_grid_rejects_nonfinite_geometry(x0, y0, hx, hy):
     with pytest.raises(ValueError, match="finite"):
+        Grid(3, 3, x0, y0, hx, hy)
+
+
+@pytest.mark.parametrize("x0,y0,hx,hy,edge", [(1.7e308, 0.0, 3e307, 0.1, "x0 + (nx+1)*hx"),
+                                               (0.0, 1.7e308, 0.1, 3e307, "y0 + (ny+1)*hy"),
+                                               (0.0, 0.0, 0.1, 1e308, "y0 + (ny+1)*hy")])
+def test_grid_rejects_overflowing_far_edge(x0, y0, hx, hy, edge):
+    # finite origin and widths whose far edge, beyond the last node, is inf
+    with pytest.raises(ValueError, match=re.escape(f"grid far edge {edge} = inf")):
         Grid(3, 3, x0, y0, hx, hy)
 
 

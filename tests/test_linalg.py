@@ -239,7 +239,7 @@ def test_lobpcg_analytic_3x3():
 
 @pytest.mark.parametrize("nx,ny", [(1, 1), (2, 3), (5, 4)])
 def test_lobpcg_grids_smaller_than_the_block(nx, ny, rng):
-    # n below the block size, and below the three blocks of a step
+    # tiny grids, down to a single node, where the first Ritz pair is exact
     g = Grid.over_rectangle(nx, ny, 1.0, 1.5)
     w = positive_random(g, rng)
     B = rng.uniform(-0.5, 1.0, size=g.n_nodes)
