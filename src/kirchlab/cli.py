@@ -234,10 +234,12 @@ def run_solve(cfg: Config, out_dir: Path, quiet: bool) -> int:
         if "fields" in cfg.formats:
             write_field(r.u, out_dir / fname)
         root_entries.append({"s": r.s, "residual": r.residual, "method": r.method,
+                             "dphi": r.dphi, "refine_evals": r.refine_evals,
                              "file": fname if "fields" in cfg.formats else None})
     summary = {
         "n_roots": len(report.roots),
         "s_max": report.s_max,
+        "n_phi_evals": report.n_phi_evals,
         "roots": root_entries,
         "suspected_tangencies": list(report.suspected_tangencies),
         "newton": newton_info,

@@ -14,8 +14,10 @@ prefix expression).  Every syntax error carries the byte offset it was
 detected at.
 
 One evaluator walks the tree once per call and applies each node as one
-numpy operation to whole coordinate arrays; `eval_field` runs it on the grid's
-node coordinates and `eval_at` on one point.  Values leaving the reals (log of
+numpy operation to whole coordinate arrays that broadcast against each other;
+`eval_field` runs it on the grid's row of x values and column of y values, so
+a subtree of x alone costs nx values, one of y alone ny and a constant one,
+and `eval_at` runs it on one point.  Values leaving the reals (log of
 a value <= 0, sqrt of a value < 0, division by zero, zero to a negative power,
 a non-finite power, a non-finite function value from a finite argument) raise
 DomainError naming the first failing node in row-major order.  An overflow in
@@ -243,49 +245,59 @@ def parse(src: str) -> Expr:
 
 
 def _evaluate(expr: Expr, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Evaluate on equal-length coordinate arrays, one numpy operation per tree node.
+    """Evaluate on coordinate arrays that broadcast to the node shape, one numpy
+    operation per tree node; each node's value keeps the shape of its operands'
+    broadcast, and the result is broadcast to the full node shape.
 
     Raises DomainError when the value leaves the reals at some node.  The
-    message names the first such node in array order and the reason found
-    first there, checks taken in the order of a depth-first, left-to-right
-    walk (operands before the operation that uses them).
+    message names the first such node in row-major order of the node shape
+    and the reason found first there, checks taken in the order of a
+    depth-first, left-to-right walk (operands before the operation that uses
+    them).
     """
+    shape = np.broadcast_shapes(x.shape, y.shape)
     failures = []
     with np.errstate(all="ignore"):
         values = _walk(expr, x, y, failures)
     if failures:
-        k = min(int(np.argmax(mask)) for mask, _ in failures)
-        reason = next(message(k) for mask, message in failures if mask[k])
-        raise DomainError(f"{reason} at node ({x[k]:.17g}, {y[k]:.17g})")
-    return values
+        k = min(int(np.argmax(np.broadcast_to(mask, shape))) for mask, _ in failures)
+        node = np.unravel_index(k, shape)
+
+        def at(v):
+            return np.broadcast_to(v, shape)[node]
+
+        reason = next(message(at) for mask, message in failures if at(mask))
+        raise DomainError(f"{reason} at node ({at(x):.17g}, {at(y):.17g})")
+    return np.broadcast_to(values, shape)
 
 
 def _check(failures: list, mask: np.ndarray, message) -> None:
-    """Record the nodes where a domain check fails; message(k) names node k's reason."""
+    """Record the nodes where a domain check fails; message(at) names the reason
+    at the failing node, at(v) giving the value there of an operand v."""
     if mask.any():
         failures.append((mask, message))
 
 
 def _walk(expr: Expr, x: np.ndarray, y: np.ndarray, failures: list) -> np.ndarray:
     if isinstance(expr, Num):
-        return np.full(x.shape, expr.value)
+        return np.array(expr.value)
     if isinstance(expr, Var):
         if expr.name == "x":
             return x
         if expr.name == "y":
             return y
-        return np.full(x.shape, CONSTANTS[expr.name])
+        return np.array(CONSTANTS[expr.name])
     if isinstance(expr, Neg):
         return -_walk(expr.arg, x, y, failures)
     if isinstance(expr, Call):
         v = _walk(expr.arg, x, y, failures)
         if expr.fn == "log":
-            _check(failures, v <= 0.0, lambda k: f"log of non-positive value {v[k]:.6g}")
+            _check(failures, v <= 0.0, lambda at: f"log of non-positive value {at(v):.6g}")
         if expr.fn == "sqrt":
-            _check(failures, v < 0.0, lambda k: f"sqrt of negative value {v[k]:.6g}")
+            _check(failures, v < 0.0, lambda at: f"sqrt of negative value {at(v):.6g}")
         r = FUNCTIONS[expr.fn](v)
         _check(failures, np.isfinite(v) & ~np.isfinite(r),
-               lambda k: f"{expr.fn} overflow at argument {v[k]:.6g}")
+               lambda at: f"{expr.fn} overflow at argument {at(v):.6g}")
         return r
     if isinstance(expr, BinOp):
         a = _walk(expr.left, x, y, failures)
@@ -297,13 +309,13 @@ def _walk(expr: Expr, x: np.ndarray, y: np.ndarray, failures: list) -> np.ndarra
         if expr.op == "*":
             return a * b
         if expr.op == "/":
-            _check(failures, b == 0.0, lambda k: "division by zero")
+            _check(failures, b == 0.0, lambda at: "division by zero")
             return a / b
         # power: a negative base with a non-integer exponent gives nan
-        _check(failures, (a == 0.0) & (b < 0.0), lambda k: "zero raised to a negative power")
+        _check(failures, (a == 0.0) & (b < 0.0), lambda at: "zero raised to a negative power")
         r = np.power(a, b)
         _check(failures, ~np.isfinite(r),
-               lambda k: f"power {a[k]:.6g}^{b[k]:.6g} is not a finite real")
+               lambda at: f"power {at(a):.6g}^{at(b):.6g} is not a finite real")
         return r
     raise TypeError(f"not an expression node: {expr!r}")
 
@@ -316,10 +328,11 @@ def eval_at(expr: Expr, x: float, y: float) -> float:
 def eval_field(expr: Expr, grid: Grid) -> ScalarField:
     """Sample the expression at every interior node center.
 
-    A DomainError names the first failing node in row-major order.
+    Evaluated on the (1, nx) row of x values and the (ny, 1) column of y
+    values.  A DomainError names the first failing node in row-major order.
     """
     X, Y = grid.node_coords()
-    return ScalarField(grid, _evaluate(expr, X.reshape(-1), Y.reshape(-1)))
+    return ScalarField(grid, _evaluate(expr, X[:1, :], Y[:, :1]))
 
 
 def to_string(expr: Expr) -> str:

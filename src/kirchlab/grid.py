@@ -182,8 +182,10 @@ def integrate(f: ScalarField) -> float:
 def grad_norm_sq(u: ScalarField) -> float:
     """The nonlocal scalar: face-based discrete value of the integral of |grad u|^2.
 
-    This is the single definition of the gradient energy used throughout the
-    package (fixed-point map, eigenfunction normalization, energy bounds).
+    This is the single definition of the gradient energy of a field used
+    throughout the package (Newton's nonlinear state, eigenfunction
+    normalization); the fixed-point map gets the same energy of a frozen solve
+    from the sine coefficients of its right-hand side.
     """
     return float(_face_energy(u.grid, u.mat))
 

@@ -3,26 +3,31 @@ gradient energy of u.
 
 Freezing the energy at a value s makes the equation linear, so solving
 reduces to the scalar fixed-point problem s = Phi(s), where Phi(s) is the
-gradient energy of the frozen solve.  The scan enumerates every fixed point
-inside a provable bracket, evaluating Phi on blocks of samples with one
-block Poisson solve each; Newton's method solves the full nonlinear system
-using the closed-form inverse of the rank-one-perturbed Jacobian.
+gradient energy of the frozen solve.  By the Green identity Phi(s) is a sum
+over the sine coefficients of the frozen right-hand side, so one kernel
+evaluates Phi (and its slope Phi') from the forward sine transform alone,
+with no solve.  The scan enumerates every fixed point inside a provable
+bracket, evaluating Phi on blocks of samples, and refines each sign change
+by safeguarded Newton steps on Phi(s) - s; Newton's method solves the full
+nonlinear system using the closed-form inverse of the rank-one-perturbed
+Jacobian.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import eigen
-from .grid import (Grid, KirchlabError, ScalarField, _face_energy, grad_inner,
-                   grad_norm_sq, integrate, laplacian, node_grad_sq, dirichlet_lambda1)
-from .linalg import NoConvergence, poisson_solve
+from .grid import (Grid, KirchlabError, ScalarField, grad_inner, grad_norm_sq, integrate,
+                   laplacian, node_grad_sq, dirichlet_lambda1)
+from .linalg import NoConvergence, _sine_basis, poisson_solve
 
 ROOT_RTOL = 1e-10          # |Phi(s) - s| <= ROOT_RTOL * (1 + s) at a root
 TANGENCY_RTOL = 1e-6
-BISECT_MAX = 120
+REFINE_MAX = 120          # Phi evaluations allowed to refine one sign change
 BRACKET_EPS = 1e-12
 CEILING_RTOL = 1e-6        # relative width at which the ceiling bisection stops
 CEILING_MAX_STEPS = 2200   # enough halvings to cross the whole double range
@@ -30,7 +35,7 @@ NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 50
 SINGULAR_TOL = 1e-8
 LINEARIZED_RTOL = 1e-6
-SCAN_BLOCK = 16            # Phi samples per block Poisson solve in the scan
+SCAN_BLOCK = 16            # Phi samples per kernel call in the scan
 
 
 class NegativeS(KirchlabError):
@@ -69,6 +74,8 @@ class NonlocalSolution:
     s: float
     residual: float
     method: str  # "fixed-point-scan" | "newton"
+    dphi: float | None = None  # Phi'(s) at a scan root: the invertibility indicator
+    refine_evals: int = 0      # Phi evaluations the scan spent on this root after sampling
 
 
 @dataclass
@@ -77,6 +84,7 @@ class ScanReport:
     samples: list  # (s, Phi(s)) pairs in sample order
     roots: list    # NonlocalSolution, sorted by s
     suspected_tangencies: list  # s values where |Phi(s)-s| dips without a crossing
+    n_phi_evals: int = 0  # every Phi evaluation: the samples plus all refinement
 
 
 def diffusion_coefficient(P: Problem, s: float) -> ScalarField:
@@ -102,31 +110,63 @@ def _frozen_coefficients(P: Problem, ss) -> np.ndarray:
     return m
 
 
-def _frozen_solutions(P: Problem, ss) -> np.ndarray:
-    """Frozen solves -Lap u = h / (a + s*b), one per s of ss, as a (len(ss), ny, nx)
-    stack from one block Poisson solve.
-
-    Each solution has the same bits as when solved on its own.  Raises a
-    ValueError naming the first s whose solution is not finite.
-    """
-    ss = np.asarray(ss, dtype=float)
-    with np.errstate(over="ignore"):
-        rhs = P.h.values / _frozen_coefficients(P, ss)
-    U = poisson_solve(P.grid, rhs.T).T
-    finite = np.isfinite(U).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"frozen solve at s = {ss[~finite][0]:.6g} is not finite")
-    return U.reshape(-1, P.grid.ny, P.grid.nx)
-
-
 def solve_frozen(P: Problem, s: float) -> ScalarField:
-    """Solve -Lap u = h / (a + s*b) at frozen energy s (exact sine-transform solve)."""
-    return ScalarField(P.grid, _frozen_solutions(P, [s])[0])
+    """Solve -Lap u = h / (a + s*b) at frozen energy s (exact sine-transform solve).
+
+    Raises a ValueError when the solution is not finite.
+    """
+    with np.errstate(over="ignore"):
+        u = poisson_solve(P.grid, P.h.values / _frozen_coefficients(P, [s])[0])
+    if not np.isfinite(u).all():
+        raise ValueError(f"frozen solve at s = {s:.6g} is not finite")
+    return ScalarField(P.grid, u)
+
+
+def _phi(P: Problem, ss, slope: bool = False) -> np.ndarray:
+    """Phi(s) for each s of ss from the forward sine transform alone: the one
+    definition of Phi.
+
+    With f_s = h/(a + s*b) and L the five-point Dirichlet operator, the Green
+    identity gives Phi(s) = E[L^-1 f_s] = area <f_s, L^-1 f_s>, which in the
+    sine basis is area * sum fh^2 / (ly + lx) with fh = Sy F Sx the sine
+    coefficients of the (ny, nx) matrix F of f_s (Buzbee, Golub & Nielson 1970).
+    The rows of ss go through one stacked transform, and each gets the bits it
+    gets alone.  With slope=True, ss holds one s, the stack gains the row
+    beta*f_s with beta = b/(a + s*b), and the result is (Phi(s), Phi'(s)),
+    Phi'(s) = -2 area * sum (beta f_s)h * fh / (ly + lx).
+
+    Keeps _frozen_coefficients' checks, and raises a ValueError naming the
+    first s whose energy (or slope) does not fit in a double.
+    """
+    g = P.grid
+    ss = np.asarray(ss, dtype=float)
+    k = ss.size
+    m = _frozen_coefficients(P, ss)
+    Sx, lx = _sine_basis(g.nx, g.hx)
+    Sy, ly = _sine_basis(g.ny, g.hy)
+    # area / (ly + lx) scales the coefficients before they are squared, so
+    # only an energy that overflows itself overflows
+    weight = g.cell_area / (ly[:, None] + lx[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = P.h.values / m
+        if slope:
+            F = np.concatenate((F, F * (P.b.values / m)))
+        Fh = Sy @ F.reshape(-1, g.ny, g.nx) @ Sx
+        WFh = Fh[:k] * weight
+        phi = (Fh[:k] * WFh).sum(axis=(-2, -1))
+        if slope:
+            phi = np.append(phi, -2.0 * (Fh[1] * WFh[0]).sum())
+    finite = np.isfinite(phi)
+    if not finite[:k].all():
+        raise ValueError(f"gradient energy overflows a double at s = {ss[~finite[:k]][0]:.6g}")
+    if not finite.all():
+        raise ValueError(f"gradient energy slope Phi'(s) overflows a double at s = {ss[0]:.6g}")
+    return phi
 
 
 def fixed_point_map(P: Problem, s: float) -> float:
     """Phi(s): gradient energy of the frozen solve; its fixed points solve the problem."""
-    return grad_norm_sq(solve_frozen(P, s))
+    return float(_phi(P, [s])[0])
 
 
 def energy_upper_bound(P: Problem) -> float:
@@ -190,44 +230,45 @@ def fixed_point_scan(P: Problem, n_samples: int = 256,
     """Enumerate all fixed points of Phi on the provable bracket [0, 1.05*S_max],
     S_max the tight energy cap of _scan_ceiling.
 
-    Uniform samples of Phi(s) - s, SCAN_BLOCK of them per block Poisson solve
-    and each bitwise equal to fixed_point_map; every strict sign change is
-    refined by bisection to |Phi(s)-s| <= 1e-10*(1+s); samples that already
-    satisfy that bound count as roots directly.  Local minima of |Phi(s)-s| below
-    1e-6*(1+s) without a crossing are reported as suspected tangencies (a
-    double root there is exactly where the Jacobian degenerates).  s_max
-    replaces the computed ceiling when given.
+    Uniform samples of Phi(s) - s, SCAN_BLOCK of them per kernel call and each
+    bitwise equal to fixed_point_map; every strict sign change is refined by
+    safeguarded Newton steps (_refine) to |Phi(s)-s| <= 1e-10*(1+s); samples
+    that already satisfy that bound count as roots directly.  Each root
+    reports the s at which that bound was verified, the frozen solve there,
+    Phi'(s) and the Phi evaluations it took after sampling (a sample hit pays
+    one for its Phi').  Local minima of |Phi(s)-s| below 1e-6*(1+s) without a
+    crossing are reported as suspected tangencies (a double root there is
+    exactly where the Jacobian degenerates).  s_max replaces the computed
+    ceiling when given.
     """
     if n_samples < 16:
         raise ValueError(f"need at least 16 samples, got {n_samples}")
     ceiling = s_max if s_max is not None else _scan_ceiling(P)
     ss = np.linspace(0.0, 1.05 * max(ceiling, BRACKET_EPS), n_samples)
-
-    phis = np.empty(n_samples)
-    for j in range(0, n_samples, SCAN_BLOCK):
-        block = ss[j:j + SCAN_BLOCK]
-        phis[j:j + block.size] = _face_energy(P.grid, _frozen_solutions(P, block))
+    phis = np.concatenate([_phi(P, ss[j:j + SCAN_BLOCK])
+                           for j in range(0, n_samples, SCAN_BLOCK)])
     gs = phis - ss
 
-    # candidate roots: (s, |g|) from direct hits and refined sign changes
-    candidates = [(float(ss[i]), abs(float(gs[i])))
-                  for i in range(n_samples)
-                  if abs(gs[i]) <= ROOT_RTOL * (1.0 + ss[i])]
+    # candidate roots (s, |g|, Phi'(s) or None, evaluations): direct hits and
+    # refined sign changes
+    candidates = [(float(ss[i]), abs(float(gs[i])), None, 0)
+                  for i in np.flatnonzero(np.abs(gs) <= ROOT_RTOL * (1.0 + ss))]
     # compare signs: the product of two samples of |Phi(s) - s| > 1e154 overflows
     for i in np.flatnonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0.0):
-        s_root, g_root = _bisect(P, float(ss[i]), float(gs[i]), float(ss[i + 1]))
-        candidates.append((s_root, abs(g_root)))
+        candidates.append(_refine(P, float(ss[i]), float(gs[i]),
+                                  float(ss[i + 1]), float(gs[i + 1])))
 
     roots = []
-    for s_root in _merge_candidates(candidates):
-        u = solve_frozen(P, s_root)
-        s, _, _, r = _nonlinear_state(P, u)
-        roots.append(NonlocalSolution(u, s, float(np.abs(r).max()), "fixed-point-scan"))
-    roots.sort(key=lambda r: r.s)
+    for s, _, dphi, evals in _merge_candidates(candidates):
+        if dphi is None:
+            dphi, evals = float(_phi(P, [s], slope=True)[1]), evals + 1
+        u = solve_frozen(P, s)
+        roots.append(NonlocalSolution(u, s, residual(P, u), "fixed-point-scan", dphi, evals))
 
     tangencies = _suspected_tangencies(ss, gs, [r.s for r in roots])
     return ScanReport(s_max=float(ceiling), samples=list(zip(ss.tolist(), phis.tolist())),
-                      roots=roots, suspected_tangencies=tangencies)
+                      roots=roots, suspected_tangencies=tangencies,
+                      n_phi_evals=n_samples + sum(r.refine_evals for r in roots))
 
 
 def _suspected_tangencies(ss: np.ndarray, gs: np.ndarray, root_ss: list) -> list:
@@ -245,33 +286,74 @@ def _suspected_tangencies(ss: np.ndarray, gs: np.ndarray, root_ss: list) -> list
     return mid[keep].tolist()
 
 
-def _bisect(P: Problem, sa: float, ga: float, sb: float) -> tuple[float, float]:
-    mid, gm = 0.5 * (sa + sb), ga
-    for _ in range(BISECT_MAX):
-        mid = 0.5 * (sa + sb)
-        gm = fixed_point_map(P, mid) - mid
-        if abs(gm) <= ROOT_RTOL * (1.0 + mid):
-            break
-        if (gm > 0.0) == (ga > 0.0):
-            sa, ga = mid, gm
+def _refine(P: Problem, lo: float, g_lo: float, hi: float, g_hi: float) -> tuple:
+    """The root of g(s) = Phi(s) - s in [lo, hi], across which g changes sign, as
+    (s, |g(s)|, Phi'(s), evaluations).
+
+    Safeguarded Newton (rtsafe): each evaluation of g and Phi' at s (one 2-row
+    kernel call) shrinks the bracket to the sign change.  The next s is the
+    Newton step s - g/(Phi' - 1) when it lies strictly inside the bracket and
+    moves at most half as far as the step before it, the bracket's midpoint
+    otherwise; the first s is the secant point of the ends.  The iteration
+    stops when |g| <= ROOT_RTOL*(1+s), or when no double lies strictly inside
+    the bracket (at the end with the smaller |g|, evaluated for its Phi'), and
+    _polish then takes one last Newton step.  Raises NoConvergence naming the
+    bracket after REFINE_MAX evaluations: an unverified point is never a root.
+    """
+    width = hi - lo
+    s = lo - g_lo * width / (g_hi - g_lo)
+    if not lo < s < hi:
+        s = 0.5 * (lo + hi)
+    for evals in range(1, REFINE_MAX + 1):
+        adjacent = not lo < s < hi
+        if adjacent:
+            s = lo if abs(g_lo) <= abs(g_hi) else hi
+        phi, dphi = (float(v) for v in _phi(P, [s], slope=True))
+        g = phi - s
+        if adjacent or abs(g) <= ROOT_RTOL * (1.0 + s):
+            return _polish(P, lo, hi, (s, abs(g), dphi, evals), g)
+        if (g > 0.0) == (g_lo > 0.0):
+            lo, g_lo = s, g
         else:
-            sb = mid
-    return mid, gm
+            hi, g_hi = s, g
+        newton = s - g / (dphi - 1.0) if dphi != 1.0 else math.nan
+        if lo < newton < hi and abs(newton - s) <= 0.5 * width:
+            width, s = abs(newton - s), newton
+        else:
+            width, s = 0.5 * (hi - lo), 0.5 * (lo + hi)
+    raise NoConvergence(f"root refinement left |Phi(s) - s| above {ROOT_RTOL:g}*(1 + s) "
+                        f"after {REFINE_MAX} evaluations; the root lies in "
+                        f"[{lo:.17g}, {hi:.17g}]")
+
+
+def _polish(P: Problem, lo: float, hi: float, root: tuple, g: float) -> tuple:
+    """One more Newton step from a refined root (s, |g|, Phi'(s), evaluations) with
+    g = Phi(s) - s, kept when it stays strictly inside the bracket [lo, hi] and
+    lowers |g|.  Newton converges quadratically, so a root that just met
+    ROOT_RTOL usually drops to roundoff, and s then agrees with the energy of
+    its frozen solve to about 1e-15, not only to ROOT_RTOL.  The step costs
+    one evaluation, counted either way."""
+    s, _, dphi, evals = root
+    newton = s - g / (dphi - 1.0) if dphi != 1.0 else math.nan
+    if not (lo < newton < hi and newton != s):
+        return root
+    phi, dphi = (float(v) for v in _phi(P, [newton], slope=True))
+    if abs(phi - newton) < root[1]:
+        return newton, abs(phi - newton), dphi, evals + 1
+    return root[:3] + (evals + 1,)
 
 
 def _merge_candidates(candidates: list) -> list:
-    """Collapse near-duplicate root candidates, keeping the best |g| of each cluster."""
-    if not candidates:
-        return []
-    candidates = sorted(candidates)
-    merged = [candidates[0]]
-    for s, g in candidates[1:]:
-        if s - merged[-1][0] <= 1e-8 * (1.0 + s):
-            if g < merged[-1][1]:
-                merged[-1] = (s, g)
+    """Collapse near-duplicate root candidates (s, |g|, Phi'(s), evaluations): each
+    cluster keeps the s, |g| and Phi' of its best |g| and the sum of its evaluations."""
+    merged = []
+    for cand in sorted(candidates, key=lambda c: c[:2]):
+        if merged and cand[0] - merged[-1][0] <= 1e-8 * (1.0 + cand[0]):
+            best = cand if cand[1] < merged[-1][1] else merged[-1]
+            merged[-1] = best[:3] + (merged[-1][3] + cand[3],)
         else:
-            merged.append((s, g))
-    return [s for s, _ in merged]
+            merged.append(cand)
+    return merged
 
 
 def jacobian_functional(P: Problem, u: ScalarField) -> float:

@@ -75,6 +75,12 @@ def test_solve_deterministic_output(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out2), "--quiet"]) == 0
     for name in ("scan.csv", "summary.json", "root_000.field"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # the refinement facts are part of the compared bytes
+    summary = json.loads((out1 / "summary.json").read_text())
+    (root,) = summary["roots"]
+    assert root["dphi"] == pytest.approx(-1.0, rel=1e-6)
+    assert root["refine_evals"] >= 1
+    assert summary["n_phi_evals"] == 64 + root["refine_evals"]
 
 
 def test_solve_records_newton_failure_reason(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from kirchlab.expr import (CONSTANTS, BinOp, Call, DomainError, EmptyInput, Neg,
                            Num, UnbalancedParen, UnexpectedToken, UnknownIdentifier,
-                           Var, eval_at, eval_field, parse, to_string)
+                           Var, _evaluate, eval_at, eval_field, parse, to_string)
 from kirchlab.grid import Grid
 
 from conftest import unit_grid
@@ -318,3 +318,47 @@ def test_eval_field_runs_no_python_code_per_node():
         sys.setprofile(previous)
     assert field.values.size == 65536
     assert calls < 1000  # a few per tree node (92 with numpy 2.4), none per grid node
+
+
+def flat_evaluation(tree, grid):
+    """The whole-array evaluation on the flattened node coordinates, the DomainError
+    text of its first failing node in place of values."""
+    X, Y = grid.node_coords()
+    try:
+        return _evaluate(tree, X.reshape(-1), Y.reshape(-1))
+    except DomainError as err:
+        return str(err)
+
+
+BROADCAST_EXACT = [
+    "sin(pi*x)*sin(2*pi*y) + 0.3*cos(3*x - y)/(2 + abs(x - 0.5))",
+    "sqrt(1 + x*y) - abs(y - x)/3 + -x*(y + e)",
+    "1 + 0.1*sin(1*pi*x)*sin(2*pi*y) - 0.05*sin(2*pi*x)*sin(1*pi*y)",
+    "cos(y)/sqrt(2 + x)*sin(x*x + y)", "2", "pi", "y", "-x",
+]
+BROADCAST_ULP = ["exp(x)*log(1 + y) + tanh(x - y)", "(1 + x)^2.5*y^0.5 + x^y",
+                 "exp(-x*y) + log(2 + x)/tanh(1 + y)", "2^x*3^-y"]
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (7, 5), (40, 33)])
+def test_broadcast_evaluation_matches_flat_evaluation(nx, ny):
+    # x-only and y-only subtrees run on a row and a column of values; + - * /,
+    # sin, cos, sqrt and abs keep their bits, exp, log, tanh and ^ stay within 2 ulp
+    g = Grid.over_rectangle(nx, ny, 1.3, 0.8, 0.1, 0.2)
+    for src in BROADCAST_EXACT:
+        assert np.array_equal(eval_field(parse(src), g).values,
+                              flat_evaluation(parse(src), g)), src
+    for src in BROADCAST_ULP:
+        got = eval_field(parse(src), g).values
+        assert _ulps(got, flat_evaluation(parse(src), g)).max() <= 2.0, src
+
+
+@pytest.mark.parametrize("src", [
+    "log(x - 0.5) + sqrt(y - 0.5)", "sqrt(y - 0.5) + log(x - 0.5)", "1/(y - 0.5)",
+    "1/(x - y)", "log(0.3 - x*y)", "(x - y)^0.5", "log(-1) + x", "0^(-y)",
+    "exp(1000*y) + x"])
+def test_broadcast_domain_error_names_the_first_node_in_row_major_order(src):
+    g = Grid.over_rectangle(5, 3, 1.0, 1.0)  # nodes at x = i/6, y = j/4
+    with pytest.raises(DomainError) as exc:
+        eval_field(parse(src), g)
+    assert str(exc.value) == flat_evaluation(parse(src), g) == oracle_field(parse(src), g)

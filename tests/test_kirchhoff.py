@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -269,28 +270,127 @@ def test_scan_samples_equal_fixed_point_map_bitwise(nx, ny, lx, ly, n_samples, r
 
 @pytest.mark.parametrize("n_samples", [256, 257])
 def test_scan_samples_are_block_poisson_solves(n_samples, rng, monkeypatch):
+    # The name is historical: the samples are spectral kernel calls, one per
+    # block of SCAN_BLOCK, with no Poisson solve; refinement then makes one
+    # 2-row kernel call per evaluation, and each root one frozen solve.
     g = unit_grid(8)
     P = Problem(positive_random(g, rng), positive_random(g, rng), sign_changing(g, rng))
-    widths, frozen = [], []
+    events, phi_kernel = [], kh._phi
+
+    def counting_phi(P, ss, slope=False):
+        events.append(("slope" if slope else "phi", len(ss)))
+        return phi_kernel(P, ss, slope)
 
     def counting_poisson(grid, rhs):
-        widths.append(1 if rhs.ndim == 1 else rhs.shape[1])
+        events.append(("poisson", 1 if rhs.ndim == 1 else rhs.shape[1]))
         return poisson_solve(grid, rhs)
 
-    def counting_frozen(P, s):
-        frozen.append(s)
-        return solve_frozen(P, s)
-
+    monkeypatch.setattr(kh, "_phi", counting_phi)
     monkeypatch.setattr(kh, "poisson_solve", counting_poisson)
-    monkeypatch.setattr(kh, "solve_frozen", counting_frozen)
     report = fixed_point_scan(P, n_samples)
     n_blocks = math.ceil(n_samples / kh.SCAN_BLOCK)
     assert len(report.roots) == 1
-    # the samples first, one block solve each; then one solve per refinement step or root
-    assert sum(widths[:n_blocks]) == n_samples
-    assert widths[:n_blocks - 1] == [kh.SCAN_BLOCK] * (n_blocks - 1)
-    assert len(widths) - n_blocks == len(frozen)
-    assert 0 < len(frozen) < n_samples // 4
+    samples, rest = events[:n_blocks], events[n_blocks:]
+    assert [kind for kind, _ in samples] == ["phi"] * n_blocks
+    assert [width for _, width in samples[:-1]] == [kh.SCAN_BLOCK] * (n_blocks - 1)
+    assert sum(width for _, width in samples) == n_samples
+    refinement = [e for e in rest if e[0] == "slope"]
+    assert rest == refinement + [("poisson", 1)] * len(report.roots)
+    assert 0 < len(refinement) < n_samples // 4
+    assert report.n_phi_evals == n_samples + len(refinement)
+    assert report.roots[0].refine_evals == len(refinement)
+
+
+def _phi_cases(rng):
+    """(Problem, s values) on SCAN_GRIDS, the cubic oracle and the three-root problem."""
+    for nx, ny, lx, ly in SCAN_GRIDS:
+        g = Grid.over_rectangle(nx, ny, lx, ly)
+        P = Problem(positive_random(g, rng), positive_random(g, rng, base=0.7),
+                    ScalarField(g, 3.0 + smooth_random(g, rng).values))
+        yield P, [0.0, 0.3, 2.0, 17.0]
+    yield cubic_problem(unit_grid(32), 4.0), [0.0, 0.5, 1.0, 3.0]
+    yield Problem(**three_root_fields()), [0.0, 0.0146, 0.0229, 0.0693, 0.25]
+
+
+def test_spectral_phi_matches_energy_of_frozen_solve(rng):
+    for P, ss in _phi_cases(rng):
+        phis = kh._phi(P, ss)
+        for s, phi in zip(ss, phis):
+            energy = grad_norm_sq(solve_frozen(P, s))
+            assert abs(phi - energy) <= 1e-13 * energy
+            assert fixed_point_map(P, s) == phi
+
+
+def test_phi_slope_matches_central_difference(rng):
+    for P, ss in _phi_cases(rng):
+        for s in ss[1:]:  # ss[0] = 0 has no central difference
+            phi, dphi = kh._phi(P, [s], slope=True)
+            assert phi == fixed_point_map(P, s)
+            step = 1e-5 * s
+            central = (fixed_point_map(P, s + step) - fixed_point_map(P, s - step)) / (2 * step)
+            assert dphi == pytest.approx(central, rel=1e-6)
+
+
+def test_phi_overflow_names_the_energy_and_s():
+    g = unit_grid(8)
+    # f = 1e200 at s = 0: the energy overflows, its scaled coefficients do not
+    P = Problem(ScalarField.full(g, 1e-150), ScalarField.full(g, 1.0), ScalarField.full(g, 1e50))
+    assert np.isfinite(kh._phi(P, [0.5])).all()
+    with pytest.raises(ValueError, match=r"^gradient energy overflows a double at s = 0$"):
+        kh._phi(P, [0.5, 0.0, 1e-300])
+    # f = 1e150 gives a finite energy, but beta*f = 1e270 overflows the slope
+    P = Problem(ScalarField.full(g, 1e-100), ScalarField.full(g, 1e20),
+                ScalarField.full(g, 1e50))
+    assert np.isfinite(kh._phi(P, [0.0])).all()
+    with pytest.raises(ValueError, match=r"^gradient energy slope Phi'\(s\) overflows a double "
+                                         r"at s = 0$"):
+        kh._phi(P, [0.0], slope=True)
+
+
+@pytest.mark.parametrize("n_samples", [16, 64, 256])
+def test_scan_roots_meet_tolerance_at_reported_s(n_samples):
+    # the middle root once came out as Phi(s_root), 1.32 tolerances away from a root
+    P = Problem(**three_root_fields())
+    report = fixed_point_scan(P, n_samples)
+    assert len(report.roots) == 3
+    for root in report.roots:
+        assert abs(fixed_point_map(P, root.s) - root.s) <= kh.ROOT_RTOL * (1.0 + root.s)
+        assert np.array_equal(root.u.values, solve_frozen(P, root.s).values)
+        assert root.dphi == kh._phi(P, [root.s], slope=True)[1]
+        assert 0 < root.refine_evals <= 8
+    assert [root.dphi > 1.0 for root in report.roots] == [False, True, False]
+    assert report.n_phi_evals == n_samples + sum(r.refine_evals for r in report.roots)
+
+
+def test_refinement_budget_never_reports_an_unverified_root(monkeypatch):
+    P = Problem(**three_root_fields())
+    expected = [r.s for r in fixed_point_scan(P, 16).roots]
+    monkeypatch.setattr(kh, "REFINE_MAX", 2)
+    with pytest.raises(NoConvergence, match=r"after 2 evaluations") as err:
+        fixed_point_scan(P, 16)
+    lo, hi = (float(v) for v in
+              re.search(r"\[([^,]+), ([^\]]+)\]", str(err.value)).groups())
+    assert lo < hi
+    assert any(lo <= s <= hi for s in expected)
+
+
+def test_scan_root_hit_by_a_sample_gets_its_slope():
+    # zero forcing: Phi = 0, so s = 0 is the only sample with g = 0 and no sign
+    # change follows; one 2-row evaluation gives Phi'(0) = 0
+    g = unit_grid(8)
+    report = fixed_point_scan(constant_problem(g, ScalarField.zeros(g)), 32)
+    (root,) = report.roots
+    assert (root.s, root.dphi, root.refine_evals) == (0.0, 0.0, 1)
+    assert report.n_phi_evals == 33
+    # a = b = 1: Phi(s) = 4/(1+s)^2, whose root s = 1 is sample 8 of 17 on [0, 2];
+    # its neighbours' sign change is refined too and merges into it
+    P = cubic_problem(unit_grid(16), 4.0)
+    report = fixed_point_scan(P, 17, s_max=2.0 / 1.05)
+    assert 1.0 in [s for s, _ in report.samples]
+    (root,) = report.roots
+    assert root.s == 1.0
+    assert root.dphi == pytest.approx(-1.0, rel=1e-12)
+    assert root.refine_evals == report.n_phi_evals - 17 >= 1
 
 
 def _tangencies_loop(ss, gs, root_ss):
