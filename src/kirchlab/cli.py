@@ -50,11 +50,11 @@ class Config:
     a: ScalarField
     b: ScalarField
     h: ScalarField
-    n_samples: int = 256
-    newton_tol: float = NEWTON_TOL
-    s_max_override: float | None = None
-    out_dir: str = "."
-    formats: tuple = ALL_FORMATS
+    n_samples: int
+    newton_tol: float
+    s_max_override: float | None
+    out_dir: str
+    formats: tuple
 
 
 def _get(section, key, cast, default=None, required=False):
@@ -128,11 +128,6 @@ def _grid_and_out_dir(parser: configparser.ConfigParser) -> tuple:
         _get(gsec, "lx", float, 1.0), _get(gsec, "ly", float, 1.0),
         _get(gsec, "x0", float, 0.0), _get(gsec, "y0", float, 0.0))
     return grid, _get(_section(parser, "output"), "directory", str, ".")
-
-
-def parse_grid_only(path: str) -> tuple:
-    """Grid plus output directory; enough for the example subcommand."""
-    return _grid_and_out_dir(_read_ini(path))
 
 
 def parse_config(path: str) -> Config:
@@ -368,7 +363,7 @@ def _parse(args) -> tuple:
     output directory, which main creates before the run phase.
     """
     if args.command == "example":
-        grid, cfg_out = parse_grid_only(args.config)
+        grid, cfg_out = _grid_and_out_dir(_read_ini(args.config))
         if grid.nx < 3 or grid.ny < 3:
             raise ConfigError(f"example needs at least 3 interior nodes per axis, "
                               f"got {grid.nx}x{grid.ny}")

@@ -89,7 +89,11 @@ def _column_flux(U: np.ndarray, h: float, alpha: float) -> np.ndarray:
     f = np.zeros((U.shape[0], U.shape[1] + 1))
     if U.shape[1] >= 2:
         cf = 0.5 * (U[:, 1:] + U[:, :-1])
-        f[:, 1:-1] = (U[:, 1:] - U[:, :-1]) / h / (cf + alpha) ** 2
+        # past alpha ~ 1.3e154 the square is inf and the flux 0, whose true
+        # size is below |dU/h| * 5.6e-309
+        with np.errstate(over="ignore"):
+            sq = (cf + alpha) ** 2
+        f[:, 1:-1] = (U[:, 1:] - U[:, :-1]) / h / sq
         if U.shape[1] >= 3:
             f[:, 0] = 2.0 * f[:, 1] - f[:, 2]
             f[:, -1] = 2.0 * f[:, -2] - f[:, -3]

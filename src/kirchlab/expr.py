@@ -16,12 +16,12 @@ detected at.
 One evaluator walks the tree once per call and applies each node as one
 numpy operation to whole coordinate arrays that broadcast against each other;
 `eval_field` runs it on the grid's row of x values and column of y values, so
-a subtree of x alone costs nx values, one of y alone ny and a constant one,
-and `eval_at` runs it on one point.  Values leaving the reals (log of
-a value <= 0, sqrt of a value < 0, division by zero, zero to a negative power,
-a non-finite power, a non-finite function value from a finite argument) raise
-DomainError naming the first failing node in row-major order.  An overflow in
-+ - * / is not checked here; ScalarField rejects the non-finite field.
+a subtree of x alone costs nx values, one of y alone ny and a constant one.
+Values leaving the reals (log of a value <= 0, sqrt of a value < 0, division
+by zero, zero to a negative power, a non-finite power, a non-finite function
+value from a finite argument) raise DomainError naming the first failing node
+in row-major order.  An overflow in + - * / is not checked here; ScalarField
+rejects the non-finite field.
 """
 
 from __future__ import annotations
@@ -320,11 +320,6 @@ def _walk(expr: Expr, x: np.ndarray, y: np.ndarray, failures: list) -> np.ndarra
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def eval_at(expr: Expr, x: float, y: float) -> float:
-    """Evaluate at a point; DomainError when the value leaves the reals."""
-    return float(_evaluate(expr, np.array([x], dtype=float), np.array([y], dtype=float))[0])
-
-
 def eval_field(expr: Expr, grid: Grid) -> ScalarField:
     """Sample the expression at every interior node center.
 
@@ -334,42 +329,3 @@ def eval_field(expr: Expr, grid: Grid) -> ScalarField:
     X, Y = grid.node_coords()
     return ScalarField(grid, _evaluate(expr, X[:1, :], Y[:, :1]))
 
-
-def to_string(expr: Expr) -> str:
-    """Pretty-print with minimal parentheses; reparses to an equal tree."""
-
-    def prec(e: Expr) -> int:
-        if isinstance(e, BinOp):
-            return _POW_BP if e.op == "^" else (_MUL_BP if e.op in "*/" else _ADD_BP)
-        if isinstance(e, Neg):
-            return _NEG_BP
-        return 100
-
-    def render(e: Expr) -> str:
-        if isinstance(e, Num):
-            return f"{e.value:.17g}"
-        if isinstance(e, Var):
-            return e.name
-        if isinstance(e, Neg):
-            inner = render(e.arg)
-            if prec(e.arg) < _NEG_BP:
-                inner = f"({inner})"
-            return f"-{inner}"
-        if isinstance(e, Call):
-            return f"{e.fn}({render(e.arg)})"
-        lhs, rhs = render(e.left), render(e.right)
-        p = prec(e)
-        if prec(e.left) < p or (e.op == "^" and isinstance(e.left, BinOp) and e.left.op == "^") \
-                or (e.op == "^" and isinstance(e.left, Neg)):
-            lhs = f"({lhs})"
-        # left-assoc ops reparse a same-precedence right child to the left,
-        # so it must keep its parentheses
-        right_needs = prec(e.right) < p or (
-            e.op != "^" and isinstance(e.right, BinOp) and prec(e.right) == p)
-        if e.op == "^" and isinstance(e.right, Neg):
-            right_needs = False  # 2^-3 parses fine
-        if right_needs:
-            rhs = f"({rhs})"
-        return f"{lhs}{e.op}{rhs}"
-
-    return render(expr)

@@ -13,7 +13,9 @@ faces between nodes, divergences back at the nodes:
 With zero ghosts the pair (gradient, -divergence) is an exact discrete
 adjoint, so the Green identity  sum u * div F = -sum F . grad u  holds to
 roundoff for every face field F.  All quadrature is the midpoint rule
-hx*hy*sum over interior nodes.
+hx*hy*sum over interior nodes.  The one face stencil (_face_differences)
+also takes a stack of node matrices, for the weighted Laplacian of a block of
+vectors; every other operator here acts on one field.
 
 Node storage is row-major with x fastest: values.reshape(ny, nx)[j, i] is
 the node at (x0 + (i+1)*hx, y0 + (j+1)*hy).
@@ -185,22 +187,19 @@ def grad_norm_sq(u: ScalarField) -> float:
     This is the single definition of the gradient energy of a field used
     throughout the package (Newton's nonlinear state, eigenfunction
     normalization); the fixed-point map gets the same energy of a frozen solve
-    from the sine coefficients of its right-hand side.
+    from the sine coefficients of its right-hand side.  Raises a ValueError
+    when the energy does not fit in a double.
     """
-    return float(_face_energy(u.grid, u.mat))
-
-
-def _face_energy(grid: Grid, U: np.ndarray) -> np.ndarray:
-    """grad_norm_sq of each (ny, nx) matrix of a (..., ny, nx) stack, with the bits it
-    gets alone; raises a ValueError when one does not fit in a double."""
-    dx, dy = _face_differences(U)
+    g = u.grid
+    dx, dy = _face_differences(u.mat)
     with np.errstate(over="ignore"):
-        dx /= grid.hx
-        dy /= grid.hy
-        e = grid.cell_area * ((dx ** 2).sum(axis=(-2, -1)) + (dy ** 2).sum(axis=(-2, -1)))
-    if not np.isfinite(e).all():
-        raise ValueError(f"gradient energy overflows a double (max |u| = {np.abs(U).max():.3g})")
-    return e
+        dx /= g.hx
+        dy /= g.hy
+        e = g.cell_area * ((dx ** 2).sum() + (dy ** 2).sum())
+    if not math.isfinite(e):
+        raise ValueError(f"gradient energy overflows a double "
+                         f"(max |u| = {np.abs(u.values).max():.3g})")
+    return float(e)
 
 
 def grad_inner(u: ScalarField, v: ScalarField) -> float:

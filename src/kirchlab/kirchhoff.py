@@ -399,15 +399,14 @@ def linearized_solve(P: Problem, u: ScalarField, g: ScalarField) -> ScalarField:
     return v
 
 
-def newton_solve(P: Problem, u0: ScalarField | None = None,
-                 tol: float = NEWTON_TOL) -> NonlocalSolution:
+def newton_solve(P: Problem, tol: float = NEWTON_TOL) -> NonlocalSolution:
     """Full-step Newton iteration on M(., E[u]) Lap u + h = 0.
 
-    Starts from the frozen solve at s = 0 unless told otherwise; each step is
-    one linearized_solve, and each iterate's nonlinear state is evaluated
-    once.  Raises NoConvergence (with the last iterate) after 50 steps.
+    Starts from the frozen solve at s = 0; each step is one linearized_solve,
+    and each iterate's nonlinear state is evaluated once.  Raises
+    NoConvergence (with the last iterate) after 50 steps.
     """
-    u = u0 if u0 is not None else solve_frozen(P, 0.0)
+    u = solve_frozen(P, 0.0)
     for steps in range(NEWTON_MAX_ITER + 1):
         s, _, _, r = _nonlinear_state(P, u)
         res = float(np.abs(r).max())

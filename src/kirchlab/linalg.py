@@ -1,28 +1,22 @@
 """Linear algebra for the five-point operators.
 
-Three pieces: an exact Dirichlet Poisson solve by the discrete sine transform;
-the weighted Dirichlet Laplacian u -> -div(w grad u), applied matrix-free to a
-block of vectors; and the principal eigenpair of the pencil
-A x = lambda diag(B) x (A that weighted Laplacian, B an indefinite weight) by
-single-vector LOBPCG preconditioned with the Poisson solve, in O(n) memory.
-
-The dense assembly and the dense generalized eigensolver (reduce with the
-Cholesky factor of A and invert the spectrum, which keeps the indefinite
-weight on the harmless side) are kept as the small-grid reference that the
-tests compare the iterative solver against; no other module calls them.
+Three pieces: an exact Dirichlet Poisson solve of one right-hand side by the
+discrete sine transform; the weighted Dirichlet Laplacian
+u -> -div(w grad u), applied matrix-free to a block of vectors; and the
+principal eigenpair of the pencil A x = lambda diag(B) x (A that weighted
+Laplacian, B an indefinite weight) by single-vector LOBPCG preconditioned
+with the Poisson solve, in O(n) memory.  The dense reference the tests
+compare that eigensolver against lives in tests/dense_oracle.py.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Grid, KirchlabError, ScalarField, _face_differences, face_average
-
-DENSE_MAX_NODES = 10_000
 
 LOBPCG_TOL = 1e-10        # relative pencil residual of the principal pair
 LOBPCG_MAX_ITER = 2000    # about 2x the most steps seen (1023, 64x64 bump at alpha = 5)
@@ -49,20 +43,6 @@ class DimensionMismatch(KirchlabError):
     pass
 
 
-@dataclass
-class Pencil:
-    """Pair (A, B) for A x = lambda diag(B) x; A dense SPD, B any sign pattern."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        self.B = np.asarray(self.B, dtype=float).reshape(-1)
-        if self.B.size != self.A.shape[0]:
-            raise DimensionMismatch(
-                f"weight length {self.B.size} != matrix dimension {self.A.shape[0]}")
-
-
 @functools.lru_cache(maxsize=8)
 def _sine_basis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal symmetric sine matrix of the 1-D Dirichlet second difference
@@ -85,18 +65,16 @@ def poisson_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     u = Sy ((Sy F Sx) / (lam_y + lam_x)) Sx with F the (ny, nx) right-hand
     side (Buzbee, Golub & Nielson 1970).  Only roundoff separates the result
     from the exact discrete solution; a zero right-hand side gives exactly zero.
-    rhs is one vector of length n or an (n, k) block solved column by column.
+    rhs is one vector of length n.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != grid.n_nodes:
-        raise DimensionMismatch(f"rhs shape {rhs.shape} != ({grid.n_nodes},) or "
-                                f"({grid.n_nodes}, k)")
+    if rhs.shape != (grid.n_nodes,):
+        raise DimensionMismatch(f"rhs shape {rhs.shape} != ({grid.n_nodes},)")
     Sx, lx = _sine_basis(grid.nx, grid.hx)
     Sy, ly = _sine_basis(grid.ny, grid.hy)
-    batch = rhs.shape[1:]
-    F = rhs.T.reshape(batch + (grid.ny, grid.nx))
+    F = rhs.reshape(grid.ny, grid.nx)
     U = Sy @ ((Sy @ F @ Sx) / (ly[:, None] + lx[None, :])) @ Sx
-    return U.reshape(batch + (grid.n_nodes,)).T
+    return U.reshape(-1)
 
 
 def apply_weighted_laplacian(w: ScalarField, X: np.ndarray) -> np.ndarray:
@@ -104,9 +82,8 @@ def apply_weighted_laplacian(w: ScalarField, X: np.ndarray) -> np.ndarray:
 
     The face weights (face_average of w) multiply the ghost-zero face
     differences of grid.gradient, taken on an (ny, nx, k) stack.  This is the
-    one five-point stencil of the weighted operator; assemble_weighted_laplacian
-    applies it to the identity, and lobpcg_smallest_positive calls its kernel
-    with face weights built once.
+    one five-point stencil of the weighted operator; lobpcg_smallest_positive
+    calls its kernel with face weights built once.
     """
     g = w.grid
     X = np.asarray(X, dtype=float)
@@ -132,83 +109,6 @@ def _weighted_laplacian(g: Grid, wx: np.ndarray, wy: np.ndarray, X: np.ndarray) 
     return -((fx[:, 1:] - fx[:, :-1]) + (fy[1:] - fy[:-1])).reshape(X.shape)
 
 
-def assemble_weighted_laplacian(w: ScalarField) -> np.ndarray:
-    """Dense matrix of u -> -divergence(w_face * gradient(u)) on the interior nodes.
-
-    Face weights are arithmetic means of the two adjacent node values of w;
-    boundary faces take the bare interior node value.  The matrix is
-    apply_weighted_laplacian applied to the identity, which is exactly
-    symmetric and, for w > 0, positive definite; that application peaks at
-    about 5 n^2 doubles.  Grids above 10000 nodes are refused before anything
-    n x n is allocated.  Dense reference for the iterative solver in the tests.
-    """
-    if float(w.values.min()) <= 0.0:
-        raise NonPositiveWeight(f"min weight {w.values.min():.6g} <= 0")
-    n = w.grid.n_nodes
-    if n > DENSE_MAX_NODES:
-        raise DimensionMismatch(f"dense operator limited to n <= {DENSE_MAX_NODES}, got {n}")
-    return apply_weighted_laplacian(w, np.eye(n))
-
-
-def pencil_eigensolve(P: Pencil) -> list[tuple[float, np.ndarray]]:
-    """Full real spectrum of A x = lambda diag(B) x, sorted by eigenvalue.
-
-    Dense small-grid reference for lobpcg_smallest_positive: with A = L L^T
-    the substitution y = L^T x turns the pencil into the symmetric problem
-    (L^-1 diag(B) L^-T) y = (1/lambda) y, so the indefinite weight never has
-    to be factored.  Eigenvalues mu of that matrix below the roundoff floor
-    correspond to lambda = infinity and are dropped.  Eigenvectors come back
-    in original coordinates, normalized to |x^T diag(B) x| = 1 where that
-    quadratic form is nonzero.
-    """
-    n = P.A.shape[0]
-    if n > DENSE_MAX_NODES:
-        raise DimensionMismatch(f"dense eigensolve limited to n <= {DENSE_MAX_NODES}, got {n}")
-    try:
-        L = np.linalg.cholesky(P.A)
-    except np.linalg.LinAlgError as err:
-        raise NotPositiveDefinite(f"Cholesky failed: {err}") from None
-
-    Z = np.linalg.solve(L, np.diag(P.B))
-    C = np.linalg.solve(L, Z.T)
-    C = 0.5 * (C + C.T)
-    mu, Y = np.linalg.eigh(C)
-    X = np.linalg.solve(L.T, Y)
-
-    floor = n * np.finfo(float).eps * max(float(np.abs(mu).max()), 1e-300)
-    pairs = []
-    for k in range(n):
-        if abs(mu[k]) <= floor:
-            continue
-        lam = 1.0 / mu[k]
-        v = X[:, k]
-        q = float(v @ (P.B * v))
-        if abs(q) > 0.0:
-            v = v / np.sqrt(abs(q))
-        pairs.append((float(lam), v))
-    pairs.sort(key=lambda t: t[0])
-    return pairs
-
-
-def smallest_positive(P: Pencil) -> tuple[float, np.ndarray] | None:
-    """Least positive eigenvalue of the pencil with its eigenvector (dense reference).
-
-    None when the weight is nowhere positive (no positive eigenvalue can
-    exist).  The eigenvector is oriented to a positive entry sum, as in
-    lobpcg_smallest_positive, so a sign-definite eigenvector is positive even
-    when roundoff leaves one of its entries on the other side of zero.
-    """
-    if float(P.B.max()) <= 0.0:
-        return None
-    positives = [(lam, v) for lam, v in pencil_eigensolve(P) if lam > 0.0]
-    if not positives:
-        return None
-    lam, v = positives[0]
-    if float(v.sum()) <= 0.0:
-        v = -v
-    return lam, v
-
-
 def _lowest_sine_mode(grid: Grid) -> np.ndarray:
     """The lowest Dirichlet sine mode of the five-point Laplacian, a positive n-vector."""
     Sx, _ = _sine_basis(grid.nx, grid.hx)
@@ -217,7 +117,8 @@ def _lowest_sine_mode(grid: Grid) -> np.ndarray:
 
 
 def lobpcg_smallest_positive(w: ScalarField, B: np.ndarray) -> tuple[float, np.ndarray, int, float]:
-    """Least positive eigenvalue of A x = lambda diag(B) x, A = assemble_weighted_laplacian(w).
+    """Least positive eigenvalue of A x = lambda diag(B) x, A the operator of
+    apply_weighted_laplacian(w, .).
 
     Matrix-free single-vector LOBPCG (Knyazev 2001) for the largest eigenvalue
     mu of diag(B) x = mu A x, the extremal end of a definite pencil, and

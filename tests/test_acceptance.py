@@ -16,7 +16,7 @@ from kirchlab.kirchhoff import (Problem, diffusion_coefficient, fixed_point_map,
                                 fixed_point_scan, jacobian_functional,
                                 jacobian_identity, linearized_solve,
                                 newton_solve)
-from kirchlab.linalg import Pencil, assemble_weighted_laplacian, smallest_positive
+from dense_oracle import Pencil, assemble_weighted_laplacian, smallest_positive
 
 from conftest import (field_from, positive_random, sign_changing, smooth_random,
                       unit_grid)

@@ -179,6 +179,15 @@ def test_eigen_constant_ratio_exit_1(tmp_path, capsys):
     assert "admissible set empty" in capsys.readouterr().err
 
 
+def test_eigen_huge_alpha_exits_1_without_warnings(tmp_path, capsys):
+    # the weight's squared denominator overflows at alpha = 1e200: the flux is 0
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 8\nny = 8",
+                       coeffs="a = 1+x\nb = 1\nh = 0")
+    assert main(["eigen", "--config", cfg, "--alphas", "1e200",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "eigen: admissible set empty for the sampled alphas\n"
+
+
 def test_eigen_ramp_writes_curve(tmp_path):
     cfg = write_config(tmp_path / "cfg.ini", grid="nx = 16\nny = 16",
                        coeffs="a = 1+x\nb = 1\nh = 0")

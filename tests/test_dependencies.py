@@ -1,5 +1,6 @@
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import kirchlab
@@ -18,3 +19,35 @@ def test_numpy_is_the_only_runtime_dependency():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "numpy", (path.name, name)
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is used by the Name and Attribute nodes of tree."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_top_level_definition_is_used_by_the_library():
+    # src/ holds what the library runs: a top-level def or class is referenced by
+    # other package code, exported from kirchlab, or is the cli.main entry point;
+    # code that only tests call belongs in tests/
+    package = Path(kirchlab.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(package.glob("*.py"))}
+    exported = {alias.asname or alias.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    defs = {f"{module}.{node.name}": node for module, tree in trees.items()
+            for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    inside = {key: _references(node) for key, node in defs.items()}
+    total = sum(map(_references, trees.values()), Counter())
+    # a definition referenced only from unused ones is unused too
+    unused = set()
+    while True:
+        live = total - sum((inside[key] for key in unused), Counter())
+        found = {key for key, node in defs.items()
+                 if key not in unused and key != "cli.main" and node.name not in exported
+                 and live[node.name] <= inside[key][node.name]}
+        if not found:
+            break
+        unused |= found
+    assert sorted(unused) == []

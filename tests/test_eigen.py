@@ -9,7 +9,7 @@ from kirchlab.eigen import (EigenCurve, NonPositiveC, NotInA, ZeroDenominator,
                             weight_flux)
 from kirchlab.grid import (ScalarField, coeff_grad_inf, dirichlet_lambda1,
                            grad_norm_sq, gradient, integrate)
-from kirchlab.linalg import Pencil, assemble_weighted_laplacian, smallest_positive
+from dense_oracle import Pencil, assemble_weighted_laplacian, smallest_positive
 
 from conftest import field_from, smooth_random, unit_grid
 
@@ -67,6 +67,17 @@ def test_admissibility():
         assert is_admissible(ramp, alpha)
     with pytest.raises(ValueError):
         is_admissible(ramp, 0.0)
+
+
+def test_weight_flux_vanishes_silently_where_the_square_overflows():
+    # (c + alpha)^2 is inf past alpha ~ 1.3e154: the flux is 0 and alpha inadmissible
+    g = unit_grid(6)
+    ramp = ramp_field(g)
+    for alpha in (1e155, 1e200, 1e308):
+        F = weight_flux(ramp, alpha)
+        assert not F.xfaces.any() and not F.yfaces.any()
+        assert not is_admissible(ramp, alpha)
+    assert (weight_flux(ramp, 1e150).xfaces > 0.0).all()
 
 
 def test_principal_eigenpair_ramp():

@@ -4,12 +4,58 @@ import sys
 import numpy as np
 import pytest
 
-from kirchlab.expr import (CONSTANTS, BinOp, Call, DomainError, EmptyInput, Neg,
+from kirchlab.expr import (CONSTANTS, BinOp, Call, DomainError, EmptyInput, Expr, Neg,
                            Num, UnbalancedParen, UnexpectedToken, UnknownIdentifier,
-                           Var, _evaluate, eval_at, eval_field, parse, to_string)
+                           Var, _ADD_BP, _MUL_BP, _NEG_BP, _POW_BP, _evaluate,
+                           eval_field, parse)
 from kirchlab.grid import Grid
 
 from conftest import unit_grid
+
+
+def eval_at(expr: Expr, x: float, y: float) -> float:
+    """Evaluate at a point; DomainError when the value leaves the reals."""
+    return float(_evaluate(expr, np.array([x], dtype=float), np.array([y], dtype=float))[0])
+
+
+def to_string(expr: Expr) -> str:
+    """Pretty-print with minimal parentheses; reparses to an equal tree."""
+
+    def prec(e: Expr) -> int:
+        if isinstance(e, BinOp):
+            return _POW_BP if e.op == "^" else (_MUL_BP if e.op in "*/" else _ADD_BP)
+        if isinstance(e, Neg):
+            return _NEG_BP
+        return 100
+
+    def render(e: Expr) -> str:
+        if isinstance(e, Num):
+            return f"{e.value:.17g}"
+        if isinstance(e, Var):
+            return e.name
+        if isinstance(e, Neg):
+            inner = render(e.arg)
+            if prec(e.arg) < _NEG_BP:
+                inner = f"({inner})"
+            return f"-{inner}"
+        if isinstance(e, Call):
+            return f"{e.fn}({render(e.arg)})"
+        lhs, rhs = render(e.left), render(e.right)
+        p = prec(e)
+        if prec(e.left) < p or (e.op == "^" and isinstance(e.left, BinOp) and e.left.op == "^") \
+                or (e.op == "^" and isinstance(e.left, Neg)):
+            lhs = f"({lhs})"
+        # left-assoc ops reparse a same-precedence right child to the left,
+        # so it must keep its parentheses
+        right_needs = prec(e.right) < p or (
+            e.op != "^" and isinstance(e.right, BinOp) and prec(e.right) == p)
+        if e.op == "^" and isinstance(e.right, Neg):
+            right_needs = False  # 2^-3 parses fine
+        if right_needs:
+            rhs = f"({rhs})"
+        return f"{lhs}{e.op}{rhs}"
+
+    return render(expr)
 
 
 def ev(src, x=0.0, y=0.0):

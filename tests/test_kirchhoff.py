@@ -572,7 +572,7 @@ def test_linearized_solve_singular_jacobian():
 def test_newton_zero_forcing_immediate():
     g = unit_grid(8)
     P = constant_problem(g, ScalarField.zeros(g))
-    sol = newton_solve(P, ScalarField.zeros(g))
+    sol = newton_solve(P)
     assert (sol.u.values == 0.0).all()
     assert sol.method == "newton"
     assert sol.residual == 0.0

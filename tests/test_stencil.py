@@ -10,8 +10,8 @@ face differences, and the weighted Laplacian on an (ny, nx, k) block.
 import numpy as np
 import pytest
 
-from kirchlab.grid import (Grid, ScalarField, _face_differences, _face_energy, face_average,
-                           grad_norm_sq, gradient)
+from kirchlab.grid import (Grid, ScalarField, _face_differences, face_average, grad_norm_sq,
+                           gradient)
 from kirchlab.linalg import apply_weighted_laplacian
 
 from conftest import positive_random
@@ -77,9 +77,7 @@ def test_face_differences_of_a_stack_match_each_matrix(nx, ny, lx, ly, rng):
 @pytest.mark.parametrize("nx,ny,lx,ly", GRIDS, ids=GRID_IDS)
 def test_face_energy_matches_reference(nx, ny, lx, ly, rng):
     g = Grid.over_rectangle(nx, ny, lx, ly)
-    stack = wide_values(rng, (5, ny, nx))
-    assert np.array_equal(_face_energy(g, stack), ref_face_energy(g, stack))
-    for U in stack:
+    for U in wide_values(rng, (5, ny, nx)):
         assert grad_norm_sq(ScalarField(g, U)) == float(ref_face_energy(g, U))
 
 
