@@ -79,9 +79,17 @@ def pointwise_criterion(c: ScalarField) -> ScalarField:
     """
     if float(c.values.min()) <= 0.0:
         raise NonPositiveC(f"ratio field must be positive, min = {c.values.min():.6g}")
-    lap = laplacian(c)
-    gsq = node_grad_sq(c)
-    return ScalarField(c.grid, lap.values - 2.0 * gsq.values / c.values)
+    overflow = ValueError(f"pointwise criterion overflows a double "
+                          f"(max c = {c.values.max():.3g})")
+    with np.errstate(over="ignore"):
+        try:
+            lap, gsq = laplacian(c), node_grad_sq(c)
+        except ValueError:        # ScalarField refuses an infinite |grad c|^2
+            raise overflow from None
+        d = lap.values - 2.0 * gsq.values / c.values
+    if not np.all(np.isfinite(d)):
+        raise overflow
+    return ScalarField(c.grid, d)
 
 
 def interior_min(f: ScalarField) -> float:
@@ -97,7 +105,8 @@ def interior_min(f: ScalarField) -> float:
 
 
 def shifted_ratio(c: ScalarField, alpha: float) -> float:
-    """|grad c|_inf (c_max+alpha) / (sqrt(lambda1) (c_min+alpha)^2); 0 for constant c.
+    """|grad c|_inf (c_max+alpha) / (sqrt(lambda1) (c_min+alpha)^2); 0 for constant c,
+    finite for every finite alpha >= 0.
 
     The one closed form behind ratio_criterion, ratio_gap and
     eigen.eigenvalue_lower_bound.  Those three are derived from this value
@@ -110,7 +119,11 @@ def shifted_ratio(c: ScalarField, alpha: float) -> float:
     c_lo = float(c.values.min())
     c_hi = float(c.values.max())
     lam1 = dirichlet_lambda1(c.grid)
-    return grad_inf * (c_hi + alpha) / (math.sqrt(lam1) * (c_lo + alpha) ** 2)
+    lo, hi = c_lo + alpha, c_hi + alpha
+    try:
+        return grad_inf * hi / (math.sqrt(lam1) * lo ** 2)
+    except OverflowError:         # lo^2 exceeds a double: divide by lo twice
+        return grad_inf * (hi / lo) / (math.sqrt(lam1) * lo)
 
 
 def ratio_criterion(c: ScalarField) -> float:

@@ -16,7 +16,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -326,7 +326,10 @@ def _parse_float_list(raw: str, what: str) -> list:
     return values
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves it
+    unchanged, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="kirchlab",
         description="Nonlocal Kirchhoff-type Dirichlet problems: solve, certify "

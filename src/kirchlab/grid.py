@@ -291,15 +291,166 @@ def dirichlet_lambda1(grid: Grid) -> float:
 # --- field file I/O -------------------------------------------------------
 #
 # Line 1:  # field nx ny x0 y0 hx hy
-# then nx*ny whitespace-separated values, row-major, x fastest.
+# then nx*ny whitespace-separated values, row-major, x fastest, each written
+# exactly as "%.17g" prints it.
+#
+# "%.17g" prints fixed notation when the decimal exponent d of the value rounded
+# to 17 digits lies in [-4, 16].  There write_field computes those digits itself:
+# N = round_half_even(|x| * 10^(16-d)) is exact from Dekker's two-product, since
+# 10^(16-d) is an exact double for 16-d <= 22 and every product that lands in
+# [10^16, 10^17) is an even integer plus an error term below its half-ulp.  All
+# other values (zeros, subnormals, |x| < 1e-4 or >= 1e17) take Python's "%.17g".
+
+_CHUNK = 8192                     # values formatted and written at a time
+_WIDTH = 24                       # longest "%.17g" text, "-2.2250738585072014e-308"
+_POW10 = np.array([float(10 ** k) for k in range(21)])
+
+
+def _split(a):
+    """Veltkamp's split a = hi + lo, each half with at most 26 significant bits."""
+    t = 134217729.0 * a           # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The 4 ASCII digits of each k in [0, 9999], zero-padded, each as one uint32:
+    in full, and with the trailing zeros of k as spaces."""
+    full = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)   # [a, b, c, d] of abcd
+    for p in range(4):
+        full[..., p] = np.arange(ord("0"), ord("9") + 1,
+                                 dtype=np.uint8).reshape((10,) + (1,) * (3 - p))
+    stripped = full.copy()
+    for p in range(4):            # digits p..3 all zero
+        stripped[(slice(None),) * p + (0,) * (4 - p)][..., p:] = ord(" ")
+    return tuple(t.reshape(10000, 4).view(np.uint32).ravel() for t in (full, stripped))
+
+
+_DIGITS4, _STRIPPED4 = _digit_tables()
+# texts are padded with spaces and the padding is deleted on output, so a space
+# separator is written as this byte and mapped back to a space
+_SPACE_MARK = 1
+_UNMARK = bytes(ord(" ") if i == _SPACE_MARK else i for i in range(256))
+_LEAD_ZEROS = np.frombuffer(b"0.000", dtype=np.uint8)
+
+
+def _round17(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """round_half_even(a * 10^(16-d)) for a > 0 and 16-d in [0, 20]; exact
+    wherever the result lies in [10^16, 10^17)."""
+    k = 16 - d
+    p = a * _POW10[k]
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    # p >= 2^53 is an even integer, so rint's ties-to-even on err rounds p + err
+    # half to even; a smaller p gives a result below 10^16, which callers reject
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _fixed_exponents(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, N): the decimal exponent and 17 digits of each |x| in ax as "%.17g"
+    prints them, with d = -99 where that is not fixed notation in [-4, 16]."""
+    d = np.full(ax.size, -99, dtype=np.int64)
+    n = np.zeros(ax.size, dtype=np.int64)
+    fast = np.flatnonzero((ax >= 1e-4) & (ax < 1e17))
+    if fast.size == 0:
+        return d, n
+    a = ax[fast]
+    df = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
+    nf = _round17(a, df)
+    # one step of d corrects a log10 that is off by one next to a power of ten,
+    # and would take a carry of the rounding to 10^17; a value still outside
+    # [10^16, 10^17) after it takes "%.17g"
+    step = (nf >= 10 ** 17).astype(np.int64) - (nf < 10 ** 16)
+    df += step
+    redo = np.flatnonzero((step != 0) & (df >= -4) & (df <= 16))
+    if redo.size:
+        nf[redo] = _round17(a[redo], df[redo])
+    ok = (nf >= 10 ** 16) & (nf < 10 ** 17) & (df >= -4) & (df <= 16)
+    d[fast[ok]] = df[ok]
+    n[fast[ok]] = nf[ok]
+    return d, n
+
+
+def _digit_chars(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 ASCII digits of each n in [10^16, 10^17), as (m, 17) uint8 twice:
+    in full, and with the trailing zeros as spaces."""
+    lead = n // 10 ** 16
+    rest = n - lead * 10 ** 16
+    hi = rest // 10 ** 8
+    lo = rest - hi * 10 ** 8
+    q1, q3 = hi // 10 ** 4, lo // 10 ** 4
+    quads = (q1, hi - q1 * 10 ** 4, q3, lo - q3 * 10 ** 4)
+    full = np.empty((n.size, 5), dtype=np.uint32)
+    stripped = np.empty((n.size, 5), dtype=np.uint32)
+    # a quad strips when every quad after it is zero
+    tail_zero = np.ones(n.size, dtype=bool)
+    for j in (3, 2, 1, 0):
+        full[:, j + 1] = _DIGITS4[quads[j]]
+        stripped[:, j + 1] = np.where(tail_zero, _STRIPPED4[quads[j]], full[:, j + 1])
+        tail_zero &= quads[j] == 0
+    full, stripped = full.view(np.uint8)[:, 3:], stripped.view(np.uint8)[:, 3:]
+    full[:, 0] = stripped[:, 0] = lead + ord("0")
+    return full, stripped
+
+
+def _fixed_text(neg: np.ndarray, d: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The "%.17g" text of values with sign neg, 17 digits n and exponent d in
+    [-4, 16], in rows of _WIDTH bytes padded with spaces."""
+    m = n.size
+    full, stripped = _digit_chars(n)
+    text = np.full((m, _WIDTH), ord(" "), dtype=np.uint8)
+    text[:, 0] = np.where(neg, ord("-"), ord(" "))
+    for e in np.flatnonzero(np.bincount(d + 4, minlength=21)) - 4:
+        rows = _select(d == e)
+        if e >= 0:                # integer digits in full, fraction stripped
+            text[rows, 1:e + 2] = full[rows, :e + 1]
+            frac = stripped[rows, e + 1:]
+            if frac.shape[1]:     # the point goes when no fraction digit is left
+                text[rows, e + 2] = np.where(frac[:, 0] == ord(" "), ord(" "), ord("."))
+                text[rows, e + 3:19] = frac
+        else:                     # "0." and -e-1 zeros ahead of the digits
+            text[rows, 1:2 - e] = _LEAD_ZEROS[:1 - e]
+            text[rows, 2 - e:19 - e] = stripped[rows]
+    return text
+
+
+def _select(mask: np.ndarray):
+    """Index of the rows where mask holds: a full slice, which indexes without
+    copying, when it holds everywhere."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
+def _format_chunk(v: np.ndarray, start: int, nx: int) -> bytes:
+    """The field-file text of the values v at flat positions start, start+1, ...
+    of a grid with nx nodes per row: each value as "%.17g", followed by a space,
+    or by a newline at the end of a row."""
+    d, n = _fixed_exponents(np.abs(v))
+    rows = np.empty((v.size, _WIDTH + 1), dtype=np.uint8)
+    fixed = d >= -4
+    if fixed.any():
+        idx = _select(fixed)
+        rows[idx, :_WIDTH] = _fixed_text(np.signbit(v[idx]), d[idx], n[idx])
+    if not fixed.all():
+        idx = _select(~fixed)
+        rest = v[idx].tolist()
+        text = ("%-24.17g" * len(rest) % tuple(rest)).encode("ascii")
+        rows[idx, :_WIDTH] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _WIDTH)
+    row_end = np.arange(start + 1, start + v.size + 1) % nx == 0
+    rows[:, _WIDTH] = np.where(row_end, ord("\n"), _SPACE_MARK)
+    return rows.tobytes().translate(_UNMARK, b" ")
+
 
 def write_field(f: ScalarField, path) -> None:
+    """Write f as a field file, _CHUNK values at a time."""
     g = f.grid
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# field {g.header()}\n")
-        line = " ".join(["%.17g"] * g.nx) + "\n"
-        for row in f.mat.tolist():
-            fh.write(line % tuple(row))
+    with open(path, "wb") as fh:
+        fh.write(f"# field {g.header()}\n".encode("ascii"))
+        for start in range(0, g.n_nodes, _CHUNK):
+            fh.write(_format_chunk(f.values[start:start + _CHUNK], start, g.nx))
 
 
 def read_field(path) -> ScalarField:

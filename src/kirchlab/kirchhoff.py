@@ -231,12 +231,12 @@ def fixed_point_scan(P: Problem, n_samples: int = 256,
     S_max the tight energy cap of _scan_ceiling.
 
     Uniform samples of Phi(s) - s, SCAN_BLOCK of them per kernel call and each
-    bitwise equal to fixed_point_map; every strict sign change is refined by
-    safeguarded Newton steps (_refine) to |Phi(s)-s| <= 1e-10*(1+s); samples
-    that already satisfy that bound count as roots directly.  Each root
-    reports the s at which that bound was verified, the frozen solve there,
-    Phi'(s) and the Phi evaluations it took after sampling (a sample hit pays
-    one for its Phi').  Local minima of |Phi(s)-s| below 1e-6*(1+s) without a
+    bitwise equal to fixed_point_map; samples with |Phi(s)-s| <= 1e-10*(1+s)
+    count as roots directly, and every strict sign change between two samples
+    above that bound is refined to it by safeguarded Newton steps (_refine).
+    Each root reports the s at which that bound was verified, the frozen solve
+    there, Phi'(s) and the Phi evaluations it took after sampling (a sample hit
+    pays one for its Phi').  Local minima of |Phi(s)-s| below 1e-6*(1+s) without a
     crossing are reported as suspected tangencies (a double root there is
     exactly where the Jacobian degenerates).  s_max replaces the computed
     ceiling when given.
@@ -251,10 +251,12 @@ def fixed_point_scan(P: Problem, n_samples: int = 256,
 
     # candidate roots (s, |g|, Phi'(s) or None, evaluations): direct hits and
     # refined sign changes
-    candidates = [(float(ss[i]), abs(float(gs[i])), None, 0)
-                  for i in np.flatnonzero(np.abs(gs) <= ROOT_RTOL * (1.0 + ss))]
-    # compare signs: the product of two samples of |Phi(s) - s| > 1e154 overflows
-    for i in np.flatnonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0.0):
+    hit = np.abs(gs) <= ROOT_RTOL * (1.0 + ss)
+    candidates = [(float(ss[i]), abs(float(gs[i])), None, 0) for i in np.flatnonzero(hit)]
+    # compare signs: the product of two samples of |Phi(s) - s| > 1e154 overflows;
+    # a sign change at a hit sample is that root already and is not refined
+    change = np.sign(gs[:-1]) * np.sign(gs[1:]) < 0.0
+    for i in np.flatnonzero(change & ~hit[:-1] & ~hit[1:]):
         candidates.append(_refine(P, float(ss[i]), float(gs[i]),
                                   float(ss[i + 1]), float(gs[i + 1])))
 

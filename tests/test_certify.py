@@ -6,8 +6,9 @@ import pytest
 from kirchlab.certify import (ConstructionFailed, GridMismatch, NonPositiveC,
                               NonPositiveCoefficient, certify, interior_min,
                               pointwise_certified_ratio, pointwise_criterion,
-                              ratio_criterion, ratio_gap)
-from kirchlab.grid import Grid, ScalarField, dirichlet_lambda1
+                              ratio_criterion, ratio_gap, shifted_ratio)
+from kirchlab.eigen import eigenvalue_lower_bound
+from kirchlab.grid import Grid, ScalarField, coeff_grad_inf, dirichlet_lambda1
 from kirchlab.kirchhoff import Problem, fixed_point_scan, jacobian_functional
 
 from conftest import field_from, sign_changing, smooth_random, unit_grid
@@ -34,6 +35,14 @@ def test_pointwise_criterion_rejects_nonpositive():
     g = unit_grid(4)
     with pytest.raises(NonPositiveC):
         pointwise_criterion(ScalarField.zeros(g))
+
+
+def test_pointwise_criterion_overflow_raises():
+    # c = 1e200 is a constant ratio, but |grad c|^2 against the zero ghosts
+    # overflows at the boundary collar
+    with pytest.raises(ValueError, match=r"pointwise criterion overflows a double "
+                                         r"\(max c = 1e\+200\)"):
+        pointwise_criterion(ScalarField.full(unit_grid(8), 1e200))
 
 
 def test_ratio_criterion_values():
@@ -155,6 +164,40 @@ def test_ratio_gap_strictly_decreasing_and_limit():
     gaps = [ratio_gap(c, alpha) for alpha in alphas]
     assert all(x > y for x, y in zip(gaps, gaps[1:]))
     assert ratio_gap(c, 1e6) == pytest.approx(-1.0, abs=1e-3)
+
+
+def _ratio_fields(rng):
+    g = unit_grid(8)
+    wobbly = 0.5 + rng.random(g.n_nodes)
+    return [field_from(g, lambda X, Y: 1.0 + X),
+            field_from(g, lambda X, Y: 2.0 + 0.4 * np.sin(np.pi * X) * np.sin(np.pi * Y)),
+            ScalarField(g, wobbly), ScalarField(g, 1e-3 * wobbly),
+            ScalarField(Grid.over_rectangle(5, 7, 3.0, 0.2), 1.0 + rng.random(35))]
+
+
+def test_shifted_ratio_is_finite_where_the_square_overflows(rng):
+    # (c_min + alpha)^2 overflows from alpha ~ 1.3e154; the ratio then falls like
+    # |grad c|_inf / (sqrt(lambda1) alpha)
+    for c in _ratio_fields(rng):
+        scale = coeff_grad_inf(c) / math.sqrt(dirichlet_lambda1(c.grid))
+        for alpha in (1e155, 1e200, 1e300):
+            ratio = shifted_ratio(c, alpha)
+            assert math.isfinite(ratio)
+            assert ratio == pytest.approx(scale / alpha, rel=1e-12)
+            assert math.isfinite(ratio_gap(c, alpha))
+            assert eigenvalue_lower_bound(c, alpha) == pytest.approx(alpha / (2.0 * scale),
+                                                                     rel=1e-12)
+
+
+def test_shifted_ratio_keeps_its_bits_where_the_square_fits(rng):
+    for c in _ratio_fields(rng):
+        grad_inf = coeff_grad_inf(c)
+        c_lo, c_hi = float(c.values.min()), float(c.values.max())
+        root_lam1 = math.sqrt(dirichlet_lambda1(c.grid))
+        for alpha in (0.0, 1e-3, 1.0, 1e3, 1e50, 1e100, 1e150):
+            expected = grad_inf * (c_hi + alpha) / (root_lam1 * (c_lo + alpha) ** 2)
+            assert shifted_ratio(c, alpha) == expected
+        assert ratio_criterion(c) == shifted_ratio(c, 0.0)
 
 
 def test_certified_problems_have_unique_roots(rng):

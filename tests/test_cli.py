@@ -539,6 +539,35 @@ def test_eigen_summary_follows_json_format(tmp_path):
     assert not (out / "eigen_summary.json").exists()
 
 
+def test_main_parses_each_call_with_the_one_cached_parser(tmp_path, capsys):
+    # the parser is built once per process; no argument of one call leaks into
+    # the next, whatever the subcommand
+    ramp = write_config(tmp_path / "ramp.ini", grid="nx = 8\nny = 8",
+                        coeffs="a = 1+x\nb = 1\nh = 0")
+    flat = write_config(tmp_path / "flat.ini", grid="nx = 8\nny = 8",
+                        coeffs="a = 2\nb = 1\nh = 0")
+    assert cli._build_parser() is cli._build_parser()
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["eigen", "--config", ramp, "--alphas", "0.5,1", "--write-fields",
+                 "--out", str(first), "--quiet"]) == 0
+    assert main(["certify", "--config", flat, "--out", str(tmp_path / "cert")]) == 0
+    assert json.loads((tmp_path / "cert" / "certificate.json").read_text())["verdict"] \
+        == "UniqueConstantRatio"
+    assert main(["eigen", "--config", ramp, "--alphas", "2", "--out", str(second),
+                 "--quiet"]) == 0
+    assert main(["eigen", "--config", flat, "--alphas", "0.1", "--quiet"]) == 1
+    assert len((first / "eigen_curve.csv").read_text().strip().split("\n")) == 3
+    assert sorted(p.name for p in first.glob("*.field")) == ["eigenfunction_000.field",
+                                                             "eigenfunction_001.field"]
+    assert (second / "eigen_curve.csv").read_text().strip().split("\n")[1].startswith("2,")
+    assert list(second.glob("*.field")) == []
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--quiet"])
+    assert exc.value.code == 2
+    assert main(["example", "--config", flat, "--out", str(tmp_path / "ex"), "--quiet"]) == 0
+    assert (tmp_path / "ex" / "example_ratio.field").exists()
+
+
 def test_eigen_logspace_alphas(tmp_path):
     cfg = write_config(tmp_path / "cfg.ini", grid="nx = 12\nny = 12",
                        coeffs="a = 1+x\nb = 1\nh = 0")

@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -230,6 +231,82 @@ def test_write_field_formats_like_repr_17g(tmp_path, rng):
         body = path.read_text().split("\n", 1)[1]
         assert body == "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in f.mat)
         assert np.array_equal(read_field(path).values, values)
+
+
+def _reference_field_text(f: ScalarField) -> bytes:
+    """The field file of f as a plain per-value "%.17g" writer prints it."""
+    line = " ".join(["%.17g"] * f.grid.nx) + "\n"
+    body = "".join(line % tuple(row) for row in f.mat.tolist())
+    return f"# field {f.grid.header()}\n{body}".encode("ascii")
+
+
+def _assert_written_like_17g(tmp_path, grid: Grid, values: np.ndarray):
+    f = ScalarField(grid, values)
+    path = tmp_path / "f.field"
+    write_field(f, path)
+    assert path.read_bytes() == _reference_field_text(f)
+    back = read_field(path)
+    assert back.grid == grid
+    assert np.array_equal(back.values.view(np.int64), f.values.view(np.int64))
+
+
+def _signed(rng, values):
+    return np.where(rng.random(len(values)) < 0.5, -1.0, 1.0) * np.asarray(values, dtype=float)
+
+
+def _special_values() -> np.ndarray:
+    """Zeros, subnormals, the ends of the double range, and powers of ten with
+    their neighbours.  Sixteen of these lie below a power of ten and round up to
+    it at 17 digits (the double nearest 1e-14 prints as "1e-14"); the doubles
+    nearest 9.99999999999999995e k are the power itself or just below it."""
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    below = np.array([float(f"9.99999999999999995e{k}") for k in range(-30, 30)]
+                     + [float(f"9.999999999999999949e{k}") for k in range(-30, 30)])
+    subnormals = np.array([5e-324, 1e-323, 2.2250738585072009e-308, 1e-310, 4.9e-320])
+    edges = np.array([0.0, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0 / 3.0])
+    pool = np.concatenate([powers, below, subnormals, edges])
+    below_max = pool[pool < np.finfo(float).max]
+    pool = np.concatenate([pool, np.nextafter(pool, 0.0), np.nextafter(below_max, np.inf)])
+    return np.concatenate([pool, -pool])
+
+
+def _exact_ties(rng, count: int) -> np.ndarray:
+    """Doubles x = q / 2^(k+1), q odd, with x * 10^k = q 5^k / 2 a half-integer in
+    [10^16, 10^17): their 17-digit rounding is an exact tie, broken to even."""
+    ties = []
+    while len(ties) < count:
+        k = int(rng.integers(1, 21))
+        lo, hi = -(-2 * 10 ** 16 // 5 ** k), min(2 * 10 ** 17 // 5 ** k, 2 ** 53)
+        q = int(rng.integers(lo, hi)) | 1
+        x = q / 2 ** (k + 1)
+        scaled = Decimal(x).scaleb(k)
+        assert scaled % 1 == Decimal("0.5") and 10 ** 16 <= scaled < 10 ** 17
+        ties.append(x)
+    return _signed(rng, ties)
+
+
+def test_write_field_matches_17g_on_a_million_values(tmp_path, rng):
+    # magnitudes log-uniform over the whole double range, and as many over the
+    # range "%.17g" prints in fixed notation and a decade either side of it
+    g = Grid.over_rectangle(1000, 1000, x0=-3.0, y0=0.25)
+    exponents = np.concatenate([rng.uniform(-320, 308, g.n_nodes // 2),
+                                rng.uniform(-6, 18, g.n_nodes // 2)])
+    _assert_written_like_17g(tmp_path, g, _signed(rng, 10.0 ** rng.permutation(exponents)))
+
+
+def test_write_field_matches_17g_on_special_values_and_ties(tmp_path, rng):
+    special = _special_values()
+    _assert_written_like_17g(tmp_path, Grid.over_rectangle(special.size, 1), special)
+    ties = _exact_ties(rng, 5000)
+    _assert_written_like_17g(tmp_path, Grid.over_rectangle(100, 50), ties)
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (2, 3), (7, 5), (300, 37), (3, 5000), (9000, 2)])
+def test_write_field_matches_17g_across_chunk_edges(tmp_path, rng, nx, ny):
+    # chunk edges fall mid-row and mid-grid; a 9000-node row outgrows a chunk
+    pool = np.concatenate([_special_values(), _exact_ties(rng, 200), rng.normal(size=2000),
+                           _signed(rng, 10.0 ** rng.uniform(-6, 18, 2000))])
+    _assert_written_like_17g(tmp_path, Grid.over_rectangle(nx, ny), rng.choice(pool, nx * ny))
 
 
 @pytest.mark.parametrize("nx,ny", [(1, 1), (2, 3), (7, 5), (40, 33)])
