@@ -113,17 +113,25 @@ def shifted_ratio(c: ScalarField, alpha: float) -> float:
     directly rather than from each other, so the +1/-1 shift of ratio_gap
     never rounds a small ratio away.
     """
+    return _shift(_ratio_terms(c), alpha)
+
+
+def _ratio_terms(c: ScalarField) -> tuple[float, float, float, float]:
+    """The alpha-free terms of shifted_ratio: |grad c|_inf, c_min, c_max and sqrt(lambda1)."""
     if float(c.values.min()) <= 0.0:
         raise NonPositiveC(f"ratio field must be positive, min = {c.values.min():.6g}")
-    grad_inf = coeff_grad_inf(c)
-    c_lo = float(c.values.min())
-    c_hi = float(c.values.max())
-    lam1 = dirichlet_lambda1(c.grid)
+    return (coeff_grad_inf(c), float(c.values.min()), float(c.values.max()),
+            math.sqrt(dirichlet_lambda1(c.grid)))
+
+
+def _shift(terms: tuple[float, float, float, float], alpha: float) -> float:
+    """shifted_ratio at alpha from the terms of _ratio_terms."""
+    grad_inf, c_lo, c_hi, sqrt_lam1 = terms
     lo, hi = c_lo + alpha, c_hi + alpha
     try:
-        return grad_inf * hi / (math.sqrt(lam1) * lo ** 2)
+        return grad_inf * hi / (sqrt_lam1 * lo ** 2)
     except OverflowError:         # lo^2 exceeds a double: divide by lo twice
-        return grad_inf * (hi / lo) / (math.sqrt(lam1) * lo)
+        return grad_inf * (hi / lo) / (sqrt_lam1 * lo)
 
 
 def ratio_criterion(c: ScalarField) -> float:

@@ -18,14 +18,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import NonPositiveC, shifted_ratio
+from .certify import NonPositiveC, _ratio_terms, _shift, shifted_ratio
 from .grid import (FaceField, KirchlabError, ScalarField, divergence, face_average,
                    gradient, grad_norm_sq, integrate)
-from .linalg import NoConvergence, lobpcg_smallest_positive
+from .linalg import NoConvergence, _lobpcg_stack
 
 ADMISSIBLE_TOL = 1e-10
 SIGN_TOL = 1e-8
 PENCIL_RESID_TOL = 1e-8
+# most alphas x grid nodes in one LOBPCG stack.  Stacks save numpy call
+# overhead on small grids but leave the cache on large ones: on the 8-alpha
+# ramp curve, 2 alphas per stack were fastest at 64^2 and 1 at 128^2
+_STACK_NODES = 8_192
 
 
 class NotInA(KirchlabError):
@@ -126,10 +130,10 @@ def principal_eigenpair(c: ScalarField, alpha: float) -> EigenPair:
 
     The pencil pairs the weighted stiffness operator with the lumped weight
     (the common cell-area factor of the two quadratures cancels, so the
-    eigenvalue is grid-scale free) and is solved matrix-free by
-    linalg.lobpcg_smallest_positive.  A - lambda diag(B) is an irreducible
-    Z-matrix, so a converged eigenvector that is strictly positive with
-    lambda > 0 proves lambda is the smallest positive eigenvalue
+    eigenvalue is grid-scale free) and is solved matrix-free by the LOBPCG of
+    linalg.lobpcg_smallest_positive, as a stack of one.  A - lambda diag(B)
+    is an irreducible Z-matrix, so a converged eigenvector that is strictly
+    positive with lambda > 0 proves lambda is the smallest positive eigenvalue
     (Perron-Frobenius): the sign check below is what rules out a stop on a
     higher eigenvalue.  The eigenfunction is normalized to gradient energy
     alpha and oriented positive; a sign change beyond tolerance is an error
@@ -138,16 +142,30 @@ def principal_eigenpair(c: ScalarField, alpha: float) -> EigenPair:
     m, admissible = _weight(c, alpha)
     if not admissible:
         raise NotInA(f"weight is nowhere positive at alpha = {alpha:.6g}")
-    return _eigenpair(c, alpha, m)
+    return next(_eigenpairs(c, [(alpha, m)]))[0]
 
 
-def _eigenpair(c: ScalarField, alpha: float, m: ScalarField) -> EigenPair:
+def _eigenpairs(c: ScalarField, stack: list):
+    """The checked EigenPair of each (alpha, m_alpha) of stack, with the face
+    average of 1/(c + alpha), yielded in order from one stacked LOBPCG."""
     g = c.grid
-    w = ScalarField(g, 1.0 / (c.values + alpha))
-    lam, v, iterations, resid = lobpcg_smallest_positive(w, m.values)
+    alphas = [alpha for alpha, _ in stack]
+    W = 1.0 / (c.values + np.array(alphas)[:, None])
+    wfs = [face_average(ScalarField(g, w)) for w in W]
+    outs = _lobpcg_stack(wfs, W, np.stack([m.values for _, m in stack]),
+                         [f" at alpha = {alpha:.6g}" for alpha in alphas])
+    for alpha, wf, out in zip(alphas, wfs, outs):
+        yield _eigenpair(c, alpha, out), wf
+
+
+def _eigenpair(c: ScalarField, alpha: float, out) -> EigenPair:
+    if isinstance(out, KirchlabError):
+        raise out
+    lam, v, iterations, resid = out
     if resid > PENCIL_RESID_TOL:
         raise NoConvergence(f"pencil residual {resid:.3e} too large at alpha = {alpha:.6g}")
 
+    g = c.grid
     u = ScalarField(g, v)
     u = ScalarField(g, v * math.sqrt(alpha / grad_norm_sq(u)))
     vmax = float(u.values.max())
@@ -165,12 +183,12 @@ def rayleigh_quotient(c: ScalarField, alpha: float, u: ScalarField) -> float:
     1/(c + alpha) -- the same face coefficient the stiffness assembly uses, so
     the quotient of an eigenpair reproduces its eigenvalue exactly.
     """
-    return _rayleigh(c, alpha, u, eigen_weight(c, alpha))
+    wf = face_average(ScalarField(c.grid, 1.0 / (c.values + alpha)))
+    return _rayleigh(wf, u, eigen_weight(c, alpha))
 
 
-def _rayleigh(c: ScalarField, alpha: float, u: ScalarField, m: ScalarField) -> float:
+def _rayleigh(wf: FaceField, u: ScalarField, m: ScalarField) -> float:
     g = u.grid
-    wf = face_average(ScalarField(g, 1.0 / (c.values + alpha)))
     F = gradient(u)
     num = g.cell_area * float((wf.xfaces * F.xfaces ** 2).sum()
                               + (wf.yfaces * F.yfaces ** 2).sum())
@@ -187,21 +205,51 @@ def eigenvalue_lower_bound(c: ScalarField, alpha: float) -> float:
     1 / (2 (ratio_gap + 1)); for constant c the gradient sup vanishes and the
     bound is +inf.
     """
-    ratio = shifted_ratio(c, alpha)
-    if ratio == 0.0:
-        return math.inf
-    return 1.0 / (2.0 * ratio)
+    return _bound_of(shifted_ratio(c, alpha))
+
+
+def _bound_of(ratio: float) -> float:
+    """eigenvalue_lower_bound from the shifted ratio at its alpha."""
+    return math.inf if ratio == 0.0 else 1.0 / (2.0 * ratio)
 
 
 def eigen_curve(c: ScalarField, alphas) -> EigenCurve:
-    """Solve the eigenproblem for every admissible alpha in the given order."""
-    curve = EigenCurve([])
-    for alpha in map(float, alphas):
-        m, admissible = _weight(c, alpha)
-        if not admissible:
-            continue
-        pair = _eigenpair(c, alpha, m)
-        gap = abs(_rayleigh(c, alpha, pair.u, m) - pair.lam)
-        curve.rows.append((alpha, pair.lam, eigenvalue_lower_bound(c, alpha), gap))
-        curve.pairs.append(pair)
+    """Solve the eigenproblem for every admissible alpha in the given order.
+
+    The admissible alphas go through the LOBPCG in stacks of up to
+    _STACK_NODES // n; each gets the bits it gets alone, so a row's pair is
+    principal_eigenpair at its alpha.  The checks run per alpha in order, so
+    the first alpha that fails raises what it raises when solved alone.  The
+    alpha-free terms of the lower bound are computed once.
+    """
+    curve, terms = EigenCurve([]), None
+    for stack in _stacks(c, alphas):
+        terms = terms or _ratio_terms(c)
+        for (alpha, m), (pair, wf) in zip(stack, _eigenpairs(c, stack)):
+            gap = abs(_rayleigh(wf, pair.u, m) - pair.lam)
+            curve.rows.append((alpha, pair.lam, _bound_of(_shift(terms, alpha)), gap))
+            curve.pairs.append(pair)
     return curve
+
+
+def _stacks(c: ScalarField, alphas):
+    """The admissible (alpha, m_alpha) of alphas in order, in lists of at most
+    max(1, _STACK_NODES // n).  An alpha whose weight raises (a nonpositive
+    alpha, or a weight that is not finite) does so once the alphas before it
+    are yielded, as when each alpha is solved alone."""
+    size = max(1, _STACK_NODES // c.grid.n_nodes)
+    stack = []
+    for alpha in map(float, alphas):
+        try:
+            m, admissible = _weight(c, alpha)
+        except ValueError:
+            if stack:
+                yield stack
+            raise
+        if admissible:
+            stack.append((alpha, m))
+        if len(stack) == size:
+            yield stack
+            stack = []
+    if stack:
+        yield stack

@@ -208,22 +208,25 @@ def test_eigen_ramp_writes_curve(tmp_path):
 def test_eigen_write_fields_solves_each_alpha_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "cfg.ini", grid="nx = 12\nny = 12",
                        coeffs="a = 1+x\nb = 1\nh = 0")
-    calls = {"lobpcg_smallest_positive": 0, "eigen_weight": 0}
+    stacks, weights = [], []
+    solve_stack, weight = kirchlab.eigen._lobpcg_stack, kirchlab.eigen.eigen_weight
 
-    def counted(name):
-        fn = getattr(kirchlab.eigen, name)
+    def counted_stack(wfs, W, B, where):
+        stacks.append(list(where))      # one label per alpha handed to the solver
+        return solve_stack(wfs, W, B, where)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted_weight(c, alpha):
+        weights.append(alpha)
+        return weight(c, alpha)
 
-    for name in calls:
-        monkeypatch.setattr(kirchlab.eigen, name, counted(name))
+    monkeypatch.setattr(kirchlab.eigen, "_lobpcg_stack", counted_stack)
+    monkeypatch.setattr(kirchlab.eigen, "eigen_weight", counted_weight)
     out = tmp_path / "out"
     assert main(["eigen", "--config", cfg, "--alphas", "0.5,1,2",
                  "--write-fields", "--out", str(out), "--quiet"]) == 0
-    assert calls == {"lobpcg_smallest_positive": 3, "eigen_weight": 3}
+    assert sorted(label for stack in stacks for label in stack) == \
+        [" at alpha = 0.5", " at alpha = 1", " at alpha = 2"]
+    assert weights == [0.5, 1.0, 2.0]
     monkeypatch.undo()
 
     parsed = parse_config(cfg)
@@ -233,6 +236,19 @@ def test_eigen_write_fields_solves_each_alpha_once(tmp_path, monkeypatch):
         write_field(principal_eigenpair(c, alpha).u, tmp_path / "reference.field")
         assert (out / f"eigenfunction_{i:03d}.field").read_bytes() == \
             (tmp_path / "reference.field").read_bytes()
+
+
+def test_eigen_no_convergence_names_the_alpha(tmp_path, capsys, monkeypatch):
+    # every alpha runs out of steps; the first in order is the one reported
+    monkeypatch.setattr(linalg, "LOBPCG_MAX_ITER", 2)
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 12\nny = 12",
+                       coeffs="a = 1+x\nb = 1\nh = 0")
+    assert main(["eigen", "--config", cfg, "--alphas", "0.5,1,2",
+                 "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: LOBPCG: residual ")
+    assert err.rstrip().endswith("after 2 iterations at alpha = 0.5")
+    assert "Traceback" not in err
 
 
 def test_eigen_large_grid_runs(tmp_path):

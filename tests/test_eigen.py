@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kirchlab import eigen, linalg
 from kirchlab.eigen import (EigenCurve, NonPositiveC, NotInA, ZeroDenominator,
                             eigen_curve, eigen_weight, eigenvalue_lower_bound,
                             is_admissible, principal_eigenpair, rayleigh_quotient,
@@ -246,6 +247,78 @@ def test_eigen_curve_ramp_rows_satisfy_bound():
     for alpha, lam, bound, gap in curve.rows:
         assert lam >= bound - 1e-8
         assert gap <= 1e-8
+
+
+def curve_pairs(curve):
+    return [(p.alpha, p.lam, p.u.values.tobytes(), p.iterations, p.residual)
+            for p in curve.pairs]
+
+
+@pytest.mark.parametrize("stack_nodes", [1, 3 * 16 * 16, 5 * 16 * 16])
+def test_eigen_curve_split_into_stacks_keeps_every_bit(stack_nodes, monkeypatch):
+    # an inadmissible alpha (1e200) sits between admissible ones
+    g = unit_grid(16)
+    c = field_from(g, lambda X, Y: 2.0 - 0.8 * X * Y)
+    alphas = list(np.logspace(-2, 2, 8)) + [1e200, 0.05]
+    assert not is_admissible(c, 1e200)
+    whole = eigen_curve(c, alphas)
+    assert len(whole.rows) == 9
+    stacks = []
+    solve_stack = eigen._lobpcg_stack
+    monkeypatch.setattr(eigen, "_STACK_NODES", stack_nodes)
+    monkeypatch.setattr(eigen, "_lobpcg_stack",
+                        lambda wfs, W, B, where: stacks.append(len(B)) or
+                        solve_stack(wfs, W, B, where))
+    split = eigen_curve(c, alphas)
+    assert stacks == {1: [1] * 9, 768: [3, 3, 3], 1280: [5, 4]}[stack_nodes]
+    assert split.to_csv() == whole.to_csv()
+    assert curve_pairs(split) == curve_pairs(whole)
+    for row, pair in zip(whole.rows, whole.pairs):
+        alone = principal_eigenpair(c, row[0])
+        assert (alone.lam, alone.u.values.tobytes(), alone.iterations, alone.residual) == \
+            (pair.lam, pair.u.values.tobytes(), pair.iterations, pair.residual)
+
+
+def test_eigen_curve_steps_on_the_ramp():
+    # the w-scaled Poisson preconditioner: 67 steps in all (90 with the plain one)
+    g = unit_grid(32)
+    curve = eigen_curve(ramp_field(g), np.logspace(-2, 2, 8))
+    assert len(curve.pairs) == 8
+    assert sum(p.iterations for p in curve.pairs) <= 70
+
+
+def test_eigen_curve_bound_terms_computed_once(monkeypatch):
+    g = unit_grid(12)
+    c = ramp_field(g)
+    alphas = [0.1, 1.0, 10.0]
+    calls = []
+    terms = eigen._ratio_terms
+    monkeypatch.setattr(eigen, "_ratio_terms", lambda c: calls.append(1) or terms(c))
+    curve = eigen_curve(c, alphas)
+    assert calls == [1]
+    assert [row[2] for row in curve.rows] == [eigenvalue_lower_bound(c, a) for a in alphas]
+    assert [row[3] for row in curve.rows] == \
+        [abs(rayleigh_quotient(c, p.alpha, p.u) - p.lam) for p in curve.pairs]
+
+
+def test_eigen_curve_failure_names_the_first_failing_alpha(monkeypatch):
+    monkeypatch.setattr(linalg, "LOBPCG_MAX_ITER", 3)
+    g = unit_grid(12)
+    with pytest.raises(linalg.NoConvergence, match=r"after 3 iterations at alpha = 0\.25$"):
+        eigen_curve(ramp_field(g), [0.25, 0.5, 4.0])
+    with pytest.raises(linalg.NoConvergence, match=r"at alpha = 4$"):
+        principal_eigenpair(ramp_field(g), 4.0)
+
+
+def test_eigen_curve_weight_error_after_earlier_alphas(monkeypatch):
+    # alpha = -1 has no weight, but the alpha before it fails first, as it
+    # does when each alpha is solved alone
+    g = unit_grid(8)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        eigen_curve(ramp_field(g), [0.5, -1.0])
+    monkeypatch.setattr(linalg, "LOBPCG_MAX_ITER", 1)
+    with pytest.raises(linalg.NoConvergence, match="at alpha = 0.5$"):
+        eigen_curve(ramp_field(g), [0.5, -1.0])
 
 
 def test_eigen_curve_csv_format():

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from kirchlab import linalg
 from kirchlab.grid import (FaceField, Grid, ScalarField, divergence,
-                           dirichlet_lambda1, gradient, laplacian)
-from kirchlab.linalg import (DimensionMismatch, NonPositiveWeight,
+                           dirichlet_lambda1, face_average, gradient, laplacian)
+from kirchlab.linalg import (DimensionMismatch, NoConvergence, NonPositiveWeight,
                              NotPositiveDefinite, apply_weighted_laplacian,
-                             lobpcg_smallest_positive, _sine_basis, poisson_solve)
+                             lobpcg_smallest_positive, _cholesky, _lobpcg_stack,
+                             _sine_basis, poisson_solve)
 
 import dense_oracle
 from conftest import field_from, positive_random, unit_grid
@@ -273,3 +275,64 @@ def test_lobpcg_rejects_bad_input():
         lobpcg_smallest_positive(ScalarField.zeros(g), np.ones(16))
     with pytest.raises(DimensionMismatch):
         lobpcg_smallest_positive(ScalarField.full(g, 1.0), np.ones(15))
+
+
+def random_pencils(g, rng, k):
+    ws = [positive_random(g, rng, wobble=0.8) for _ in range(k)]
+    X, Y = g.node_coords()
+    B = np.stack([(X - 0.2 - 0.2 * i).reshape(-1) for i in range(k)])
+    return ws, [face_average(w) for w in ws], np.stack([w.values for w in ws]), B
+
+
+def same_bits(a, b):
+    lam, x, iterations, residual = a
+    return (lam, x.tobytes(), iterations, residual) == (b[0], b[1].tobytes(), b[2], b[3])
+
+
+def test_lobpcg_stack_gives_each_pencil_its_bits_alone(rng):
+    g = Grid.over_rectangle(13, 9, 1.0, 0.8)
+    ws, wfs, W, B = random_pencils(g, rng, 3)
+    stacked = _lobpcg_stack(wfs, W, B, ["a", "b", "c"])
+    for i, (w, out) in enumerate(zip(ws, stacked)):
+        assert same_bits(out, lobpcg_smallest_positive(w, B[i]))
+        assert same_bits(out, _lobpcg_stack(wfs[i:i + 1], W[i:i + 1], B[i:i + 1], [""])[0])
+        assert out[0] == pytest.approx(dense_smallest_positive(w, B[i])[0], rel=1e-10)
+    # the pencils converge at different steps, so each left the stack on its own
+    assert len({out[2] for out in stacked}) > 1
+
+
+def test_lobpcg_stack_failures_stay_with_their_pencil(rng, monkeypatch):
+    g = Grid.over_rectangle(13, 9, 1.0, 0.8)
+    ws, wfs, W, B = random_pencils(g, rng, 3)
+    alone = _lobpcg_stack(wfs, W, B, ["", "", ""])
+
+    def failing_second(G):
+        L, failed = _cholesky(G)
+        if len(G) == 3:                 # the first step, while all three are in
+            failed[1] = True
+        return L, failed
+
+    monkeypatch.setattr(linalg, "_cholesky", failing_second)
+    first, second, third = _lobpcg_stack(wfs, W, B, ["", " at pencil 1", ""])
+    assert isinstance(second, NotPositiveDefinite)
+    assert str(second) == "Cholesky of the Gram matrix failed at pencil 1"
+    assert same_bits(first, alone[0]) and same_bits(third, alone[2])
+
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "LOBPCG_MAX_ITER", 2)
+    outs = _lobpcg_stack(wfs, W, B, [" at a", " at b", " at c"])
+    for out, name in zip(outs, "abc"):
+        assert isinstance(out, NoConvergence)
+        assert str(out).endswith(f"after 2 iterations at {name}")
+        assert out.iterate.shape == (g.n_nodes,)
+
+
+def test_cholesky_of_a_stack_marks_the_indefinite_matrices(rng):
+    M = rng.normal(size=(4, 3, 3))
+    G = M @ M.transpose(0, 2, 1) + 0.1 * np.eye(3)
+    G[2, 0, 0] = -1.0
+    L, failed = _cholesky(G)
+    assert failed.tolist() == [False, False, True, False]
+    assert (L[2] == np.eye(3)).all()
+    for i in (0, 1, 3):
+        assert np.array_equal(L[i], np.linalg.cholesky(G[i]))

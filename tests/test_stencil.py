@@ -4,7 +4,8 @@ gradient, the gradient energy and the weighted Laplacian all difference
 through grid._face_differences.  Each is compared here, with np.array_equal,
 against a reference written the way it was before the three were merged:
 the gradient on a ghost-padded node matrix, the energy from its own np.diff
-face differences, and the weighted Laplacian on an (ny, nx, k) block.
+face differences, and the weighted Laplacian on an (ny, nx, k) block.  The
+eigensolver's stacked kernel is compared with the one-block operator.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from kirchlab.grid import (Grid, ScalarField, _face_differences, face_average, grad_norm_sq,
                            gradient)
-from kirchlab.linalg import apply_weighted_laplacian
+from kirchlab.linalg import _face_weights, _weighted_laplacian, apply_weighted_laplacian
 
 from conftest import positive_random
 
@@ -91,3 +92,20 @@ def test_weighted_laplacian_matches_reference(nx, ny, lx, ly, shape, rng):
     AX = apply_weighted_laplacian(w, X)
     assert AX.shape == X.shape
     assert np.array_equal(AX, ref_weighted_laplacian(w, X))
+
+
+def test_stacked_weighted_laplacian_matches_each_block(rng):
+    # every grid up to 9x9: rows of 8 nodes once met a numpy kernel that wrote
+    # wrong values into a strided output view
+    for nx in range(1, 10):
+        for ny in range(1, 10):
+            g = Grid.over_rectangle(nx, ny, 1.0, 0.7)
+            for k in (1, 2, 3):
+                ws = [positive_random(g, rng, wobble=0.8) for _ in range(k)]
+                for m in (1, 2, 3):
+                    X = wide_values(rng, (k, g.n_nodes, m))
+                    AX = _weighted_laplacian(g, *_face_weights(g, [face_average(w) for w in ws]), X)
+                    assert AX.shape == X.shape
+                    for w, Xi, AXi in zip(ws, X, AX):
+                        assert np.array_equal(AXi, apply_weighted_laplacian(w, Xi))
+                        assert np.array_equal(AXi, ref_weighted_laplacian(w, Xi))
