@@ -30,25 +30,6 @@ RATIO_LIMIT = 1.5
 CONSTRUCTION_TOL = 1e-6
 
 
-class NonPositiveC(KirchlabError):
-    pass
-
-
-class GridMismatch(KirchlabError):
-    pass
-
-
-class NonPositiveCoefficient(KirchlabError):
-    pass
-
-
-class ConstructionFailed(KirchlabError):
-    def __init__(self, message: str, min_c: float, min_d: float):
-        super().__init__(message)
-        self.min_c = min_c
-        self.min_d = min_d
-
-
 @dataclass
 class Certificate:
     verdict: str          # UniqueConstantRatio | UniquePointwise | UniqueRatioBound | Inconclusive
@@ -78,7 +59,7 @@ def pointwise_criterion(c: ScalarField) -> ScalarField:
     meaningless for coefficients; interior_min reports the honest region.
     """
     if float(c.values.min()) <= 0.0:
-        raise NonPositiveC(f"ratio field must be positive, min = {c.values.min():.6g}")
+        raise ValueError(f"ratio field must be positive, min = {c.values.min():.6g}")
     overflow = ValueError(f"pointwise criterion overflows a double "
                           f"(max c = {c.values.max():.3g})")
     with np.errstate(over="ignore"):
@@ -119,7 +100,7 @@ def shifted_ratio(c: ScalarField, alpha: float) -> float:
 def _ratio_terms(c: ScalarField) -> tuple[float, float, float, float]:
     """The alpha-free terms of shifted_ratio: |grad c|_inf, c_min, c_max and sqrt(lambda1)."""
     if float(c.values.min()) <= 0.0:
-        raise NonPositiveC(f"ratio field must be positive, min = {c.values.min():.6g}")
+        raise ValueError(f"ratio field must be positive, min = {c.values.min():.6g}")
     return (coeff_grad_inf(c), float(c.values.min()), float(c.values.max()),
             math.sqrt(dirichlet_lambda1(c.grid)))
 
@@ -154,9 +135,9 @@ def ratio_gap(c: ScalarField, alpha: float) -> float:
 def certify(a: ScalarField, b: ScalarField) -> Certificate:
     """Run the three uniqueness tests on c = a/b, strongest first."""
     if a.grid != b.grid:
-        raise GridMismatch("a and b live on different grids")
+        raise ValueError("a and b live on different grids")
     if float(a.values.min()) <= 0.0 or float(b.values.min()) <= 0.0:
-        raise NonPositiveCoefficient(
+        raise ValueError(
             f"coefficients must be positive: min a = {a.values.min():.6g}, "
             f"min b = {b.values.min():.6g}")
 
@@ -194,7 +175,7 @@ def pointwise_certified_ratio(grid: Grid) -> ScalarField:
     delta = min(1/(4 |grad e|_inf^2), 1/(2 |e|_inf)) and return c = delta*e + 1.
     The cap keeps c above 1/2 and makes Lap c dominate 2|grad c|^2/c; both
     facts are re-verified on the discrete field and a failure (grid too
-    coarse) raises ConstructionFailed.  It succeeds on grids with at least 3
+    coarse) raises KirchlabError.  It succeeds on grids with at least 3
     interior nodes per axis and fails on every thinner grid.
     """
     e = ScalarField(grid, poisson_solve(grid, -np.ones(grid.n_nodes)))
@@ -202,14 +183,14 @@ def pointwise_certified_ratio(grid: Grid) -> ScalarField:
     grad_inf = float(np.hypot(gx, gy).max())
     e_inf = float(np.abs(e.values).max())
     if grad_inf == 0.0 or e_inf == 0.0:
-        raise ConstructionFailed("degenerate construction on this grid", 0.0, 0.0)
+        raise KirchlabError("degenerate construction on this grid")
     delta = min(1.0 / (4.0 * grad_inf ** 2), 1.0 / (2.0 * e_inf))
     c = ScalarField(grid, delta * e.values + 1.0)
 
     min_c = float(c.values.min())
     min_d = interior_min(pointwise_criterion(c)) if min_c > 0.0 else -math.inf
     if min_c <= 0.0 or min_d < -CONSTRUCTION_TOL:
-        raise ConstructionFailed(
+        raise KirchlabError(
             f"construction violates its own certificate: min c = {min_c:.6g}, "
-            f"min D = {min_d:.6g} (grid too coarse)", min_c, min_d)
+            f"min D = {min_d:.6g} (grid too coarse)")
     return c

@@ -29,19 +29,19 @@ from .kirchhoff import NEWTON_TOL, Problem, fixed_point_scan, newton_solve
 
 ALL_FORMATS = ("csv", "json", "fields")
 
-# What a phase can fail with: the library's own errors, a value that does not fit
-# (ScalarField, Grid), and Python float arithmetic (OverflowError, ZeroDivisionError).
-# The phase decides the exit code: 2 while parsing, 3 while running.
-FAILURES = (KirchlabError, ValueError, ArithmeticError)
+# What a phase can fail with: input the library refuses (ValueError), a computation
+# that failed on accepted input (KirchlabError), Python float arithmetic
+# (OverflowError, ZeroDivisionError), an array too large to allocate and an
+# expression nested too deep to walk.  The phase decides the exit code: 2 while
+# parsing, 3 while running.
+FAILURES = (KirchlabError, ValueError, ArithmeticError, MemoryError, RecursionError)
 
 
 def _reason(err: Exception) -> str:
-    """A failure as text; Python's float errors say little, so they carry their class."""
-    return f"{type(err).__name__}: {err}" if isinstance(err, ArithmeticError) else str(err)
-
-
-class ConfigError(KirchlabError):
-    pass
+    """A failure as text; Python's own errors say little, so they carry their class."""
+    if isinstance(err, (KirchlabError, ValueError)):
+        return str(err)
+    return f"{type(err).__name__}: {err}"
 
 
 @dataclass
@@ -60,7 +60,7 @@ class Config:
 def _get(section, key, cast, default=None, required=False):
     if key not in section:
         if required:
-            raise ConfigError(f"missing required key '{key}' in section [{section.name}]")
+            raise ValueError(f"missing required key '{key}' in section [{section.name}]")
         return default
     raw = section[key].strip()
     if raw == "" and not required:
@@ -68,7 +68,7 @@ def _get(section, key, cast, default=None, required=False):
     try:
         return cast(raw)
     except ValueError as err:
-        raise ConfigError(f"bad value for '{key}' in [{section.name}]: {err}") from None
+        raise ValueError(f"bad value for '{key}' in [{section.name}]: {err}") from None
 
 
 def _load_coefficient(section, name: str, grid: Grid) -> ScalarField:
@@ -76,7 +76,7 @@ def _load_coefficient(section, name: str, grid: Grid) -> ScalarField:
     file_key = f"{name}_file"
     has_file = file_key in section and section[file_key].strip() != ""
     if has_expr == has_file:
-        raise ConfigError(
+        raise ValueError(
             f"coefficient '{name}' needs exactly one of '{name}' (expression) "
             f"or '{file_key}' (field file) in [coefficients]")
     path = section[file_key].strip() if has_file else None
@@ -85,12 +85,12 @@ def _load_coefficient(section, name: str, grid: Grid) -> ScalarField:
             return expr.eval_field(expr.parse(section[name].strip()), grid)
         f = read_field(path)
     except OSError as err:
-        raise ConfigError(f"coefficient '{name}': cannot read {path}: {err}") from None
+        raise ValueError(f"coefficient '{name}': cannot read {path}: {err}") from None
     except FAILURES as err:
-        raise ConfigError(f"coefficient '{name}': {_reason(err)}") from None
+        raise ValueError(f"coefficient '{name}': {_reason(err)}") from None
     if f.grid != grid:
-        raise ConfigError(f"coefficient '{name}': field file grid {f.grid} does not "
-                          f"match the [grid] section")
+        raise ValueError(f"coefficient '{name}': field file grid {f.grid} does not "
+                         f"match the [grid] section")
     return f
 
 
@@ -100,9 +100,9 @@ def _read_ini(path: str) -> configparser.ConfigParser:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from None
+        raise ValueError(f"cannot read config {path}: {err}") from None
     except configparser.Error as err:
-        raise ConfigError(f"malformed config {path}: {err}") from None
+        raise ValueError(f"malformed config {path}: {err}") from None
     return parser
 
 
@@ -121,7 +121,7 @@ def _positive_float(raw: str) -> float:
 def _grid_and_out_dir(parser: configparser.ConfigParser) -> tuple:
     """The [grid] section as a Grid, which checks the geometry, and the output directory."""
     if "grid" not in parser:
-        raise ConfigError("missing required section [grid]")
+        raise ValueError("missing required section [grid]")
     gsec = parser["grid"]
     grid = Grid.over_rectangle(
         _get(gsec, "nx", int, required=True), _get(gsec, "ny", int, required=True),
@@ -134,7 +134,7 @@ def parse_config(path: str) -> Config:
     parser = _read_ini(path)
     grid, out_dir = _grid_and_out_dir(parser)
     if "coefficients" not in parser:
-        raise ConfigError("missing required section [coefficients]")
+        raise ValueError("missing required section [coefficients]")
 
     csec = parser["coefficients"]
     a = _load_coefficient(csec, "a", grid)
@@ -142,21 +142,21 @@ def parse_config(path: str) -> Config:
     h = _load_coefficient(csec, "h", grid)
     for name, f in (("a", a), ("b", b)):
         if float(f.values.min()) <= 0.0:
-            raise ConfigError(f"coefficient '{name}' must be positive everywhere, "
-                              f"min = {f.values.min():.6g}")
+            raise ValueError(f"coefficient '{name}' must be positive everywhere, "
+                             f"min = {f.values.min():.6g}")
 
     ssec = _section(parser, "solver")
     n_samples = _get(ssec, "n_samples", int, 256)
     newton_tol = _get(ssec, "newton_tol", _positive_float, NEWTON_TOL)
     s_max_override = _get(ssec, "s_max_override", _positive_float, None)
     if n_samples < 16:
-        raise ConfigError(f"'n_samples' must be >= 16, got {n_samples}")
+        raise ValueError(f"'n_samples' must be >= 16, got {n_samples}")
 
     formats_raw = _get(_section(parser, "output"), "formats", str, ",".join(ALL_FORMATS))
     formats = tuple(tok.strip() for tok in formats_raw.split(",") if tok.strip())
     for tok in formats:
         if tok not in ALL_FORMATS:
-            raise ConfigError(f"unknown output format '{tok}' (choose from {ALL_FORMATS})")
+            raise ValueError(f"unknown output format '{tok}' (choose from {ALL_FORMATS})")
 
     return Config(grid, a, b, h, n_samples=n_samples, newton_tol=newton_tol,
                   s_max_override=s_max_override, out_dir=out_dir, formats=formats)
@@ -320,9 +320,9 @@ def _parse_float_list(raw: str, what: str) -> list:
         if not all(map(math.isfinite, values)):
             raise ValueError("values must be finite")
     except ValueError as err:
-        raise ConfigError(f"malformed {what} '{raw}': {err}") from None
+        raise ValueError(f"malformed {what} '{raw}': {err}") from None
     if not values:
-        raise ConfigError(f"empty {what} list")
+        raise ValueError(f"empty {what} list")
     return values
 
 
@@ -368,8 +368,8 @@ def _parse(args) -> tuple:
     if args.command == "example":
         grid, cfg_out = _grid_and_out_dir(_read_ini(args.config))
         if grid.nx < 3 or grid.ny < 3:
-            raise ConfigError(f"example needs at least 3 interior nodes per axis, "
-                              f"got {grid.nx}x{grid.ny}")
+            raise ValueError(f"example needs at least 3 interior nodes per axis, "
+                             f"got {grid.nx}x{grid.ny}")
         return partial(run_example, grid), args.out if args.out is not None else cfg_out
     cfg = parse_config(args.config)
     out = args.out if args.out is not None else cfg.out_dir
@@ -380,7 +380,7 @@ def _parse(args) -> tuple:
     if args.command == "eigen":
         alphas = _parse_float_list(args.alphas, "alpha")
         if any(alpha <= 0 for alpha in alphas):
-            raise ConfigError("alphas must be positive")
+            raise ValueError("alphas must be positive")
         return partial(run_eigen, cfg, alphas, write_fields=args.write_fields), out
     if args.command == "scan-study":
         return partial(run_scan_study, cfg, _parse_float_list(args.scales, "scale")), out

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import NonPositiveC, _ratio_terms, _shift, shifted_ratio
+from .certify import _ratio_terms, _shift, shifted_ratio
 from .grid import (FaceField, KirchlabError, ScalarField, divergence, face_average,
                    gradient, grad_norm_sq, integrate)
 from .linalg import NoConvergence, _lobpcg_stack
@@ -30,18 +30,6 @@ PENCIL_RESID_TOL = 1e-8
 # overhead on small grids but leave the cache on large ones: on the 8-alpha
 # ramp curve, 2 alphas per stack were fastest at 64^2 and 1 at 128^2
 _STACK_NODES = 8_192
-
-
-class NotInA(KirchlabError):
-    """alpha is outside the admissible set: the weight is nowhere positive."""
-
-
-class SignChange(KirchlabError):
-    """The computed principal eigenvector changes sign: grid too coarse to trust."""
-
-
-class ZeroDenominator(KirchlabError):
-    pass
 
 
 @dataclass
@@ -80,7 +68,7 @@ def weight_flux(c: ScalarField, alpha: float) -> FaceField:
     a copy (or zero) on very thin grids.
     """
     if float(c.values.min()) <= 0.0:
-        raise NonPositiveC(f"ratio field must be positive, min = {c.values.min():.6g}")
+        raise ValueError(f"ratio field must be positive, min = {c.values.min():.6g}")
     if alpha < 0.0:
         raise ValueError(f"alpha must be nonnegative, got {alpha:.6g}")
     g = c.grid
@@ -141,7 +129,7 @@ def principal_eigenpair(c: ScalarField, alpha: float) -> EigenPair:
     """
     m, admissible = _weight(c, alpha)
     if not admissible:
-        raise NotInA(f"weight is nowhere positive at alpha = {alpha:.6g}")
+        raise ValueError(f"weight is nowhere positive at alpha = {alpha:.6g}")
     return next(_eigenpairs(c, [(alpha, m)]))[0]
 
 
@@ -170,7 +158,7 @@ def _eigenpair(c: ScalarField, alpha: float, out) -> EigenPair:
     u = ScalarField(g, v * math.sqrt(alpha / grad_norm_sq(u)))
     vmax = float(u.values.max())
     if float(u.values.min()) < -SIGN_TOL * vmax:
-        raise SignChange(
+        raise KirchlabError(
             f"principal eigenfunction changes sign at alpha = {alpha:.6g} "
             f"(min {u.values.min():.3e} vs max {vmax:.3e}); refine the grid")
     return EigenPair(alpha=alpha, lam=lam, u=u, iterations=iterations, residual=resid)
@@ -194,7 +182,7 @@ def _rayleigh(wf: FaceField, u: ScalarField, m: ScalarField) -> float:
                               + (wf.yfaces * F.yfaces ** 2).sum())
     den = integrate(ScalarField(g, u.values ** 2 * m.values))
     if den == 0.0:
-        raise ZeroDenominator("weighted mass of u vanishes")
+        raise ValueError("weighted mass of u vanishes")
     return num / den
 
 

@@ -19,7 +19,7 @@ numpy operation to whole coordinate arrays that broadcast against each other;
 a subtree of x alone costs nx values, one of y alone ny and a constant one.
 Values leaving the reals (log of a value <= 0, sqrt of a value < 0, division
 by zero, zero to a negative power, a non-finite power, a non-finite function
-value from a finite argument) raise DomainError naming the first failing node
+value from a finite argument) raise ValueError naming the first failing node
 in row-major order.  An overflow in + - * / is not checked here; ScalarField
 rejects the non-finite field.
 """
@@ -40,26 +40,6 @@ class ExprError(KirchlabError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
-
-
-class EmptyInput(ExprError):
-    pass
-
-
-class UnbalancedParen(ExprError):
-    pass
-
-
-class UnknownIdentifier(ExprError):
-    pass
-
-
-class UnexpectedToken(ExprError):
-    pass
-
-
-class DomainError(KirchlabError):
-    """Evaluation left the real domain (log/sqrt of a negative, division by zero)."""
 
 
 # --- syntax tree ----------------------------------------------------------
@@ -133,7 +113,7 @@ def _tokenize(src: str):
             try:
                 float(text)
             except ValueError:
-                raise UnexpectedToken(f"malformed number {text!r}", i) from None
+                raise ExprError(f"malformed number {text!r}", i) from None
             yield "num", text, i
             i = j
             continue
@@ -156,7 +136,7 @@ def _tokenize(src: str):
             yield "rparen", ch, i
             i += 1
             continue
-        raise UnexpectedToken(f"unexpected character {ch!r}", i)
+        raise ExprError(f"unexpected character {ch!r}", i)
     yield "end", "", n
 
 
@@ -178,19 +158,19 @@ class _Parser:
     def expect_rparen(self, open_offset: int):
         kind, _, off = self.cur
         if kind != "rparen":
-            raise UnbalancedParen(f"missing ')' for '(' at offset {open_offset}", off)
+            raise ExprError(f"missing ')' for '(' at offset {open_offset}", off)
         self.advance()
 
     def parse(self) -> Expr:
         kind, _, off = self.cur
         if kind == "end":
-            raise EmptyInput("empty expression", off)
+            raise ExprError("empty expression", off)
         tree = self.expression(0)
         kind, text, off = self.cur
         if kind == "rparen":
-            raise UnbalancedParen("')' without matching '('", off)
+            raise ExprError("')' without matching '('", off)
         if kind != "end":
-            raise UnexpectedToken(f"trailing input {text!r}", off)
+            raise ExprError(f"trailing input {text!r}", off)
         return tree
 
     def expression(self, min_bp: int) -> Expr:
@@ -215,7 +195,7 @@ class _Parser:
         if kind == "ident":
             if self.cur[0] == "lparen":
                 if text not in FUNCTIONS:
-                    raise UnknownIdentifier(f"unknown function {text!r}", off)
+                    raise ExprError(f"unknown function {text!r}", off)
                 open_off = self.cur[2]
                 self.advance()
                 arg = self.expression(0)
@@ -223,7 +203,7 @@ class _Parser:
                 return Call(text, arg)
             if text in VARIABLES or text in CONSTANTS:
                 return Var(text)
-            raise UnknownIdentifier(f"unknown identifier {text!r}", off)
+            raise ExprError(f"unknown identifier {text!r}", off)
         if kind == "op" and text == "-":
             return Neg(self.expression(_NEG_BP))
         if kind == "lparen":
@@ -231,16 +211,16 @@ class _Parser:
             self.expect_rparen(off)
             return inner
         if kind == "rparen":
-            raise UnbalancedParen("')' without matching '('", off)
+            raise ExprError("')' without matching '('", off)
         if kind == "end":
-            raise UnexpectedToken("unexpected end of input", off)
-        raise UnexpectedToken(f"unexpected token {text!r}", off)
+            raise ExprError("unexpected end of input", off)
+        raise ExprError(f"unexpected token {text!r}", off)
 
 
 def parse(src: str) -> Expr:
-    """Parse a coefficient expression; raises an ExprError subclass on bad input."""
+    """Parse a coefficient expression; raises ExprError on bad input."""
     if not src.strip():
-        raise EmptyInput("empty expression", 0)
+        raise ExprError("empty expression", 0)
     return _Parser(src).parse()
 
 
@@ -249,7 +229,7 @@ def _evaluate(expr: Expr, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     operation per tree node; each node's value keeps the shape of its operands'
     broadcast, and the result is broadcast to the full node shape.
 
-    Raises DomainError when the value leaves the reals at some node.  The
+    Raises ValueError when the value leaves the reals at some node.  The
     message names the first such node in row-major order of the node shape
     and the reason found first there, checks taken in the order of a
     depth-first, left-to-right walk (operands before the operation that uses
@@ -267,7 +247,7 @@ def _evaluate(expr: Expr, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             return np.broadcast_to(v, shape)[node]
 
         reason = next(message(at) for mask, message in failures if at(mask))
-        raise DomainError(f"{reason} at node ({at(x):.17g}, {at(y):.17g})")
+        raise ValueError(f"{reason} at node ({at(x):.17g}, {at(y):.17g})")
     return np.broadcast_to(values, shape)
 
 
@@ -324,7 +304,7 @@ def eval_field(expr: Expr, grid: Grid) -> ScalarField:
     """Sample the expression at every interior node center.
 
     Evaluated on the (1, nx) row of x values and the (ny, 1) column of y
-    values.  A DomainError names the first failing node in row-major order.
+    values.  A ValueError names the first failing node in row-major order.
     """
     X, Y = grid.node_coords()
     return ScalarField(grid, _evaluate(expr, X[:1, :], Y[:, :1]))

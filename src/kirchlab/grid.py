@@ -30,7 +30,8 @@ import numpy as np
 
 
 class KirchlabError(Exception):
-    """Root of every error the library raises on purpose."""
+    """A computation that failed on input the library accepted; input it cannot
+    accept raises ValueError."""
 
 
 @dataclass(frozen=True)

@@ -38,14 +38,6 @@ LINEARIZED_RTOL = 1e-6
 SCAN_BLOCK = 16            # Phi samples per kernel call in the scan
 
 
-class NegativeS(KirchlabError):
-    pass
-
-
-class SingularJacobian(KirchlabError):
-    pass
-
-
 @dataclass
 class Problem:
     """Coefficient triple (a, b, h) on a shared grid; a and b strictly positive."""
@@ -95,12 +87,12 @@ def diffusion_coefficient(P: Problem, s: float) -> ScalarField:
 def _frozen_coefficients(P: Problem, ss) -> np.ndarray:
     """Rows a + s*b, one per s of ss.
 
-    Raises NegativeS for a negative s, and a ValueError naming the first s at
+    Raises ValueError for a negative s, and one naming the first s at
     which a + s*b does not fit in a double.
     """
     ss = np.asarray(ss, dtype=float)
     if (ss < 0.0).any():
-        raise NegativeS(f"nonlocal scalar must be nonnegative, got {ss[ss < 0.0][0]:.6g}")
+        raise ValueError(f"nonlocal scalar must be nonnegative, got {ss[ss < 0.0][0]:.6g}")
     with np.errstate(over="ignore"):
         m = P.a.values + ss[:, None] * P.b.values
     finite = np.isfinite(m).all(axis=1)
@@ -377,14 +369,14 @@ def linearized_solve(P: Problem, u: ScalarField, g: ScalarField) -> ScalarField:
         t = integral(g*u/M) / (integral(2b*u*Lap u/M) - 1)
         Lap v = t*2b*Lap u/M - g/M.
 
-    Raises SingularJacobian when the denominator is within 1e-8 of zero.  The
+    Raises KirchlabError when the denominator is within 1e-8 of zero.  The
     result is checked a posteriori against the defining equation to
     1e-6*(1+|g|_inf).
     """
     _, m, lap_u, _ = _nonlinear_state(P, u)
     denom = integrate(ScalarField(P.grid, 2.0 * P.b.values * u.values * lap_u / m)) - 1.0
     if abs(denom) < SINGULAR_TOL:
-        raise SingularJacobian(
+        raise KirchlabError(
             f"rank-one denominator {denom:.3e} is numerically zero; "
             "the linearized operator is not surjective here")
     t = integrate(ScalarField(P.grid, g.values * u.values / m)) / denom

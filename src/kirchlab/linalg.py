@@ -24,10 +24,6 @@ LOBPCG_TOL = 1e-10        # relative pencil residual of the principal pair
 LOBPCG_MAX_ITER = 2000    # about 2x the most steps seen (1023, 64x64 bump at alpha = 5)
 
 
-class NonPositiveWeight(KirchlabError):
-    pass
-
-
 class NoConvergence(KirchlabError):
     """Iteration budget exhausted; carries the last iterate when available."""
 
@@ -35,14 +31,6 @@ class NoConvergence(KirchlabError):
         super().__init__(message)
         self.iterate = iterate
         self.residual = residual
-
-
-class NotPositiveDefinite(KirchlabError):
-    pass
-
-
-class DimensionMismatch(KirchlabError):
-    pass
 
 
 @functools.lru_cache(maxsize=8)
@@ -71,7 +59,7 @@ def poisson_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (grid.n_nodes,):
-        raise DimensionMismatch(f"rhs shape {rhs.shape} != ({grid.n_nodes},)")
+        raise ValueError(f"rhs shape {rhs.shape} != ({grid.n_nodes},)")
     return _sine_solve(grid, rhs.reshape(grid.ny, grid.nx)).reshape(-1)
 
 
@@ -95,8 +83,7 @@ def apply_weighted_laplacian(w: ScalarField, X: np.ndarray) -> np.ndarray:
     g = w.grid
     X = np.asarray(X, dtype=float)
     if X.ndim not in (1, 2) or X.shape[0] != g.n_nodes:
-        raise DimensionMismatch(f"block shape {X.shape} != ({g.n_nodes},) or "
-                                f"({g.n_nodes}, k)")
+        raise ValueError(f"block shape {X.shape} != ({g.n_nodes},) or ({g.n_nodes}, k)")
     AX = _weighted_laplacian(g, *_face_weights(g, [face_average(w)]),
                              X.reshape(1, g.n_nodes, -1))
     return AX.reshape(X.shape)
@@ -144,17 +131,17 @@ def lobpcg_smallest_positive(w: ScalarField, B: np.ndarray) -> tuple[float, np.n
     entry sum (so a sign-definite x is positive) and residual is
     |A x - lambda B x| / |A x|, recomputed from x.  The iteration stops once
     the Ritz pair's residual reaches LOBPCG_TOL.
-    Raises NonPositiveWeight when B is nowhere positive (no positive
-    eigenvalue exists) and NoConvergence after LOBPCG_MAX_ITER steps.
+    Raises ValueError when B is nowhere positive (no positive eigenvalue
+    exists) and NoConvergence after LOBPCG_MAX_ITER steps.
     """
     g = w.grid
     B = np.asarray(B, dtype=float).reshape(-1)
     if B.size != g.n_nodes:
-        raise DimensionMismatch(f"weight length {B.size} != grid nodes {g.n_nodes}")
+        raise ValueError(f"weight length {B.size} != grid nodes {g.n_nodes}")
     if float(w.values.min()) <= 0.0:
-        raise NonPositiveWeight(f"min weight {w.values.min():.6g} <= 0")
+        raise ValueError(f"min weight {w.values.min():.6g} <= 0")
     if float(B.max()) <= 0.0:
-        raise NonPositiveWeight("pencil weight is nowhere positive: no positive eigenvalue")
+        raise ValueError("pencil weight is nowhere positive: no positive eigenvalue")
     out, = _lobpcg_stack([face_average(w)], w.values[None], B[None], [""])
     if isinstance(out, KirchlabError):
         raise out
@@ -180,7 +167,7 @@ def _lobpcg_stack(wfs: list[FaceField], W: np.ndarray, B: np.ndarray,
     once its Ritz pair's residual reaches LOBPCG_TOL.
 
     Returns one entry per pencil: (lambda, x, iterations, residual) as
-    lobpcg_smallest_positive returns them, or the NotPositiveDefinite or
+    lobpcg_smallest_positive returns them, or the KirchlabError or
     NoConvergence it failed with, its message ending in where[i].
     """
     g = wfs[0].grid
@@ -194,7 +181,7 @@ def _lobpcg_stack(wfs: list[FaceField], W: np.ndarray, B: np.ndarray,
     for iteration in range(1, LOBPCG_MAX_ITER + 1):
         mu, x, ax, p, failed = _rayleigh_ritz(g, wx, wy, B, S)
         for i in np.flatnonzero(failed):
-            results[live[i]] = NotPositiveDefinite(
+            results[live[i]] = KirchlabError(
                 f"Cholesky of the Gram matrix failed{where[live[i]]}")
         r = B * x - mu[:, None] * ax
         pos = mu > 0.0

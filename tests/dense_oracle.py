@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kirchlab.grid import ScalarField
-from kirchlab.linalg import (DimensionMismatch, NonPositiveWeight, NotPositiveDefinite,
-                             apply_weighted_laplacian)
+from kirchlab.grid import KirchlabError, ScalarField
+from kirchlab.linalg import apply_weighted_laplacian
 
 DENSE_MAX_NODES = 10_000
+CLUSTER_RTOL = 1e-10      # the tightest gap the tests' pencils need is 1.9e-8
 
 
 @dataclass
@@ -30,7 +30,7 @@ class Pencil:
     def __post_init__(self):
         self.B = np.asarray(self.B, dtype=float).reshape(-1)
         if self.B.size != self.A.shape[0]:
-            raise DimensionMismatch(
+            raise ValueError(
                 f"weight length {self.B.size} != matrix dimension {self.A.shape[0]}")
 
 
@@ -45,10 +45,10 @@ def assemble_weighted_laplacian(w: ScalarField) -> np.ndarray:
     n x n is allocated.
     """
     if float(w.values.min()) <= 0.0:
-        raise NonPositiveWeight(f"min weight {w.values.min():.6g} <= 0")
+        raise ValueError(f"min weight {w.values.min():.6g} <= 0")
     n = w.grid.n_nodes
     if n > DENSE_MAX_NODES:
-        raise DimensionMismatch(f"dense operator limited to n <= {DENSE_MAX_NODES}, got {n}")
+        raise ValueError(f"dense operator limited to n <= {DENSE_MAX_NODES}, got {n}")
     return apply_weighted_laplacian(w, np.eye(n))
 
 
@@ -64,11 +64,11 @@ def pencil_eigensolve(P: Pencil) -> list[tuple[float, np.ndarray]]:
     """
     n = P.A.shape[0]
     if n > DENSE_MAX_NODES:
-        raise DimensionMismatch(f"dense eigensolve limited to n <= {DENSE_MAX_NODES}, got {n}")
+        raise ValueError(f"dense eigensolve limited to n <= {DENSE_MAX_NODES}, got {n}")
     try:
         L = np.linalg.cholesky(P.A)
     except np.linalg.LinAlgError as err:
-        raise NotPositiveDefinite(f"Cholesky failed: {err}") from None
+        raise KirchlabError(f"Cholesky failed: {err}") from None
 
     Z = np.linalg.solve(L, np.diag(P.B))
     C = np.linalg.solve(L, Z.T)
@@ -98,6 +98,9 @@ def smallest_positive(P: Pencil) -> tuple[float, np.ndarray] | None:
     exist).  The eigenvector is oriented to a positive entry sum, as in
     lobpcg_smallest_positive, so a sign-definite eigenvector is positive even
     when roundoff leaves one of its entries on the other side of zero.
+    Raises KirchlabError when the next positive eigenvalue lies within
+    CLUSTER_RTOL of the least: the dense solver then returns some vector of
+    the cluster's span, not the principal one.
     """
     if float(P.B.max()) <= 0.0:
         return None
@@ -105,6 +108,9 @@ def smallest_positive(P: Pencil) -> tuple[float, np.ndarray] | None:
     if not positives:
         return None
     lam, v = positives[0]
+    if len(positives) > 1 and positives[1][0] - lam <= CLUSTER_RTOL * lam:
+        raise KirchlabError(f"least positive eigenvalue {lam:.17g} is within {CLUSTER_RTOL:g} "
+                            f"relative of the next, {positives[1][0]:.17g}")
     if float(v.sum()) <= 0.0:
         v = -v
     return lam, v

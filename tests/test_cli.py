@@ -1,5 +1,3 @@
-import importlib
-import inspect
 import json
 import math
 import random
@@ -8,15 +6,13 @@ import warnings
 import pytest
 
 import kirchlab.eigen
-from kirchlab import KirchlabError, cli, eigen, expr, grid, kirchhoff, linalg
+from kirchlab import KirchlabError, cli, expr, linalg
 from kirchlab.cli import main, parse_config, to_json_text
 from kirchlab.eigen import principal_eigenpair
 from kirchlab.grid import ScalarField, dirichlet_lambda1, grad_norm_sq, read_field, write_field
 from kirchlab.certify import interior_min, pointwise_criterion
 
 from conftest import three_root_fields, unit_grid
-
-certify = importlib.import_module("kirchlab.certify")  # kirchlab.certify is the function
 
 
 def write_config(path, grid="nx = 24\nny = 24", coeffs="a = 1\nb = 1\nh = sin(pi*x)*sin(pi*y)",
@@ -429,6 +425,53 @@ def test_extreme_config_exit_code(tmp_path, capsys, command, grid_line, a, solve
         assert not out.exists()
 
 
+HUGE = 10 ** 15  # doubles: 8 PB is past a 47-bit address space, so numpy refuses at once
+ABSURD_SIZES = [  # (subcommand, [grid] lines, [solver] lines, extra arguments, exit code)
+    ("solve", "nx = 8\nny = 8", f"n_samples = {HUGE}", [], 3),
+    ("certify", f"nx = {HUGE}\nny = 8", "", [], 2),
+    ("example", f"nx = {HUGE}\nny = 8", "", [], 3),
+    ("eigen", "nx = 8\nny = 8", "", ["--alphas", f"logspace:1,2,{HUGE}"], 2),
+]
+
+
+@pytest.mark.parametrize("command,grid_lines,solver_line,extra,code", ABSURD_SIZES,
+                         ids=[case[0] for case in ABSURD_SIZES])
+def test_absurd_size_exit_code(tmp_path, capsys, command, grid_lines, solver_line, extra, code):
+    # an array too large to allocate is bad input while the config is read (2)
+    # and a numerical failure during the run (3), never a traceback
+    cfg = write_config(tmp_path / "cfg.ini", grid=grid_lines,
+                       coeffs="a = 1+x\nb = 1\nh = 1", solver=solver_line)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet", *extra]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if code == 2 else "numerical failure: ")
+    assert "MemoryError: Unable to allocate" in err
+    assert "Traceback" not in err
+    if code == 2:
+        assert not out.exists()
+
+
+DEEP = 5000
+DEEP_EXPRESSIONS = {
+    "sum": "+".join(["1"] * DEEP),
+    "parentheses": "(" * DEEP + "1" + ")" * DEEP,
+    "unary-minus": "-" * DEEP + "1",
+    "sin": "sin(" * DEEP + "1" + ")" * DEEP,
+    "power": "^".join(["1"] * DEEP),
+}
+
+
+@pytest.mark.parametrize("a", DEEP_EXPRESSIONS.values(), ids=DEEP_EXPRESSIONS.keys())
+def test_deep_expression_is_a_config_error(tmp_path, capsys, a):
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 4\nny = 4", coeffs=f"a = {a}\nb = 1\nh = 1")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: coefficient 'a': RecursionError: maximum recursion depth")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("a", ["1", "1+x"])
 def test_overflowing_far_edge_exits_2_without_warnings(tmp_path, capsys, a):
     # x0 and lx are finite doubles, but x0 + lx and the last node coordinates are not
@@ -491,31 +534,29 @@ def test_underflowing_ratio_exits_3(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
-LIBRARY_ERRORS = [  # the 20 classes under KirchlabError, with their constructors' extra args
-    (expr.ExprError, (0,)), (expr.EmptyInput, (0,)), (expr.UnbalancedParen, (0,)),
-    (expr.UnknownIdentifier, (0,)), (expr.UnexpectedToken, (0,)), (expr.DomainError, ()),
-    (linalg.NonPositiveWeight, ()), (linalg.NoConvergence, ()),
-    (linalg.NotPositiveDefinite, ()), (linalg.DimensionMismatch, ()),
-    (kirchhoff.NegativeS, ()), (kirchhoff.SingularJacobian, ()),
-    (eigen.NotInA, ()), (eigen.SignChange, ()), (eigen.ZeroDenominator, ()),
-    (certify.NonPositiveC, ()), (certify.GridMismatch, ()),
-    (certify.NonPositiveCoefficient, ()), (certify.ConstructionFailed, (0.0, 0.0)),
-    (cli.ConfigError, ()),
+# each failure that once had a class of its own, named by that class, and the
+# class its raise sites use now
+FOLDED_FAILURES = [
+    ("EmptyInput", expr.ExprError, (0,)), ("UnbalancedParen", expr.ExprError, (0,)),
+    ("UnknownIdentifier", expr.ExprError, (0,)), ("UnexpectedToken", expr.ExprError, (0,)),
+    ("DomainError", ValueError, ()), ("DimensionMismatch", ValueError, ()),
+    ("NonPositiveWeight", ValueError, ()), ("NegativeS", ValueError, ()),
+    ("NotInA", ValueError, ()), ("NonPositiveC", ValueError, ()),
+    ("GridMismatch", ValueError, ()), ("NonPositiveCoefficient", ValueError, ()),
+    ("ZeroDenominator", ValueError, ()), ("ConfigError", ValueError, ()),
+    ("NotPositiveDefinite", KirchlabError, ()), ("SingularJacobian", KirchlabError, ()),
+    ("SignChange", KirchlabError, ()), ("ConstructionFailed", KirchlabError, ()),
 ]
 
 
-def test_every_library_exception_is_a_kirchlab_error():
-    defined = {cls for module in (grid, expr, linalg, kirchhoff, eigen, certify, cli)
-               for _, cls in inspect.getmembers(module, inspect.isclass)
-               if cls.__module__ == module.__name__ and issubclass(cls, Exception)}
-    assert all(issubclass(cls, KirchlabError) for cls in defined)
-    # listed in LIBRARY_ERRORS, so the exit-code test below covers every class
-    assert defined == {KirchlabError} | {cls for cls, _ in LIBRARY_ERRORS}
-
-
-@pytest.mark.parametrize("error,args", LIBRARY_ERRORS,
-                         ids=[cls.__name__ for cls, _ in LIBRARY_ERRORS])
+@pytest.mark.parametrize("error,args", [(cls, ()) for cls in cli.FAILURES]
+                         + [(linalg.NoConvergence, ()), (expr.ExprError, (0,))]
+                         + [(cls, args) for _, cls, args in FOLDED_FAILURES],
+                         ids=[cls.__name__ for cls in cli.FAILURES] + ["NoConvergence", "ExprError"]
+                         + [name for name, _, _ in FOLDED_FAILURES])
 def test_library_error_in_run_phase_exits_3(tmp_path, capsys, monkeypatch, error, args):
+    # every failure the CLI handles, and the two error classes that carry data;
+    # Python's own errors name their class
     def failing_certify(a, b):
         raise error("injected failure", *args)
 
@@ -523,7 +564,8 @@ def test_library_error_in_run_phase_exits_3(tmp_path, capsys, monkeypatch, error
     cfg = write_config(tmp_path / "cfg.ini", grid="nx = 4\nny = 4")
     assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: injected failure")
+    named = "" if issubclass(error, (KirchlabError, ValueError)) else f"{error.__name__}: "
+    assert err.startswith(f"numerical failure: {named}injected failure")
     assert "Traceback" not in err
 
 

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import sys
 from collections import Counter
 from pathlib import Path
@@ -51,3 +53,29 @@ def test_every_top_level_definition_is_used_by_the_library():
             break
         unused |= found
     assert sorted(unused) == []
+
+
+def test_three_exception_classes():
+    # input a function cannot accept raises ValueError, a computation that failed
+    # on accepted input KirchlabError; only the two subclasses that carry data
+    # (the last iterate, the parse offset) are defined besides
+    defined = set()
+    for path in sorted(Path(kirchlab.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"kirchlab.{path.stem}")
+        defined |= {name for name, cls in inspect.getmembers(module, inspect.isclass)
+                    if cls.__module__ == module.__name__ and issubclass(cls, BaseException)}
+    assert defined == {"KirchlabError", "NoConvergence", "ExprError"}
+
+
+def test_every_raise_names_one_of_the_failure_classes():
+    # TypeError and AssertionError stay for programming errors
+    allowed = {"ValueError", "KirchlabError", "NoConvergence", "ExprError", "TypeError",
+               "AssertionError"}
+    raised = Counter()
+    for path in sorted(Path(kirchlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                raised[func.id if isinstance(func, ast.Name) else ast.unparse(func)] += 1
+    assert set(raised) <= allowed, raised
+    assert raised["ValueError"] > 0 and raised["KirchlabError"] > 0

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from kirchlab import eigen, linalg
-from kirchlab.eigen import (EigenCurve, NonPositiveC, NotInA, ZeroDenominator,
-                            eigen_curve, eigen_weight, eigenvalue_lower_bound,
+from kirchlab.eigen import (EigenCurve, eigen_curve, eigen_weight, eigenvalue_lower_bound,
                             is_admissible, principal_eigenpair, rayleigh_quotient,
                             weight_flux)
-from kirchlab.grid import (ScalarField, coeff_grad_inf, dirichlet_lambda1,
+from kirchlab.grid import (KirchlabError, ScalarField, coeff_grad_inf, dirichlet_lambda1,
                            grad_norm_sq, gradient, integrate)
-from dense_oracle import Pencil, assemble_weighted_laplacian, smallest_positive
+from dense_oracle import (Pencil, assemble_weighted_laplacian, pencil_eigensolve,
+                          smallest_positive)
 
 from conftest import field_from, smooth_random, unit_grid
 
@@ -40,7 +40,7 @@ def test_weight_matches_analytic_ramp_interior():
 
 def test_weight_rejects_nonpositive_c():
     g = unit_grid(4)
-    with pytest.raises(NonPositiveC):
+    with pytest.raises(ValueError, match=r"^ratio field must be positive, min = 0$"):
         eigen_weight(ScalarField.zeros(g), 1.0)
 
 
@@ -131,6 +131,26 @@ def test_principal_eigenpair_matches_dense_oracle(name, n, alpha):
     assert v.min() >= -1e-8 * v.max()
 
 
+def test_dense_oracle_refuses_a_cluster_that_lobpcg_resolves():
+    # at alpha = 3.16 the bump's weight is positive on 32 nodes near the corners,
+    # and the four least positive eigenvalues agree to about 2e-12: the dense
+    # eigenvector is some mix of the four (it changes sign), so the oracle
+    # refuses it, while the principal pair is positive (931 steps measured)
+    g = unit_grid(32)
+    c = field_from(g, ORACLE_RATIOS["bump"])
+    alpha = 3.16
+    m = eigen_weight(c, alpha)
+    P = Pencil(assemble_weighted_laplacian(ScalarField(g, 1.0 / (c.values + alpha))), m.values)
+    lams = [lam for lam, _ in pencil_eigensolve(P) if lam > 0.0][:5]
+    assert lams[3] - lams[0] <= 1e-11 * lams[0] < lams[4] - lams[0]
+    with pytest.raises(KirchlabError, match=r"^least positive eigenvalue .* is within 1e-10 "):
+        smallest_positive(P)
+    pair = principal_eigenpair(c, alpha)
+    assert pair.lam == pytest.approx(lams[0], rel=1e-10)
+    assert pair.residual <= 1e-10
+    assert pair.u.values.min() >= -1e-8 * pair.u.values.max()
+
+
 def test_sign_changing_bump_converges_at_64():
     # no dense oracle at 4096 nodes: a positive eigenvector with a small
     # residual is the principal pair (Perron-Frobenius); 87 steps measured
@@ -155,7 +175,7 @@ def test_eigenpair_reports_iterations_and_residual():
 
 def test_principal_eigenpair_requires_admissible():
     g = unit_grid(8)
-    with pytest.raises(NotInA):
+    with pytest.raises(ValueError, match=r"^weight is nowhere positive at alpha = 1$"):
         principal_eigenpair(ScalarField.full(g, 1.0), 1.0)
 
 
@@ -187,7 +207,7 @@ def test_rayleigh_zero_denominator():
     g = unit_grid(8)
     c = ScalarField.full(g, 2.0)
     u = smooth_random(g, np.random.default_rng(3))
-    with pytest.raises(ZeroDenominator):
+    with pytest.raises(ValueError, match=r"^weighted mass of u vanishes$"):
         rayleigh_quotient(c, 1.0, u)
 
 

@@ -4,17 +4,15 @@ import sys
 import numpy as np
 import pytest
 
-from kirchlab.expr import (CONSTANTS, BinOp, Call, DomainError, EmptyInput, Expr, Neg,
-                           Num, UnbalancedParen, UnexpectedToken, UnknownIdentifier,
-                           Var, _ADD_BP, _MUL_BP, _NEG_BP, _POW_BP, _evaluate,
-                           eval_field, parse)
+from kirchlab.expr import (CONSTANTS, BinOp, Call, Expr, ExprError, Neg, Num, Var, _ADD_BP,
+                           _MUL_BP, _NEG_BP, _POW_BP, _evaluate, eval_field, parse)
 from kirchlab.grid import Grid
 
 from conftest import unit_grid
 
 
 def eval_at(expr: Expr, x: float, y: float) -> float:
-    """Evaluate at a point; DomainError when the value leaves the reals."""
+    """Evaluate at a point; ValueError when the value leaves the reals."""
     return float(_evaluate(expr, np.array([x], dtype=float), np.array([y], dtype=float))[0])
 
 
@@ -82,13 +80,13 @@ def oracle_at(expr, x, y):
     if isinstance(expr, Call):
         v = oracle_at(expr.arg, x, y)
         if expr.fn == "log" and v <= 0.0:
-            raise DomainError(f"log of non-positive value {v:.6g}")
+            raise ValueError(f"log of non-positive value {v:.6g}")
         if expr.fn == "sqrt" and v < 0.0:
-            raise DomainError(f"sqrt of negative value {v:.6g}")
+            raise ValueError(f"sqrt of negative value {v:.6g}")
         try:
             return float(MATH_FUNCTIONS[expr.fn](v))
         except OverflowError:
-            raise DomainError(f"{expr.fn} overflow at argument {v:.6g}") from None
+            raise ValueError(f"{expr.fn} overflow at argument {v:.6g}") from None
         except ValueError:
             return math.nan
     a = oracle_at(expr.left, x, y)
@@ -101,27 +99,27 @@ def oracle_at(expr, x, y):
         return a * b
     if expr.op == "/":
         if b == 0.0:
-            raise DomainError("division by zero")
+            raise ValueError("division by zero")
         return a / b
     if a == 0.0 and b < 0.0:
-        raise DomainError("zero raised to a negative power")
+        raise ValueError("zero raised to a negative power")
     try:
         r = a ** b
     except OverflowError:
         r = math.inf
     if isinstance(r, complex) or not math.isfinite(r):
-        raise DomainError(f"power {a:.6g}^{b:.6g} is not a finite real")
+        raise ValueError(f"power {a:.6g}^{b:.6g} is not a finite real")
     return r
 
 
 def oracle_field(expr, grid):
-    """Values at every node in row-major order, or the DomainError text of the first failing node."""
+    """Values at every node in row-major order, or the ValueError text of the first failing node."""
     X, Y = grid.node_coords()
     values = []
     for x, y in zip(X.reshape(-1).tolist(), Y.reshape(-1).tolist()):
         try:
             values.append(oracle_at(expr, x, y))
-        except DomainError as err:
+        except ValueError as err:
             return f"{err} at node ({x:.17g}, {y:.17g})"
     return np.array(values)
 
@@ -171,35 +169,35 @@ def test_constants_and_functions():
 
 
 def test_unbalanced_paren_offset():
-    with pytest.raises(UnbalancedParen) as exc:
+    with pytest.raises(ExprError, match=r"^missing '\)' for '\(' at offset 3 \(offset 8\)$") as exc:
         parse("sin(pi*x")
     assert exc.value.offset == 8
-    with pytest.raises(UnbalancedParen):
+    with pytest.raises(ExprError, match=r"^missing '\)' for '\(' at offset 0 \(offset 4\)$"):
         parse("(1+2")
-    with pytest.raises(UnbalancedParen) as exc:
+    with pytest.raises(ExprError, match=r"^'\)' without matching '\(' \(offset 3\)$") as exc:
         parse("1+2)")
     assert exc.value.offset == 3
 
 
 def test_unknown_identifier():
-    with pytest.raises(UnknownIdentifier):
+    with pytest.raises(ExprError, match=r"^unknown identifier 'z' \(offset 0\)$"):
         parse("z+1")
-    with pytest.raises(UnknownIdentifier):
+    with pytest.raises(ExprError, match=r"^unknown function 'foo' \(offset 0\)$"):
         parse("foo(3)")
 
 
 def test_empty_and_unexpected():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ExprError, match=r"^empty expression \(offset 0\)$"):
         parse("")
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ExprError, match=r"^empty expression \(offset 0\)$"):
         parse("   ")
-    with pytest.raises(UnexpectedToken):
+    with pytest.raises(ExprError, match=r"^unexpected token '\*' \(offset 2\)$"):
         parse("2+*3")
-    with pytest.raises(UnexpectedToken):
+    with pytest.raises(ExprError, match=r"^trailing input '2' \(offset 2\)$"):
         parse("1 2")
-    with pytest.raises(UnexpectedToken):
+    with pytest.raises(ExprError, match=r"^unexpected character '\$' \(offset 1\)$"):
         parse("x$")
-    with pytest.raises(UnexpectedToken):
+    with pytest.raises(ExprError, match=r"^unexpected end of input \(offset 2\)$"):
         parse("2+")
 
 
@@ -213,11 +211,11 @@ def test_eval_field_constant_and_coordinates():
 
 def test_eval_field_domain_error_names_node():
     g = Grid.over_rectangle(3, 1, 1.0, 1.0)  # has a node at x = 0.5
-    with pytest.raises(DomainError, match=r"at node \(0.5"):
+    with pytest.raises(ValueError, match=r"^division by zero at node \(0.5"):
         eval_field(parse("1/(x-0.5)"), g)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match=r"^log of non-positive value .* at node"):
         eval_field(parse("log(x-1)"), g)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match=r"^sqrt of negative value .* at node"):
         eval_field(parse("sqrt(-1-x)"), g)
 
 
@@ -236,7 +234,7 @@ def test_eval_field_domain_error_names_node():
 ])
 def test_eval_field_domain_failure_kinds(src, message):
     g = Grid.over_rectangle(3, 1, 1.0, 1.0)
-    with pytest.raises(DomainError) as exc:
+    with pytest.raises(ValueError) as exc:
         eval_field(parse(src), g)
     assert str(exc.value) == message
     assert oracle_field(parse(src), g) == message
@@ -256,7 +254,7 @@ def test_eval_at_is_one_point_of_the_array_evaluator():
     points = [eval_at(tree, x, y) for x, y in zip(X.reshape(-1), Y.reshape(-1))]
     assert isinstance(points[0], float)
     assert points == eval_field(tree, g).values.tolist()
-    with pytest.raises(DomainError, match=r"^division by zero at node \(0.5, 0.5\)$"):
+    with pytest.raises(ValueError, match=r"^division by zero at node \(0.5, 0.5\)$"):
         eval_at(parse("1/(x-y)"), 0.5, 0.5)
 
 
@@ -307,7 +305,7 @@ def test_eval_field_matches_scalar_oracle_on_random_trees(rng):
         expected = oracle_field(tree, g)
         if isinstance(expected, str):
             outcomes["domain"] += 1
-            with pytest.raises(DomainError) as exc:
+            with pytest.raises(ValueError) as exc:
                 eval_field(tree, g)
             assert str(exc.value) == expected, to_string(tree)
         elif not np.isfinite(expected).all():
@@ -367,12 +365,12 @@ def test_eval_field_runs_no_python_code_per_node():
 
 
 def flat_evaluation(tree, grid):
-    """The whole-array evaluation on the flattened node coordinates, the DomainError
+    """The whole-array evaluation on the flattened node coordinates, the ValueError
     text of its first failing node in place of values."""
     X, Y = grid.node_coords()
     try:
         return _evaluate(tree, X.reshape(-1), Y.reshape(-1))
-    except DomainError as err:
+    except ValueError as err:
         return str(err)
 
 
@@ -405,6 +403,6 @@ def test_broadcast_evaluation_matches_flat_evaluation(nx, ny):
     "exp(1000*y) + x"])
 def test_broadcast_domain_error_names_the_first_node_in_row_major_order(src):
     g = Grid.over_rectangle(5, 3, 1.0, 1.0)  # nodes at x = i/6, y = j/4
-    with pytest.raises(DomainError) as exc:
+    with pytest.raises(ValueError) as exc:
         eval_field(parse(src), g)
     assert str(exc.value) == flat_evaluation(parse(src), g) == oracle_field(parse(src), g)
