@@ -28,6 +28,12 @@ from .grid import Grid, KirchlabError, ScalarField, read_field, write_field
 from .kirchhoff import NEWTON_TOL, Problem, fixed_point_scan, newton_solve
 
 ALL_FORMATS = ("csv", "json", "fields")
+KEYS = {  # every key a config may set, by section
+    "grid": ("nx", "ny", "x0", "y0", "lx", "ly"),
+    "coefficients": ("a", "b", "h", "a_file", "b_file", "h_file"),
+    "solver": ("n_samples", "newton_tol", "s_max_override"),
+    "output": ("directory", "formats"),
+}
 
 # What a phase can fail with: input the library refuses (ValueError), a computation
 # that failed on accepted input (KirchlabError), Python float arithmetic
@@ -103,6 +109,12 @@ def _read_ini(path: str) -> configparser.ConfigParser:
         raise ValueError(f"cannot read config {path}: {err}") from None
     except configparser.Error as err:
         raise ValueError(f"malformed config {path}: {err}") from None
+    for name, section in parser.items():
+        if name not in KEYS and name != "DEFAULT":
+            raise ValueError(f"unknown section [{name}] (choose from {tuple(KEYS)})")
+        for key in section:
+            if key not in KEYS.get(name, ()):
+                raise ValueError(f"unknown key '{key}' in section [{name}]")
     return parser
 
 
@@ -154,6 +166,8 @@ def parse_config(path: str) -> Config:
 
     formats_raw = _get(_section(parser, "output"), "formats", str, ",".join(ALL_FORMATS))
     formats = tuple(tok.strip() for tok in formats_raw.split(",") if tok.strip())
+    if not formats:
+        raise ValueError(f"empty output format list '{formats_raw}' (choose from {ALL_FORMATS})")
     for tok in formats:
         if tok not in ALL_FORMATS:
             raise ValueError(f"unknown output format '{tok}' (choose from {ALL_FORMATS})")

@@ -1,8 +1,8 @@
 """Closed-form coefficient expressions: parsing and evaluation on node arrays.
 
-Grammar: decimal literals, variables x and y, constants pi and e, binary
-+ - * / ^, unary minus, and the calls sin cos exp log sqrt abs tanh.
-Precedence, tightest first:
+Grammar (ASCII; Unicode whitespace separates tokens): decimal literals,
+variables x and y, constants pi and e, binary + - * / ^, unary minus, and
+the calls sin cos exp log sqrt abs tanh.  Precedence, tightest first:
 
     ^  (right associative)
     unary -
@@ -27,6 +27,7 @@ rejects the non-finite field.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,52 +93,29 @@ _NEG_BP = 30
 _POW_BP = 40
 
 
+# one token after optional (Unicode) whitespace; the grammar itself is ASCII
+_TOKEN = re.compile(r"""\s*(?:
+      (?P<num>(?:[0-9]|\.[0-9])[0-9.]*(?:[eE][+-]?[0-9]+)?)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<op>[-+*/^]) | (?P<lparen>\() | (?P<rparen>\))
+    | (?P<end>\Z) | (?P<bad>.))""", re.VERBOSE | re.DOTALL)
+
+
 def _tokenize(src: str):
     """Yield (kind, text, offset); kinds: num, ident, op, lparen, rparen, end."""
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE" and (j + 1 < n and (src[j + 1].isdigit() or
-                                                            (src[j + 1] in "+-" and j + 2 < n and src[j + 2].isdigit()))):
-                j += 2 if src[j + 1] in "+-" else 1
-                while j < n and src[j].isdigit():
-                    j += 1
-            text = src[i:j]
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        text, offset = m[kind], m.start(kind)
+        if kind == "bad":
+            raise ExprError(f"unexpected character {text!r}", offset)
+        if kind == "num":
             try:
                 float(text)
             except ValueError:
-                raise ExprError(f"malformed number {text!r}", i) from None
-            yield "num", text, i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            yield "ident", src[i:j], i
-            i = j
-            continue
-        if ch in "+-*/^":
-            yield "op", ch, i
-            i += 1
-            continue
-        if ch == "(":
-            yield "lparen", ch, i
-            i += 1
-            continue
-        if ch == ")":
-            yield "rparen", ch, i
-            i += 1
-            continue
-        raise ExprError(f"unexpected character {ch!r}", i)
-    yield "end", "", n
+                raise ExprError(f"malformed number {text!r}", offset) from None
+        yield kind, text, offset
+        if kind == "end":
+            return
 
 
 class _Parser:

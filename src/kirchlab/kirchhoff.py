@@ -8,7 +8,8 @@ over the sine coefficients of the frozen right-hand side, so one kernel
 evaluates Phi (and its slope Phi') from the forward sine transform alone,
 with no solve.  The scan enumerates every fixed point inside a provable
 bracket, evaluating Phi on blocks of samples, and refines each sign change
-by safeguarded Newton steps on Phi(s) - s; Newton's method solves the full
+and each run of root samples by safeguarded Newton steps on Phi(s) - s,
+ending in one polishing step; Newton's method solves the full
 nonlinear system using the closed-form inverse of the rank-one-perturbed
 Jacobian.
 """
@@ -222,16 +223,16 @@ def fixed_point_scan(P: Problem, n_samples: int = 256,
     """Enumerate all fixed points of Phi on the provable bracket [0, 1.05*S_max],
     S_max the tight energy cap of _scan_ceiling.
 
-    Uniform samples of Phi(s) - s, SCAN_BLOCK of them per kernel call and each
-    bitwise equal to fixed_point_map; samples with |Phi(s)-s| <= 1e-10*(1+s)
-    count as roots directly, and every strict sign change between two samples
-    above that bound is refined to it by safeguarded Newton steps (_refine).
-    Each root reports the s at which that bound was verified, the frozen solve
-    there, Phi'(s) and the Phi evaluations it took after sampling (a sample hit
-    pays one for its Phi').  Local minima of |Phi(s)-s| below 1e-6*(1+s) without a
-    crossing are reported as suspected tangencies (a double root there is
-    exactly where the Jacobian degenerates).  s_max replaces the computed
-    ceiling when given.
+    Uniform samples of g(s) = Phi(s) - s, SCAN_BLOCK of them per kernel call and
+    each bitwise equal to fixed_point_map, give the root starts, and every start
+    goes through _refine: each maximal run of samples with |g| <= 1e-10*(1+s)
+    starts at its sample of least |g| inside the run's two neighbouring samples,
+    and each strict sign change between two other samples at its secant point.
+    Each root reports the polished s at which that bound was verified, the frozen
+    solve there, Phi'(s) and the Phi evaluations it took after sampling.  Local
+    minima of |Phi(s)-s| below 1e-6*(1+s) without a crossing are reported as
+    suspected tangencies (a double root there is exactly where the Jacobian
+    degenerates).  s_max replaces the computed ceiling when given.
     """
     if n_samples < 16:
         raise ValueError(f"need at least 16 samples, got {n_samples}")
@@ -241,21 +242,23 @@ def fixed_point_scan(P: Problem, n_samples: int = 256,
                            for j in range(0, n_samples, SCAN_BLOCK)])
     gs = phis - ss
 
-    # candidate roots (s, |g|, Phi'(s) or None, evaluations): direct hits and
-    # refined sign changes
+    # root starts (first s, bracket ends as sample indices), disjoint by construction;
+    # signs are compared because the product of two |g| > 1e154 overflows
     hit = np.abs(gs) <= ROOT_RTOL * (1.0 + ss)
-    candidates = [(float(ss[i]), abs(float(gs[i])), None, 0) for i in np.flatnonzero(hit)]
-    # compare signs: the product of two samples of |Phi(s) - s| > 1e154 overflows;
-    # a sign change at a hit sample is that root already and is not refined
+    s_l, g_l = ss.tolist(), gs.tolist()
+    starts = []
+    for i, j in np.flatnonzero(np.diff(hit, prepend=False, append=False)).reshape(-1, 2):
+        k = i + int(np.argmin(np.abs(gs[i:j])))
+        starts.append((s_l[k], max(i - 1, 0), min(j, n_samples - 1)))
     change = np.sign(gs[:-1]) * np.sign(gs[1:]) < 0.0
-    for i in np.flatnonzero(change & ~hit[:-1] & ~hit[1:]):
-        candidates.append(_refine(P, float(ss[i]), float(gs[i]),
-                                  float(ss[i + 1]), float(gs[i + 1])))
+    for i in np.flatnonzero(change & ~hit[:-1] & ~hit[1:]).tolist():
+        lo, hi = s_l[i], s_l[i + 1]
+        s = lo - g_l[i] * (hi - lo) / (g_l[i + 1] - g_l[i])
+        starts.append((s if lo < s < hi else 0.5 * (lo + hi), i, i + 1))
 
     roots = []
-    for s, _, dphi, evals in _merge_candidates(candidates):
-        if dphi is None:
-            dphi, evals = float(_phi(P, [s], slope=True)[1]), evals + 1
+    for start, i, j in sorted(starts):
+        s, dphi, evals = _refine(P, start, s_l[i], g_l[i], s_l[j], g_l[j])
         u = solve_frozen(P, s)
         roots.append(NonlocalSolution(u, s, residual(P, u), "fixed-point-scan", dphi, evals))
 
@@ -280,32 +283,26 @@ def _suspected_tangencies(ss: np.ndarray, gs: np.ndarray, root_ss: list) -> list
     return mid[keep].tolist()
 
 
-def _refine(P: Problem, lo: float, g_lo: float, hi: float, g_hi: float) -> tuple:
-    """The root of g(s) = Phi(s) - s in [lo, hi], across which g changes sign, as
-    (s, |g(s)|, Phi'(s), evaluations).
+def _refine(P: Problem, s: float, lo: float, g_lo: float, hi: float, g_hi: float) -> tuple:
+    """The root of g(s) = Phi(s) - s in [lo, hi] from the first point s, as
+    (s, Phi'(s), evaluations).
 
     Safeguarded Newton (rtsafe): each evaluation of g and Phi' at s (one 2-row
-    kernel call) shrinks the bracket to the sign change.  The next s is the
+    kernel call) shrinks the bracket to the sign change of g.  The next s is the
     Newton step s - g/(Phi' - 1) when it lies strictly inside the bracket and
     moves at most half as far as the step before it, the bracket's midpoint
-    otherwise; the first s is the secant point of the ends.  The iteration
-    stops when |g| <= ROOT_RTOL*(1+s), or when no double lies strictly inside
-    the bracket (at the end with the smaller |g|, evaluated for its Phi'), and
-    _polish then takes one last Newton step.  Raises NoConvergence naming the
-    bracket after REFINE_MAX evaluations: an unverified point is never a root.
+    otherwise.  The iteration stops when |g| <= ROOT_RTOL*(1+s), or at an s not
+    strictly inside the bracket: the end with the smaller |g| once no double
+    lies between the ends, or a first point on an end.  _polish then takes one
+    last Newton step.  Raises NoConvergence naming the bracket after REFINE_MAX
+    evaluations: an unverified point is never a root.
     """
     width = hi - lo
-    s = lo - g_lo * width / (g_hi - g_lo)
-    if not lo < s < hi:
-        s = 0.5 * (lo + hi)
     for evals in range(1, REFINE_MAX + 1):
-        adjacent = not lo < s < hi
-        if adjacent:
-            s = lo if abs(g_lo) <= abs(g_hi) else hi
         phi, dphi = (float(v) for v in _phi(P, [s], slope=True))
         g = phi - s
-        if adjacent or abs(g) <= ROOT_RTOL * (1.0 + s):
-            return _polish(P, lo, hi, (s, abs(g), dphi, evals), g)
+        if abs(g) <= ROOT_RTOL * (1.0 + s) or not lo < s < hi:
+            return _polish(P, lo, hi, s, g, dphi, evals)
         if (g > 0.0) == (g_lo > 0.0):
             lo, g_lo = s, g
         else:
@@ -315,39 +312,28 @@ def _refine(P: Problem, lo: float, g_lo: float, hi: float, g_hi: float) -> tuple
             width, s = abs(newton - s), newton
         else:
             width, s = 0.5 * (hi - lo), 0.5 * (lo + hi)
+            if not lo < s < hi:
+                s = lo if abs(g_lo) <= abs(g_hi) else hi
     raise NoConvergence(f"root refinement left |Phi(s) - s| above {ROOT_RTOL:g}*(1 + s) "
                         f"after {REFINE_MAX} evaluations; the root lies in "
                         f"[{lo:.17g}, {hi:.17g}]")
 
 
-def _polish(P: Problem, lo: float, hi: float, root: tuple, g: float) -> tuple:
-    """One more Newton step from a refined root (s, |g|, Phi'(s), evaluations) with
-    g = Phi(s) - s, kept when it stays strictly inside the bracket [lo, hi] and
-    lowers |g|.  Newton converges quadratically, so a root that just met
-    ROOT_RTOL usually drops to roundoff, and s then agrees with the energy of
-    its frozen solve to about 1e-15, not only to ROOT_RTOL.  The step costs
-    one evaluation, counted either way."""
-    s, _, dphi, evals = root
+def _polish(P: Problem, lo: float, hi: float, s: float, g: float, dphi: float,
+            evals: int) -> tuple:
+    """One more Newton step from a refined root s with g = Phi(s) - s, as
+    (s, Phi'(s), evaluations), kept when it stays strictly inside the bracket
+    [lo, hi] and lowers |g|.  Newton converges quadratically, so a root that
+    just met ROOT_RTOL usually drops to roundoff, and s then agrees with the
+    energy of its frozen solve to about 1e-15, not only to ROOT_RTOL.  The step
+    costs one evaluation, counted either way."""
     newton = s - g / (dphi - 1.0) if dphi != 1.0 else math.nan
     if not (lo < newton < hi and newton != s):
-        return root
-    phi, dphi = (float(v) for v in _phi(P, [newton], slope=True))
-    if abs(phi - newton) < root[1]:
-        return newton, abs(phi - newton), dphi, evals + 1
-    return root[:3] + (evals + 1,)
-
-
-def _merge_candidates(candidates: list) -> list:
-    """Collapse near-duplicate root candidates (s, |g|, Phi'(s), evaluations): each
-    cluster keeps the s, |g| and Phi' of its best |g| and the sum of its evaluations."""
-    merged = []
-    for cand in sorted(candidates, key=lambda c: c[:2]):
-        if merged and cand[0] - merged[-1][0] <= 1e-8 * (1.0 + cand[0]):
-            best = cand if cand[1] < merged[-1][1] else merged[-1]
-            merged[-1] = best[:3] + (merged[-1][3] + cand[3],)
-        else:
-            merged.append(cand)
-    return merged
+        return s, dphi, evals
+    phi, dphi_new = (float(v) for v in _phi(P, [newton], slope=True))
+    if abs(phi - newton) < abs(g):
+        return newton, dphi_new, evals + 1
+    return s, dphi, evals + 1
 
 
 def jacobian_functional(P: Problem, u: ScalarField) -> float:

@@ -142,6 +142,53 @@ def test_solve_bad_expression_exits_2(tmp_path, capsys):
     assert "'a'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where,text", [
+    ("solver", "n_sample = 16"),                        # n_samples
+    ("solver", "newton_tolerance = 1e-30"),             # newton_tol
+    ("output", "format = csv"),                         # formats
+    ("grid", "nz = 4"),
+])
+def test_unknown_config_key_exits_2(tmp_path, capsys, where, text):
+    lines = {"grid": "nx = 8\nny = 8", "solver": "", "output": ""}
+    lines[where] = f"{lines[where]}\n{text}".strip()
+    cfg = write_config(tmp_path / "cfg.ini", grid=lines["grid"], solver=lines["solver"],
+                       output=lines["output"])
+    out = tmp_path / "out"
+    for command in ("solve", "certify", "example"):
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        key = text.split(" = ")[0]
+        assert f"config error: unknown key '{key}' in section [{where}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_config_section_and_default_keys_exit_2(tmp_path, capsys):
+    base = write_config(tmp_path / "base.ini", grid="nx = 8\nny = 8")
+    cases = {"[solvers]\nn_samples = 16\n": "unknown section [solvers]",
+             "[DEFAULT]\nnx = 8\n": "unknown key 'nx' in section [DEFAULT]"}
+    for i, (extra, message) in enumerate(cases.items()):
+        cfg = tmp_path / f"cfg{i}.ini"
+        cfg.write_text(extra + "\n" + (tmp_path / "base.ini").read_text())
+        assert main(["solve", "--config", str(cfg), "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+    assert main(["solve", "--config", base, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+
+def test_non_ascii_digits_are_not_numbers(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[grid]\nnx = 8\nny = 8\n[coefficients]\na = １\nb = ٣\nh = 1\n",
+                   encoding="utf-8")
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert "coefficient 'a': unexpected character '１' (offset 0)" in capsys.readouterr().err
+
+
+def test_empty_format_list_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 8\nny = 8", output="formats = ,")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert "empty output format list ','" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_certify_constant_ratio_exit_0(tmp_path):
     cfg = write_config(tmp_path / "cfg.ini", coeffs="a = 1\nb = 1\nh = x-y")
     out = tmp_path / "out"

@@ -201,6 +201,20 @@ def test_empty_and_unexpected():
         parse("2+")
 
 
+@pytest.mark.parametrize("src,char,offset", [("１+x", "１", 0), ("x*٣", "٣", 2),
+                                             ("2^²", "²", 2), ("πx", "π", 0), ("xé", "é", 1)])
+def test_grammar_is_ascii(src, char, offset):
+    # float() reads non-ASCII decimal digits, and str.isdigit / isalpha accept them
+    with pytest.raises(ExprError, match=rf"^unexpected character '{char}' \(offset {offset}\)$"):
+        parse(src)
+
+
+def test_unicode_whitespace_separates_tokens():
+    assert parse("1\u00a0+\tx\u3000*\n2") == parse("1 + x * 2")
+    with pytest.raises(ExprError, match=r"^trailing input '2' \(offset 2\)$"):
+        parse("1\u20032")
+
+
 def test_eval_field_constant_and_coordinates():
     g = Grid.over_rectangle(3, 1, 1.0, 1.0)
     ones = eval_field(parse("1"), g)

@@ -382,15 +382,67 @@ def test_scan_root_hit_by_a_sample_gets_its_slope():
     assert (root.s, root.dphi, root.refine_evals) == (0.0, 0.0, 1)
     assert report.n_phi_evals == 33
     # a = b = 1: Phi(s) = 4/(1+s)^2, whose root s = 1 is sample 8 of 17 on [0, 2];
-    # the sign change at that sample is not refined again, so the root pays
-    # only the one evaluation for its Phi'
+    # the sign change at that sample is not refined again, so the root pays one
+    # evaluation for its Phi' and one for the polishing step, which it keeps
+    # only when |g| drops
     P = cubic_problem(unit_grid(16), 4.0)
     report = fixed_point_scan(P, 17, s_max=2.0 / 1.05)
     assert 1.0 in [s for s, _ in report.samples]
     (root,) = report.roots
     assert root.s == 1.0
     assert root.dphi == pytest.approx(-1.0, rel=1e-12)
-    assert root.refine_evals == report.n_phi_evals - 17 == 1
+    assert root.refine_evals == report.n_phi_evals - 17 == 2
+
+
+@pytest.mark.parametrize("off", [1e-11, 3e-11])
+def test_scan_hit_root_is_polished(off):
+    # a sample `off` above the cubic root s = 1 meets ROOT_RTOL, and the polishing
+    # Newton step takes it to roundoff, so s matches its field's energy
+    P = cubic_problem(unit_grid(16), 4.0)
+    report = fixed_point_scan(P, 17, s_max=(1.0 + off) * 2.0 / 1.05)
+    g = [abs(phi - s) - kh.ROOT_RTOL * (1.0 + s) for s, phi in report.samples]
+    assert sum(v <= 0.0 for v in g) == 1
+    (root,) = report.roots
+    assert abs(root.s - 1.0) <= 4.5e-16
+    assert abs(grad_norm_sq(root.u) - root.s) <= 1e-15
+    assert root.refine_evals == 2
+
+
+def _scan_synthetic_phi(monkeypatch, phi, dphi, n_samples):
+    """The scan over [0, 1] with the Phi kernel replaced by phi(s) and slope dphi(s)."""
+    def kernel(P, ss, slope=False):
+        ss = np.asarray(ss, dtype=float)
+        return np.append(phi(ss), dphi(ss[0])) if slope else phi(ss)
+
+    monkeypatch.setattr(kh, "_phi", kernel)
+    g = unit_grid(4)
+    return fixed_point_scan(constant_problem(g, ScalarField.zeros(g)), n_samples,
+                            s_max=1.0 / 1.05)
+
+
+def test_scan_keeps_two_roots_closer_than_the_old_merge_distance(monkeypatch):
+    # Phi(s) = s + c (s - r1)(s - r2): the sample s = 0.5 between the two roots
+    # has |g| = 1.6e-9, ten tolerances, so each side's sign change is a root of its own
+    c, r1, r2 = 1e8, 0.5 - 4e-9, 0.5 + 4e-9
+    report = _scan_synthetic_phi(monkeypatch, lambda s: s + c * (s - r1) * (s - r2),
+                                 lambda s: 1.0 + c * (2.0 * s - r1 - r2), 21)
+    assert 0.5 in [s for s, _ in report.samples]
+    assert [root.s for root in report.roots] == pytest.approx([r1, r2], rel=0, abs=5e-10)
+    for root in report.roots:
+        assert abs(c * (root.s - r1) * (root.s - r2)) <= kh.ROOT_RTOL * (1.0 + root.s)
+
+
+def test_scan_run_of_root_samples_is_one_root(monkeypatch):
+    # Phi(s) = s + c (s - 1/2)^3 is within ROOT_RTOL of s at the five samples around
+    # 1/2, which make one run: one root at its middle sample, which is exact
+    c = 1e-4
+    report = _scan_synthetic_phi(monkeypatch, lambda s: s + c * (s - 0.5) ** 3,
+                                 lambda s: 1.0 + 3.0 * c * (s - 0.5) ** 2, 201)
+    hits = [s for s, p in report.samples if abs(p - s) <= kh.ROOT_RTOL * (1.0 + s)]
+    assert len(hits) == 5
+    (root,) = report.roots
+    assert (root.s, root.refine_evals) == (0.5, 1)
+    assert report.n_phi_evals == 202
 
 
 def _tangencies_loop(ss, gs, root_ss):
