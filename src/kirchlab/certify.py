@@ -92,8 +92,10 @@ def shifted_ratio(c: ScalarField, alpha: float) -> float:
     The one closed form behind ratio_criterion, ratio_gap and
     eigen.eigenvalue_lower_bound.  Those three are derived from this value
     directly rather than from each other, so the +1/-1 shift of ratio_gap
-    never rounds a small ratio away.
+    never rounds a small ratio away.  A negative alpha is a ValueError.
     """
+    if alpha < 0.0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha:.6g}")
     return _shift(_ratio_terms(c), alpha)
 
 
@@ -127,8 +129,6 @@ def ratio_gap(c: ScalarField, alpha: float) -> float:
     a negative value at the energy of a candidate solution rules out a
     degenerate Jacobian there.
     """
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha:.6g}")
     return shifted_ratio(c, alpha) - 1.0
 
 
@@ -141,7 +141,7 @@ def certify(a: ScalarField, b: ScalarField) -> Certificate:
             f"coefficients must be positive: min a = {a.values.min():.6g}, "
             f"min b = {b.values.min():.6g}")
 
-    c = ScalarField(a.grid, a.values / b.values)
+    c = _ratio_field(a, b)
     c_lo = float(c.values.min())
     c_hi = float(c.values.max())
     c_mean = float(c.values.mean())
@@ -166,6 +166,16 @@ def certify(a: ScalarField, b: ScalarField) -> Certificate:
     return Certificate("Inconclusive", ratio, min_d, None, lam1, a.grid,
                        f"ratio {ratio:.6g} > {RATIO_LIMIT:g} and min_D {min_d:.6g} < "
                        f"-{POINTWISE_TOL:g}: no criterion applies; {base_note}")
+
+
+def _ratio_field(a: ScalarField, b: ScalarField) -> ScalarField:
+    """c = a/b of positive coefficients; a ratio past the largest double is a ValueError."""
+    with np.errstate(over="ignore"):
+        c = a.values / b.values
+    if np.isinf(c).any():
+        raise ValueError(f"ratio a/b overflows a double (max a = {a.values.max():.3g}, "
+                         f"min b = {b.values.min():.3g})")
+    return ScalarField(a.grid, c)
 
 
 def pointwise_certified_ratio(grid: Grid) -> ScalarField:

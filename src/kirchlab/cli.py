@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expr
-from .certify import certify, pointwise_certified_ratio
+from .certify import _ratio_field, certify, pointwise_certified_ratio
 from .eigen import eigen_curve
 from .grid import Grid, KirchlabError, ScalarField, read_field, write_field
 from .kirchhoff import NEWTON_TOL, Problem, fixed_point_scan, newton_solve
@@ -275,7 +275,7 @@ def run_certify(cfg: Config, out_dir: Path, quiet: bool) -> int:
 
 def run_eigen(cfg: Config, alphas: list, out_dir: Path, quiet: bool,
               write_fields: bool) -> int:
-    c = ScalarField(cfg.grid, cfg.a.values / cfg.b.values)
+    c = _ratio_field(cfg.a, cfg.b)
     curve = eigen_curve(c, alphas)
     if not curve.rows:
         print("eigen: admissible set empty for the sampled alphas", file=sys.stderr)

@@ -119,31 +119,18 @@ def principal_eigenpair(c: ScalarField, alpha: float) -> EigenPair:
     The pencil pairs the weighted stiffness operator with the lumped weight
     (the common cell-area factor of the two quadratures cancels, so the
     eigenvalue is grid-scale free) and is solved matrix-free by the LOBPCG of
-    linalg.lobpcg_smallest_positive, as a stack of one.  A - lambda diag(B)
-    is an irreducible Z-matrix, so a converged eigenvector that is strictly
-    positive with lambda > 0 proves lambda is the smallest positive eigenvalue
-    (Perron-Frobenius): the sign check below is what rules out a stop on a
-    higher eigenvalue.  The eigenfunction is normalized to gradient energy
-    alpha and oriented positive; a sign change beyond tolerance is an error
-    rather than a warning, as is a pencil residual above PENCIL_RESID_TOL.
+    linalg.lobpcg_smallest_positive, as the one row of eigen_curve(c, [alpha]).
+    A - lambda diag(B) is an irreducible Z-matrix, so a converged eigenvector
+    that is strictly positive with lambda > 0 proves lambda is the smallest
+    positive eigenvalue (Perron-Frobenius): the sign check is what rules out a
+    stop on a higher eigenvalue.  The eigenfunction is normalized to gradient
+    energy alpha and oriented positive; a sign change beyond tolerance is an
+    error rather than a warning, as is a pencil residual above PENCIL_RESID_TOL.
     """
-    m, admissible = _weight(c, alpha)
-    if not admissible:
+    pairs = eigen_curve(c, [alpha]).pairs
+    if not pairs:
         raise ValueError(f"weight is nowhere positive at alpha = {alpha:.6g}")
-    return next(_eigenpairs(c, [(alpha, m)]))[0]
-
-
-def _eigenpairs(c: ScalarField, stack: list):
-    """The checked EigenPair of each (alpha, m_alpha) of stack, with the face
-    average of 1/(c + alpha), yielded in order from one stacked LOBPCG."""
-    g = c.grid
-    alphas = [alpha for alpha, _ in stack]
-    W = 1.0 / (c.values + np.array(alphas)[:, None])
-    wfs = [face_average(ScalarField(g, w)) for w in W]
-    outs = _lobpcg_stack(wfs, W, np.stack([m.values for _, m in stack]),
-                         [f" at alpha = {alpha:.6g}" for alpha in alphas])
-    for alpha, wf, out in zip(alphas, wfs, outs):
-        yield _eigenpair(c, alpha, out), wf
+    return pairs[0]
 
 
 def _eigenpair(c: ScalarField, alpha: float, out) -> EigenPair:
@@ -152,10 +139,7 @@ def _eigenpair(c: ScalarField, alpha: float, out) -> EigenPair:
     lam, v, iterations, resid = out
     if resid > PENCIL_RESID_TOL:
         raise NoConvergence(f"pencil residual {resid:.3e} too large at alpha = {alpha:.6g}")
-
-    g = c.grid
-    u = ScalarField(g, v)
-    u = ScalarField(g, v * math.sqrt(alpha / grad_norm_sq(u)))
+    u = ScalarField(c.grid, v * math.sqrt(alpha / grad_norm_sq(ScalarField(c.grid, v))))
     vmax = float(u.values.max())
     if float(u.values.min()) < -SIGN_TOL * vmax:
         raise KirchlabError(
@@ -171,12 +155,12 @@ def rayleigh_quotient(c: ScalarField, alpha: float, u: ScalarField) -> float:
     1/(c + alpha) -- the same face coefficient the stiffness assembly uses, so
     the quotient of an eigenpair reproduces its eigenvalue exactly.
     """
-    wf = face_average(ScalarField(c.grid, 1.0 / (c.values + alpha)))
-    return _rayleigh(wf, u, eigen_weight(c, alpha))
+    return _rayleigh(c, alpha, u, eigen_weight(c, alpha))
 
 
-def _rayleigh(wf: FaceField, u: ScalarField, m: ScalarField) -> float:
+def _rayleigh(c: ScalarField, alpha: float, u: ScalarField, m: ScalarField) -> float:
     g = u.grid
+    wf = face_average(ScalarField(g, 1.0 / (c.values + alpha)))
     F = gradient(u)
     num = g.cell_area * float((wf.xfaces * F.xfaces ** 2).sum()
                               + (wf.yfaces * F.yfaces ** 2).sum())
@@ -204,17 +188,21 @@ def _bound_of(ratio: float) -> float:
 def eigen_curve(c: ScalarField, alphas) -> EigenCurve:
     """Solve the eigenproblem for every admissible alpha in the given order.
 
-    The admissible alphas go through the LOBPCG in stacks of up to
-    _STACK_NODES // n; each gets the bits it gets alone, so a row's pair is
-    principal_eigenpair at its alpha.  The checks run per alpha in order, so
-    the first alpha that fails raises what it raises when solved alone.  The
-    alpha-free terms of the lower bound are computed once.
+    The admissible alphas go through the LOBPCG as stacks of up to
+    _STACK_NODES // n node weights 1/(c + alpha); each gets the bits it gets
+    alone, so a row's pair is principal_eigenpair at its alpha.  The checks run
+    per alpha in order, so the first alpha that fails raises what it raises
+    when solved alone.  The alpha-free terms of the lower bound are computed once.
     """
     curve, terms = EigenCurve([]), None
     for stack in _stacks(c, alphas):
         terms = terms or _ratio_terms(c)
-        for (alpha, m), (pair, wf) in zip(stack, _eigenpairs(c, stack)):
-            gap = abs(_rayleigh(wf, pair.u, m) - pair.lam)
+        W = 1.0 / (c.values + np.array([[alpha] for alpha, _ in stack]))
+        outs = _lobpcg_stack(c.grid, W, np.stack([m.values for _, m in stack]),
+                             [f" at alpha = {alpha:.6g}" for alpha, _ in stack])
+        for (alpha, m), out in zip(stack, outs):
+            pair = _eigenpair(c, alpha, out)
+            gap = abs(_rayleigh(c, alpha, pair.u, m) - pair.lam)
             curve.rows.append((alpha, pair.lam, _bound_of(_shift(terms, alpha)), gap))
             curve.pairs.append(pair)
     return curve

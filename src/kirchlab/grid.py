@@ -149,13 +149,15 @@ def _face_differences(U: np.ndarray, axes=(-2, -1)) -> tuple[np.ndarray, np.ndar
 
 
 def _ghost_difference(U: np.ndarray, axis: int) -> np.ndarray:
-    """Differences along axis of U padded with a zero slab at both ends; the bits
-    of np.diff with prepend=0 and append=0, without its scalar broadcasting."""
+    """Differences along axis of U against a zero slab at both ends: the bits of
+    np.diff with prepend=0 and append=0, written slab by slab into one array."""
     axis %= U.ndim
-    slab = np.zeros(U.shape[:axis] + (1,) + U.shape[axis + 1:])
-    padded = np.concatenate((slab, U, slab), axis=axis)
-    head = (slice(None),) * axis
-    return padded[head + (slice(1, None),)] - padded[head + (slice(None, -1),)]
+    d = np.empty(U.shape[:axis] + (U.shape[axis] + 1,) + U.shape[axis + 1:])
+    D, V = d.swapaxes(axis, 0), U.swapaxes(axis, 0)
+    D[0] = V[0]
+    np.subtract(V[1:], V[:-1], out=D[1:-1])
+    np.subtract(0.0, V[-1], out=D[-1])        # -V[-1] would turn +0.0 into -0.0
+    return d
 
 
 def gradient(u: ScalarField) -> FaceField:
@@ -267,16 +269,19 @@ def coeff_grad_inf(c: ScalarField) -> float:
 def face_average(c: ScalarField) -> FaceField:
     """Coefficient values on faces: arithmetic mean of the two adjacent nodes,
     the bare interior node value on boundary faces."""
-    return FaceField(c.grid, _column_faces(c.mat), _column_faces(c.mat.T).T.copy())
+    return FaceField(c.grid, *_face_means(c.mat))
 
 
-def _column_faces(U: np.ndarray) -> np.ndarray:
-    """face_average on the faces between the columns of U."""
-    f = np.empty((U.shape[0], U.shape[1] + 1))
-    f[:, 1:-1] = 0.5 * (U[:, :-1] + U[:, 1:])
-    f[:, 0] = U[:, 0]
-    f[:, -1] = U[:, -1]
-    return f
+def _face_means(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """face_average's x- and y-face values of the node matrices on the last two
+    axes of U, any axis before them a stack."""
+    fx = np.empty(U.shape[:-1] + (U.shape[-1] + 1,))
+    fy = np.empty(U.shape[:-2] + (U.shape[-2] + 1, U.shape[-1]))
+    for F, V in ((fx, U), (fy.swapaxes(-1, -2), U.swapaxes(-1, -2))):
+        np.add(V[..., :-1], V[..., 1:], out=F[..., 1:-1])
+        F[..., 1:-1] *= 0.5
+        F[..., 0], F[..., -1] = V[..., 0], V[..., -1]
+    return fx, fy
 
 
 def dirichlet_lambda1(grid: Grid) -> float:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigen
+from .certify import _ratio_field
 from .grid import (Grid, KirchlabError, ScalarField, grad_inner, grad_norm_sq, integrate,
                    laplacian, node_grad_sq, dirichlet_lambda1)
 from .linalg import NoConvergence, _sine_basis, poisson_solve
@@ -412,7 +413,7 @@ def jacobian_identity(P: Problem, u: ScalarField) -> tuple[float, float]:
     under grid refinement.
     """
     s = grad_norm_sq(u)
-    c = ScalarField(P.grid, P.a.values / P.b.values)
+    c = _ratio_field(P.a, P.b)
     lhs = integrate(ScalarField(P.grid, u.values * laplacian(u).values / (c.values + s)))
     gsq = node_grad_sq(u)
     weight = eigen.eigen_weight(c, s)

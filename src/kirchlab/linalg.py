@@ -17,8 +17,7 @@ import math
 
 import numpy as np
 
-from .grid import (FaceField, Grid, KirchlabError, ScalarField, _face_differences,
-                   face_average)
+from .grid import Grid, KirchlabError, ScalarField, _face_differences, _face_means
 
 LOBPCG_TOL = 1e-10        # relative pencil residual of the principal pair
 LOBPCG_MAX_ITER = 2000    # about 2x the most steps seen (1023, 64x64 bump at alpha = 5)
@@ -78,24 +77,22 @@ def apply_weighted_laplacian(w: ScalarField, X: np.ndarray) -> np.ndarray:
     The face weights (face_average of w) multiply the ghost-zero face
     differences of grid.gradient.  This is the one five-point stencil of the
     weighted operator; the eigensolver calls its kernel on stacks of blocks,
-    with face weights built once per solve.
+    with face weights built once per stack of node weights.
     """
     g = w.grid
     X = np.asarray(X, dtype=float)
     if X.ndim not in (1, 2) or X.shape[0] != g.n_nodes:
         raise ValueError(f"block shape {X.shape} != ({g.n_nodes},) or ({g.n_nodes}, k)")
-    AX = _weighted_laplacian(g, *_face_weights(g, [face_average(w)]),
-                             X.reshape(1, g.n_nodes, -1))
+    AX = _weighted_laplacian(g, *_face_weights(g, w.values[None]), X.reshape(1, g.n_nodes, -1))
     return AX.reshape(X.shape)
 
 
-def _face_weights(g: Grid, wfs: list[FaceField]) -> tuple[np.ndarray, np.ndarray]:
-    """The x- and y-face weights of the stencil for each face field of wfs (face
-    averages of node weights), over hx^2 and hy^2: (k, ny, nx+1, 1) and
-    (k, ny+1, nx, 1), the last axis for the block columns."""
-    wx = np.stack([wf.xfaces for wf in wfs]) / g.hx ** 2
-    wy = np.stack([wf.yfaces for wf in wfs]) / g.hy ** 2
-    return wx[..., None], wy[..., None]
+def _face_weights(g: Grid, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The x- and y-face weights of the stencil for each node weight of the (k, n)
+    stack W (its face averages), over hx^2 and hy^2: C-contiguous (k, ny, nx+1, 1)
+    and (k, ny+1, nx, 1), the last axis for the block columns."""
+    wx, wy = _face_means(W.reshape(-1, g.ny, g.nx))
+    return (wx / g.hx ** 2)[..., None], (wy / g.hy ** 2)[..., None]
 
 
 def _weighted_laplacian(g: Grid, wx: np.ndarray, wy: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -142,37 +139,35 @@ def lobpcg_smallest_positive(w: ScalarField, B: np.ndarray) -> tuple[float, np.n
         raise ValueError(f"min weight {w.values.min():.6g} <= 0")
     if float(B.max()) <= 0.0:
         raise ValueError("pencil weight is nowhere positive: no positive eigenvalue")
-    out, = _lobpcg_stack([face_average(w)], w.values[None], B[None], [""])
+    out, = _lobpcg_stack(g, w.values[None], B[None], [""])
     if isinstance(out, KirchlabError):
         raise out
     return out
 
 
-def _lobpcg_stack(wfs: list[FaceField], W: np.ndarray, B: np.ndarray,
-                  where: list[str]) -> list:
-    """lobpcg_smallest_positive for k pencils on one grid, advanced in lockstep.
+def _lobpcg_stack(g: Grid, W: np.ndarray, B: np.ndarray, where: list[str]) -> list:
+    """lobpcg_smallest_positive for k pencils on the grid g, advanced in lockstep.
 
-    Pencil i has the node weight W[i] (positive), its face average wfs[i] and
-    the pencil weight B[i] (positive somewhere); W and B are (k, n).  Each step
-    normalizes the columns of [x, w, p] (Ritz vector, preconditioned residual,
-    previous direction), orthonormalizes them by Householder QR, and does the
-    Rayleigh-Ritz step on that 3-column basis with the Cholesky factor of its
-    A-Gram matrix: one sine solve and three stencil applications per pencil,
-    each numpy call taking the whole (k, n, 3) stack.  The residual r is
-    preconditioned by s * L^-1 (s * r) with s = 1/sqrt(W) and L the Poisson
-    operator: symmetric positive definite by congruence, and closer to A^-1
-    than L^-1 alone where W varies.  The start vector is the lowest sine mode;
-    nothing is random, and every call acts on each pencil alone, so a pencil
-    gets the same bits whatever the stack holds.  A pencil leaves the stack
-    once its Ritz pair's residual reaches LOBPCG_TOL.
+    Pencil i has the node weight W[i] > 0 (the stencil takes its face averages,
+    built once per stack) and the pencil weight B[i], positive somewhere; W and B
+    are (k, n).  Each step normalizes the columns of [x, w, p] (Ritz vector,
+    preconditioned residual, previous direction), orthonormalizes them by
+    Householder QR, and does the Rayleigh-Ritz step on that 3-column basis with
+    the Cholesky factor of its A-Gram matrix: one sine solve and three stencil
+    applications per pencil, each numpy call taking the whole (k, n, 3) stack.
+    The residual r is preconditioned by s * L^-1 (s * r) with s = 1/sqrt(W) and L
+    the Poisson operator: symmetric positive definite by congruence, and closer to
+    A^-1 than L^-1 alone where W varies.  The start vector is the lowest sine
+    mode; nothing is random, and every call acts on each pencil alone, so a pencil
+    gets the same bits whatever the stack holds.  A pencil leaves the stack once
+    its Ritz pair's residual reaches LOBPCG_TOL.
 
     Returns one entry per pencil: (lambda, x, iterations, residual) as
     lobpcg_smallest_positive returns them, or the KirchlabError or
     NoConvergence it failed with, its message ending in where[i].
     """
-    g = wfs[0].grid
     k = len(B)
-    wx, wy = _face_weights(g, wfs)
+    wx, wy = _face_weights(g, W)
     scale = 1.0 / np.sqrt(W)
     live = np.arange(k)
     results = [None] * k

@@ -254,9 +254,9 @@ def test_eigen_write_fields_solves_each_alpha_once(tmp_path, monkeypatch):
     stacks, weights = [], []
     solve_stack, weight = kirchlab.eigen._lobpcg_stack, kirchlab.eigen.eigen_weight
 
-    def counted_stack(wfs, W, B, where):
+    def counted_stack(g, W, B, where):
         stacks.append(list(where))      # one label per alpha handed to the solver
-        return solve_stack(wfs, W, B, where)
+        return solve_stack(g, W, B, where)
 
     def counted_weight(c, alpha):
         weights.append(alpha)
@@ -581,6 +581,22 @@ def test_underflowing_ratio_exits_3(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["certify"], ["eigen", "--alphas", "1"]],
+                         ids=["certify", "eigen"])
+def test_overflowing_ratio_exits_3_without_warnings(tmp_path, capsys, command):
+    # a, b > 0 pass the load check, but a/b overflows a double inside the run
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 8\nny = 8",
+                       coeffs="a = 1e300\nb = 1e-10\nh = 1")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command[0], "--config", cfg, "--out", str(tmp_path / "out"), "--quiet",
+                     *command[1:]])
+    assert code == 3
+    assert caught == []
+    assert capsys.readouterr().err == ("numerical failure: ratio a/b overflows a double "
+                                       "(max a = 1e+300, min b = 1e-10)\n")
+
+
 # each failure that once had a class of its own, named by that class, and the
 # class its raise sites use now
 FOLDED_FAILURES = [
@@ -642,6 +658,32 @@ def test_eigen_summary_follows_json_format(tmp_path):
     assert main(["eigen", "--config", cfg, "--alphas", "1", "--out", str(out), "--quiet"]) == 0
     assert (out / "eigen_curve.csv").exists()
     assert not (out / "eigen_summary.json").exists()
+
+
+# the files each subcommand writes under each one-format [output] formats list:
+# solve obeys formats throughout, eigen for its summary and fields only, and
+# certify, scan-study and example always write their one file
+FORMAT_FILES = {
+    "solve": {"csv": ["scan.csv"], "json": ["summary.json"], "fields": ["root_000.field"]},
+    "eigen": {"csv": ["eigen_curve.csv"], "json": ["eigen_curve.csv", "eigen_summary.json"],
+              "fields": ["eigen_curve.csv", "eigenfunction_000.field"]},
+    "certify": dict.fromkeys(("csv", "json", "fields"), ["certificate.json"]),
+    "scan-study": dict.fromkeys(("csv", "json", "fields"), ["scan_study.csv"]),
+    "example": dict.fromkeys(("csv", "json", "fields"), ["example_ratio.field"]),
+}
+EXTRA_ARGS = {"eigen": ["--alphas", "1", "--write-fields"], "scan-study": ["--scales", "1"]}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "fields"])
+@pytest.mark.parametrize("command", list(FORMAT_FILES))
+def test_output_formats_select_the_files_written(tmp_path, command, fmt):
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 6\nny = 6",
+                       coeffs="a = 1+x\nb = 1\nh = sin(pi*x)*sin(pi*y)",
+                       solver="n_samples = 16", output=f"formats = {fmt}")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet",
+                 *EXTRA_ARGS.get(command, [])]) == 0
+    assert sorted(p.name for p in out.iterdir()) == FORMAT_FILES[command][fmt]
 
 
 def test_main_parses_each_call_with_the_one_cached_parser(tmp_path, capsys):

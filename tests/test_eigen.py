@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,26 @@ def test_rayleigh_zero_denominator():
         rayleigh_quotient(c, 1.0, u)
 
 
+@pytest.mark.parametrize("call,alpha", [("bound", -0.5), ("bound", "-min c"), ("rayleigh", "-min c")],
+                         ids=["bound-at-minus-half", "bound-at-minus-min-c",
+                              "rayleigh-at-minus-min-c"])
+def test_negative_alpha_is_refused_before_any_arithmetic(call, alpha):
+    # at alpha = -min c the shifted ratio divides by zero, and 1/(c + alpha)
+    # is infinite at the minimum node
+    g = unit_grid(8)
+    c = ramp_field(g)
+    alpha = -float(c.values.min()) if alpha == "-min c" else alpha
+    u = smooth_random(g, np.random.default_rng(3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=r"^alpha must be nonnegative, got -"):
+            if call == "bound":
+                eigenvalue_lower_bound(c, alpha)
+            else:
+                rayleigh_quotient(c, alpha, u)
+    assert caught == []
+
+
 def test_lower_bound_ramp_hand_value():
     # c = 1+x on the unit square: |grad c| = 1 and the node extrema are
     # 1+h and 2-h, approaching the continuum arithmetic value
@@ -287,8 +308,8 @@ def test_eigen_curve_split_into_stacks_keeps_every_bit(stack_nodes, monkeypatch)
     solve_stack = eigen._lobpcg_stack
     monkeypatch.setattr(eigen, "_STACK_NODES", stack_nodes)
     monkeypatch.setattr(eigen, "_lobpcg_stack",
-                        lambda wfs, W, B, where: stacks.append(len(B)) or
-                        solve_stack(wfs, W, B, where))
+                        lambda g, W, B, where: stacks.append(len(B)) or
+                        solve_stack(g, W, B, where))
     split = eigen_curve(c, alphas)
     assert stacks == {1: [1] * 9, 768: [3, 3, 3], 1280: [5, 4]}[stack_nodes]
     assert split.to_csv() == whole.to_csv()

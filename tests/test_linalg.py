@@ -5,7 +5,7 @@ import pytest
 
 from kirchlab import linalg
 from kirchlab.grid import (FaceField, Grid, ScalarField, divergence,
-                           dirichlet_lambda1, face_average, gradient, laplacian)
+                           dirichlet_lambda1, gradient, laplacian)
 from kirchlab.grid import KirchlabError
 from kirchlab.linalg import (NoConvergence, apply_weighted_laplacian, lobpcg_smallest_positive,
                              _cholesky, _lobpcg_stack, _sine_basis, poisson_solve)
@@ -280,7 +280,7 @@ def random_pencils(g, rng, k):
     ws = [positive_random(g, rng, wobble=0.8) for _ in range(k)]
     X, Y = g.node_coords()
     B = np.stack([(X - 0.2 - 0.2 * i).reshape(-1) for i in range(k)])
-    return ws, [face_average(w) for w in ws], np.stack([w.values for w in ws]), B
+    return ws, np.stack([w.values for w in ws]), B
 
 
 def same_bits(a, b):
@@ -290,11 +290,11 @@ def same_bits(a, b):
 
 def test_lobpcg_stack_gives_each_pencil_its_bits_alone(rng):
     g = Grid.over_rectangle(13, 9, 1.0, 0.8)
-    ws, wfs, W, B = random_pencils(g, rng, 3)
-    stacked = _lobpcg_stack(wfs, W, B, ["a", "b", "c"])
+    ws, W, B = random_pencils(g, rng, 3)
+    stacked = _lobpcg_stack(g, W, B, ["a", "b", "c"])
     for i, (w, out) in enumerate(zip(ws, stacked)):
         assert same_bits(out, lobpcg_smallest_positive(w, B[i]))
-        assert same_bits(out, _lobpcg_stack(wfs[i:i + 1], W[i:i + 1], B[i:i + 1], [""])[0])
+        assert same_bits(out, _lobpcg_stack(g, W[i:i + 1], B[i:i + 1], [""])[0])
         assert out[0] == pytest.approx(dense_smallest_positive(w, B[i])[0], rel=1e-10)
     # the pencils converge at different steps, so each left the stack on its own
     assert len({out[2] for out in stacked}) > 1
@@ -302,8 +302,8 @@ def test_lobpcg_stack_gives_each_pencil_its_bits_alone(rng):
 
 def test_lobpcg_stack_failures_stay_with_their_pencil(rng, monkeypatch):
     g = Grid.over_rectangle(13, 9, 1.0, 0.8)
-    ws, wfs, W, B = random_pencils(g, rng, 3)
-    alone = _lobpcg_stack(wfs, W, B, ["", "", ""])
+    ws, W, B = random_pencils(g, rng, 3)
+    alone = _lobpcg_stack(g, W, B, ["", "", ""])
 
     def failing_second(G):
         L, failed = _cholesky(G)
@@ -312,14 +312,14 @@ def test_lobpcg_stack_failures_stay_with_their_pencil(rng, monkeypatch):
         return L, failed
 
     monkeypatch.setattr(linalg, "_cholesky", failing_second)
-    first, second, third = _lobpcg_stack(wfs, W, B, ["", " at pencil 1", ""])
+    first, second, third = _lobpcg_stack(g, W, B, ["", " at pencil 1", ""])
     assert type(second) is KirchlabError
     assert str(second) == "Cholesky of the Gram matrix failed at pencil 1"
     assert same_bits(first, alone[0]) and same_bits(third, alone[2])
 
     monkeypatch.undo()
     monkeypatch.setattr(linalg, "LOBPCG_MAX_ITER", 2)
-    outs = _lobpcg_stack(wfs, W, B, [" at a", " at b", " at c"])
+    outs = _lobpcg_stack(g, W, B, [" at a", " at b", " at c"])
     for out, name in zip(outs, "abc"):
         assert isinstance(out, NoConvergence)
         assert str(out).endswith(f"after 2 iterations at {name}")

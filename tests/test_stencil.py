@@ -1,18 +1,22 @@
-"""Bit-identity oracles for the one ghost-zero face stencil.
+"""Bit-identity oracles for the one ghost-zero face stencil and the face means.
 
 gradient, the gradient energy and the weighted Laplacian all difference
-through grid._face_differences.  Each is compared here, with np.array_equal,
-against a reference written the way it was before the three were merged:
-the gradient on a ghost-padded node matrix, the energy from its own np.diff
-face differences, and the weighted Laplacian on an (ny, nx, k) block.  The
-eigensolver's stacked kernel is compared with the one-block operator.
+through grid._face_differences.  Each is compared here, bit for bit (by
+tobytes, so that -0.0 and +0.0 differ), against a reference written the way it
+was before the three were merged: the gradient on a ghost-padded node matrix,
+the energy from its own np.diff face differences, and the weighted Laplacian
+on an (ny, nx, k) block.  The eigensolver's stacked kernel is compared with
+the one-block operator.  The face means of face_average and of the stacked
+face weights are compared with the column-by-column reference they replaced.
+The inputs spread over ten decades, and some carry exact +-0.0 on the edge
+rows and columns, where the ghost differences and the boundary face means act.
 """
 
 import numpy as np
 import pytest
 
-from kirchlab.grid import (Grid, ScalarField, _face_differences, face_average, grad_norm_sq,
-                           gradient)
+from kirchlab.grid import (Grid, ScalarField, _face_differences, _face_means, face_average,
+                           grad_norm_sq, gradient)
 from kirchlab.linalg import _face_weights, _weighted_laplacian, apply_weighted_laplacian
 
 from conftest import positive_random
@@ -35,13 +39,30 @@ def ref_face_energy(grid: Grid, U: np.ndarray) -> np.ndarray:
     return grid.cell_area * ((xf ** 2).sum(axis=(-2, -1)) + (yf ** 2).sum(axis=(-2, -1)))
 
 
+def ref_column_faces(U: np.ndarray) -> np.ndarray:
+    """face_average on the faces between the columns of the node matrix U."""
+    f = np.empty((U.shape[0], U.shape[1] + 1))
+    f[:, 1:-1] = 0.5 * (U[:, :-1] + U[:, 1:])
+    f[:, 0] = U[:, 0]
+    f[:, -1] = U[:, -1]
+    return f
+
+
+def ref_face_average(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return ref_column_faces(U), ref_column_faces(U.T).T.copy()
+
+
 def ref_weighted_laplacian(w: ScalarField, X: np.ndarray) -> np.ndarray:
     g = w.grid
-    wf = face_average(w)
+    wx, wy = ref_face_average(w.mat)
     U = X.reshape(g.ny, g.nx, -1)
-    fx = (wf.xfaces / g.hx ** 2)[:, :, None] * np.diff(U, axis=1, prepend=0.0, append=0.0)
-    fy = (wf.yfaces / g.hy ** 2)[:, :, None] * np.diff(U, axis=0, prepend=0.0, append=0.0)
+    fx = (wx / g.hx ** 2)[:, :, None] * np.diff(U, axis=1, prepend=0.0, append=0.0)
+    fy = (wy / g.hy ** 2)[:, :, None] * np.diff(U, axis=0, prepend=0.0, append=0.0)
     return -(np.diff(fx, axis=1) + np.diff(fy, axis=0)).reshape(X.shape)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def wide_values(rng, shape) -> np.ndarray:
@@ -49,36 +70,47 @@ def wide_values(rng, shape) -> np.ndarray:
     return rng.normal(size=shape) * 10.0 ** rng.uniform(-5, 5, size=shape)
 
 
+def zero_edges(U: np.ndarray, axes=(-2, -1)) -> np.ndarray:
+    """A copy of U whose node matrices, on the (y, x) axes, hold +0.0 and -0.0 in
+    turn on their edge rows and columns."""
+    V = np.moveaxis(U.copy(), axes, (-2, -1))
+    zeros = np.where(np.arange(V.size).reshape(V.shape) % 2 == 0, 0.0, -0.0)
+    for edge in (np.s_[..., 0, :], np.s_[..., -1, :], np.s_[..., :, 0], np.s_[..., :, -1]):
+        V[edge] = zeros[edge]
+    return np.moveaxis(V, (-2, -1), axes)
+
+
 @pytest.mark.parametrize("nx,ny,lx,ly", GRIDS, ids=GRID_IDS)
 def test_gradient_matches_padded_reference(nx, ny, lx, ly, rng):
     g = Grid.over_rectangle(nx, ny, lx, ly)
-    for _ in range(3):
-        u = ScalarField(g, wide_values(rng, g.n_nodes))
+    for U in [*wide_values(rng, (3, ny, nx)), zero_edges(wide_values(rng, (ny, nx)))]:
+        u = ScalarField(g, U)
         F, (xf, yf) = gradient(u), ref_gradient(u)
-        assert np.array_equal(F.xfaces, xf)
-        assert np.array_equal(F.yfaces, yf)
+        assert same_bits(F.xfaces, xf)
+        assert same_bits(F.yfaces, yf)
 
 
 @pytest.mark.parametrize("nx,ny,lx,ly", GRIDS, ids=GRID_IDS)
 def test_face_differences_of_a_stack_match_each_matrix(nx, ny, lx, ly, rng):
     g = Grid.over_rectangle(nx, ny, lx, ly)
-    stack = wide_values(rng, (4, ny, nx))
+    stack = np.concatenate((wide_values(rng, (2, ny, nx)),
+                            zero_edges(wide_values(rng, (2, ny, nx)))))
     dx, dy = _face_differences(stack)
     assert dx.shape == (4, ny, nx + 1) and dy.shape == (4, ny + 1, nx)
     for U, dxu, dyu in zip(stack, dx, dy):
         xf, yf = ref_gradient(ScalarField(g, U))
-        assert np.array_equal(dxu / g.hx, xf)
-        assert np.array_equal(dyu / g.hy, yf)
+        assert same_bits(dxu / g.hx, xf)
+        assert same_bits(dyu / g.hy, yf)
     # the same stack with the node axes first, as the weighted Laplacian holds a block
     dx_last, dy_last = _face_differences(np.moveaxis(stack, 0, -1), axes=(0, 1))
-    assert np.array_equal(np.moveaxis(dx_last, -1, 0), dx)
-    assert np.array_equal(np.moveaxis(dy_last, -1, 0), dy)
+    assert same_bits(np.moveaxis(dx_last, -1, 0), dx)
+    assert same_bits(np.moveaxis(dy_last, -1, 0), dy)
 
 
 @pytest.mark.parametrize("nx,ny,lx,ly", GRIDS, ids=GRID_IDS)
 def test_face_energy_matches_reference(nx, ny, lx, ly, rng):
     g = Grid.over_rectangle(nx, ny, lx, ly)
-    for U in wide_values(rng, (5, ny, nx)):
+    for U in [*wide_values(rng, (5, ny, nx)), zero_edges(wide_values(rng, (ny, nx)))]:
         assert grad_norm_sq(ScalarField(g, U)) == float(ref_face_energy(g, U))
 
 
@@ -89,9 +121,8 @@ def test_weighted_laplacian_matches_reference(nx, ny, lx, ly, shape, rng):
     w = positive_random(g, rng, wobble=0.8)
     X = wide_values(rng, {"vector": (g.n_nodes,), "n x 1": (g.n_nodes, 1),
                           "n x 24": (g.n_nodes, 24)}[shape])
-    AX = apply_weighted_laplacian(w, X)
-    assert AX.shape == X.shape
-    assert np.array_equal(AX, ref_weighted_laplacian(w, X))
+    for V in (X, zero_edges(X.reshape(ny, nx, -1), axes=(0, 1)).reshape(X.shape)):
+        assert same_bits(apply_weighted_laplacian(w, V), ref_weighted_laplacian(w, V))
 
 
 def test_stacked_weighted_laplacian_matches_each_block(rng):
@@ -104,8 +135,25 @@ def test_stacked_weighted_laplacian_matches_each_block(rng):
                 ws = [positive_random(g, rng, wobble=0.8) for _ in range(k)]
                 for m in (1, 2, 3):
                     X = wide_values(rng, (k, g.n_nodes, m))
-                    AX = _weighted_laplacian(g, *_face_weights(g, [face_average(w) for w in ws]), X)
+                    AX = _weighted_laplacian(g, *_face_weights(g, np.stack([w.values for w in ws])), X)
                     assert AX.shape == X.shape
                     for w, Xi, AXi in zip(ws, X, AX):
-                        assert np.array_equal(AXi, apply_weighted_laplacian(w, Xi))
-                        assert np.array_equal(AXi, ref_weighted_laplacian(w, Xi))
+                        assert same_bits(AXi, apply_weighted_laplacian(w, Xi))
+                        assert same_bits(AXi, ref_weighted_laplacian(w, Xi))
+
+
+@pytest.mark.parametrize("nx,ny,lx,ly", GRIDS, ids=GRID_IDS)
+def test_face_means_match_column_reference(nx, ny, lx, ly, rng):
+    g = Grid.over_rectangle(nx, ny, lx, ly)
+    stack = np.concatenate((wide_values(rng, (2, ny, nx)),
+                            zero_edges(wide_values(rng, (2, ny, nx)))))
+    fx, fy = _face_means(stack)
+    wx, wy = _face_weights(g, stack.reshape(4, -1))
+    for a in (fx, fy, wx, wy):
+        assert a.flags.c_contiguous
+    for U, fxu, fyu, wxu, wyu in zip(stack, fx, fy, wx, wy):
+        xf, yf = ref_face_average(U)
+        wf = face_average(ScalarField(g, U))
+        assert same_bits(fxu, xf) and same_bits(fyu, yf)
+        assert same_bits(wf.xfaces, xf) and same_bits(wf.yfaces, yf)
+        assert same_bits(wxu[..., 0], xf / g.hx ** 2) and same_bits(wyu[..., 0], yf / g.hy ** 2)
