@@ -92,11 +92,18 @@ def shifted_ratio(c: ScalarField, alpha: float) -> float:
     The one closed form behind ratio_criterion, ratio_gap and
     eigen.eigenvalue_lower_bound.  Those three are derived from this value
     directly rather than from each other, so the +1/-1 shift of ratio_gap
-    never rounds a small ratio away.  A negative alpha is a ValueError.
+    never rounds a small ratio away.  A negative or non-finite alpha is a ValueError.
     """
+    _check_alpha(alpha)
+    return _shift(_ratio_terms(c), alpha)
+
+
+def _check_alpha(alpha: float) -> None:
+    """Refuse an alpha that is negative, NaN or infinite, naming it."""
     if alpha < 0.0:
         raise ValueError(f"alpha must be nonnegative, got {alpha:.6g}")
-    return _shift(_ratio_terms(c), alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
 
 
 def _ratio_terms(c: ScalarField) -> tuple[float, float, float, float]:

@@ -210,25 +210,22 @@ def to_json_text(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def _write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="ascii")
-
-
 # --- subcommand runners -----------------------------------------------------
+# Each runner returns (exit code, files, note) and writes nothing: a file is
+# (name, format, text or ScalarField), with format None for a file written
+# whatever [output] formats lists.  main writes the files and prints the note.
 
-def run_solve(cfg: Config, out_dir: Path, quiet: bool) -> int:
-    t0 = time.time()
+def run_solve(cfg: Config) -> tuple:
     problem = Problem(cfg.a, cfg.b, cfg.h)
     report = fixed_point_scan(problem, cfg.n_samples, s_max=cfg.s_max_override)
 
     try:
         sol = newton_solve(problem, tol=cfg.newton_tol)
         newton_info = {"converged": True, "s": sol.s, "residual": sol.residual,
-                       "reason": None}
+                       "steps": sol.steps, "reason": None}
     except FAILURES as err:
         # the scan remains the ground truth; record why the cross-check failed
-        newton_info = {"converged": False, "s": None, "residual": None,
+        newton_info = {"converged": False, "s": None, "residual": None, "steps": None,
                        "reason": _reason(err)}
 
     rows = [(s, phi, "sample") for s, phi in report.samples]
@@ -237,11 +234,10 @@ def run_solve(cfg: Config, out_dir: Path, quiet: bool) -> int:
     csv_text = "s,phi_s,kind\n" + "".join(
         f"{fmt(s)},{fmt(p)},{kind}\n" for s, p, kind in rows)
 
-    root_entries = []
+    files, root_entries = [], []
     for i, r in enumerate(report.roots):
         fname = f"root_{i:03d}.field"
-        if "fields" in cfg.formats:
-            write_field(r.u, out_dir / fname)
+        files.append((fname, "fields", r.u))
         root_entries.append({"s": r.s, "residual": r.residual, "method": r.method,
                              "dphi": r.dphi, "refine_evals": r.refine_evals,
                              "file": fname if "fields" in cfg.formats else None})
@@ -254,69 +250,50 @@ def run_solve(cfg: Config, out_dir: Path, quiet: bool) -> int:
         "newton": newton_info,
         "grid": cfg.grid.header(),
     }
-    if "csv" in cfg.formats:
-        _write_text(out_dir / "scan.csv", csv_text)
-    if "json" in cfg.formats:
-        _write_text(out_dir / "summary.json", to_json_text(summary) + "\n")
-    if not quiet:
-        print(f"solve: {len(report.roots)} root(s) in {time.time() - t0:.2f}s "
-              f"-> {out_dir}", file=sys.stderr)
-    return 0 if report.roots else 3
+    files += [("scan.csv", "csv", csv_text),
+              ("summary.json", "json", to_json_text(summary) + "\n")]
+    return (0 if report.roots else 3), files, f"{len(report.roots)} root(s)"
 
 
-def run_certify(cfg: Config, out_dir: Path, quiet: bool) -> int:
+def run_certify(cfg: Config) -> tuple:
     cert = certify(cfg.a, cfg.b)
-    _write_text(out_dir / "certificate.json", to_json_text(cert.to_json_dict()) + "\n")
-    if not quiet:
-        print(f"certify: {cert.verdict} (ratio {cert.ratio_value:.4g}, "
-              f"min_D {cert.min_d:.4g})", file=sys.stderr)
-    return 0 if cert.verdict != "Inconclusive" else 1
+    return ((0 if cert.verdict != "Inconclusive" else 1),
+            [("certificate.json", None, to_json_text(cert.to_json_dict()) + "\n")],
+            f"{cert.verdict} (ratio {cert.ratio_value:.4g}, min_D {cert.min_d:.4g})")
 
 
-def run_eigen(cfg: Config, alphas: list, out_dir: Path, quiet: bool,
-              write_fields: bool) -> int:
+def run_eigen(cfg: Config, alphas: list, write_fields: bool) -> tuple:
     c = _ratio_field(cfg.a, cfg.b)
     curve = eigen_curve(c, alphas)
     if not curve.rows:
         print("eigen: admissible set empty for the sampled alphas", file=sys.stderr)
-        return 1
-    _write_text(out_dir / "eigen_curve.csv", curve.to_csv())
-    if "json" in cfg.formats:
-        summary = {
-            "grid": cfg.grid.header(),
-            "rows": [{"alpha": p.alpha, "iterations": p.iterations, "residual": p.residual}
-                     for p in curve.pairs],
-        }
-        _write_text(out_dir / "eigen_summary.json", to_json_text(summary) + "\n")
-    if write_fields and "fields" in cfg.formats:
-        for i, pair in enumerate(curve.pairs):
-            write_field(pair.u, out_dir / f"eigenfunction_{i:03d}.field")
-    if not quiet:
-        print(f"eigen: {len(curve.rows)} admissible alpha(s) -> {out_dir}",
-              file=sys.stderr)
-    return 0
+        return 1, [], None
+    summary = {
+        "grid": cfg.grid.header(),
+        "rows": [{"alpha": p.alpha, "iterations": p.iterations, "residual": p.residual}
+                 for p in curve.pairs],
+    }
+    files = [("eigen_curve.csv", None, curve.to_csv()),
+             ("eigen_summary.json", "json", to_json_text(summary) + "\n")]
+    if write_fields:
+        files += [(f"eigenfunction_{i:03d}.field", "fields", pair.u)
+                  for i, pair in enumerate(curve.pairs)]
+    return 0, files, f"{len(curve.rows)} admissible alpha(s)"
 
 
-def run_scan_study(cfg: Config, scales: list, out_dir: Path, quiet: bool) -> int:
+def run_scan_study(cfg: Config, scales: list) -> tuple:
     lines = ["k,n_roots,s_values"]
     for k in scales:
         problem = Problem(cfg.a, cfg.b, ScalarField(cfg.grid, k * cfg.h.values))
         report = fixed_point_scan(problem, cfg.n_samples, s_max=cfg.s_max_override)
         s_vals = ";".join(fmt(r.s) for r in report.roots)
         lines.append(f"{fmt(k)},{len(report.roots)},{s_vals}")
-    _write_text(out_dir / "scan_study.csv", "\n".join(lines) + "\n")
-    if not quiet:
-        print(f"scan-study: {len(scales)} scale(s) -> {out_dir}", file=sys.stderr)
-    return 0
+    return 0, [("scan_study.csv", None, "\n".join(lines) + "\n")], f"{len(scales)} scale(s)"
 
 
-def run_example(grid: Grid, out_dir: Path, quiet: bool) -> int:
-    c = pointwise_certified_ratio(grid)
-    write_field(c, out_dir / "example_ratio.field")
-    if not quiet:
-        print(f"example: ratio field on {grid.nx}x{grid.ny} -> "
-              f"{out_dir / 'example_ratio.field'}", file=sys.stderr)
-    return 0
+def run_example(grid: Grid) -> tuple:
+    return (0, [("example_ratio.field", None, pointwise_certified_ratio(grid))],
+            f"ratio field on {grid.nx}x{grid.ny}")
 
 
 # --- argument parsing -------------------------------------------------------
@@ -376,35 +353,32 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse(args) -> tuple:
     """Parse phase: config, grid, --alphas and --scales.
 
-    Returns the run phase as a callable of (output directory, quiet), and the
-    output directory, which main creates before the run phase.
+    Returns the run phase as a callable of no arguments, the output directory,
+    which main creates before the run phase, and the formats main writes.
     """
     if args.command == "example":
         grid, cfg_out = _grid_and_out_dir(_read_ini(args.config))
         if grid.nx < 3 or grid.ny < 3:
             raise ValueError(f"example needs at least 3 interior nodes per axis, "
                              f"got {grid.nx}x{grid.ny}")
-        return partial(run_example, grid), args.out if args.out is not None else cfg_out
+        return partial(run_example, grid), args.out if args.out is not None else cfg_out, ()
     cfg = parse_config(args.config)
-    out = args.out if args.out is not None else cfg.out_dir
-    if args.command == "solve":
-        return partial(run_solve, cfg), out
-    if args.command == "certify":
-        return partial(run_certify, cfg), out
     if args.command == "eigen":
         alphas = _parse_float_list(args.alphas, "alpha")
         if any(alpha <= 0 for alpha in alphas):
             raise ValueError("alphas must be positive")
-        return partial(run_eigen, cfg, alphas, write_fields=args.write_fields), out
-    if args.command == "scan-study":
-        return partial(run_scan_study, cfg, _parse_float_list(args.scales, "scale")), out
-    raise AssertionError(f"unhandled command {args.command}")
+        run = partial(run_eigen, cfg, alphas, args.write_fields)
+    elif args.command == "scan-study":
+        run = partial(run_scan_study, cfg, _parse_float_list(args.scales, "scale"))
+    else:
+        run = partial({"solve": run_solve, "certify": run_certify}[args.command], cfg)
+    return run, args.out if args.out is not None else cfg.out_dir, cfg.formats
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        run, out = _parse(args)
+        run, out, formats = _parse(args)
     except FAILURES as err:
         print(f"config error: {_reason(err)}", file=sys.stderr)
         return 2
@@ -414,14 +388,26 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"config error: cannot create output directory {out}: {err}", file=sys.stderr)
         return 2
+    t0 = time.perf_counter()
     try:
-        return run(out_dir, args.quiet)
+        code, files, note = run()
+        for name, kind, content in files:
+            if kind is not None and kind not in formats:
+                continue
+            if isinstance(content, str):
+                (out_dir / name).write_text(content, encoding="ascii")
+            else:
+                write_field(content, out_dir / name)
     except OSError as err:
         print(f"config error: cannot write output in {out}: {err}", file=sys.stderr)
         return 2
     except FAILURES as err:
         print(f"numerical failure: {_reason(err)}", file=sys.stderr)
         return 3
+    if note is not None and not args.quiet:
+        print(f"{args.command}: {note} in {time.perf_counter() - t0:.2f}s -> {out_dir}",
+              file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import _ratio_terms, _shift, shifted_ratio
+from .certify import _check_alpha, _ratio_terms, _shift, shifted_ratio
 from .grid import (FaceField, KirchlabError, ScalarField, divergence, face_average,
                    gradient, grad_norm_sq, integrate)
 from .linalg import NoConvergence, _lobpcg_stack
@@ -69,8 +69,7 @@ def weight_flux(c: ScalarField, alpha: float) -> FaceField:
     """
     if float(c.values.min()) <= 0.0:
         raise ValueError(f"ratio field must be positive, min = {c.values.min():.6g}")
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha:.6g}")
+    _check_alpha(alpha)
     g = c.grid
     return FaceField(g, _column_flux(c.mat, g.hx, alpha),
                      _column_flux(c.mat.T, g.hy, alpha).T.copy())

@@ -70,6 +70,7 @@ class NonlocalSolution:
     method: str  # "fixed-point-scan" | "newton"
     dphi: float | None = None  # Phi'(s) at a scan root: the invertibility indicator
     refine_evals: int = 0      # Phi evaluations the scan spent on this root after sampling
+    steps: int = 0             # linearized solves newton_solve took for this root
 
 
 @dataclass
@@ -397,7 +398,7 @@ def newton_solve(P: Problem, tol: float = NEWTON_TOL) -> NonlocalSolution:
     if not res <= tol:
         raise NoConvergence(f"Newton stalled at residual {res:.3e} after "
                             f"{NEWTON_MAX_ITER} iterations", iterate=u, residual=res)
-    return NonlocalSolution(u, s, res, "newton")
+    return NonlocalSolution(u, s, res, "newton", steps=steps)
 
 
 def jacobian_identity(P: Problem, u: ScalarField) -> tuple[float, float]:

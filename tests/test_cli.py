@@ -1,11 +1,13 @@
 import json
 import math
 import random
+import re
 import warnings
 
 import pytest
 
 import kirchlab.eigen
+import kirchlab.kirchhoff
 from kirchlab import KirchlabError, cli, expr, linalg
 from kirchlab.cli import main, parse_config, to_json_text
 from kirchlab.eigen import principal_eigenpair
@@ -89,7 +91,27 @@ def test_solve_records_newton_failure_reason(tmp_path):
     newton = json.loads((outs[0] / "summary.json").read_text())["newton"]
     assert newton["converged"] is False
     assert isinstance(newton["reason"], str) and newton["reason"]
+    assert newton["steps"] is None
     assert (outs[0] / "summary.json").read_bytes() == (outs[1] / "summary.json").read_bytes()
+
+
+def test_solve_reports_newton_steps(tmp_path, monkeypatch):
+    # steps counts the linearized solves of the Newton cross-check
+    calls = []
+    solve = kirchlab.kirchhoff.linearized_solve
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(kirchlab.kirchhoff, "linearized_solve", counted)
+    cfg = cubic_config(tmp_path / "cfg.ini")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    newton = json.loads((out / "summary.json").read_text())["newton"]
+    assert list(newton) == ["converged", "s", "residual", "steps", "reason"]
+    assert newton["converged"] is True
+    assert newton["steps"] == len(calls) >= 1
 
 
 @pytest.mark.parametrize("source", ["expression", "file"])
@@ -684,6 +706,22 @@ def test_output_formats_select_the_files_written(tmp_path, command, fmt):
     assert main([command, "--config", cfg, "--out", str(out), "--quiet",
                  *EXTRA_ARGS.get(command, [])]) == 0
     assert sorted(p.name for p in out.iterdir()) == FORMAT_FILES[command][fmt]
+
+
+@pytest.mark.parametrize("command", list(FORMAT_FILES))
+def test_one_note_per_run(tmp_path, capsys, command):
+    # main prints the one note, with the wall time and the output directory,
+    # unless --quiet
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 6\nny = 6",
+                       coeffs="a = 1+x\nb = 1\nh = sin(pi*x)*sin(pi*y)",
+                       solver="n_samples = 16")
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg, "--out", str(out), *EXTRA_ARGS.get(command, [])]
+    assert main(argv) == 0
+    note = rf"{re.escape(command)}: [^\n]+ in \d+\.\d\ds -> {re.escape(str(out))}\n"
+    assert re.fullmatch(note, capsys.readouterr().err)
+    assert main([*argv, "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_main_parses_each_call_with_the_one_cached_parser(tmp_path, capsys):

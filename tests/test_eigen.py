@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kirchlab import eigen, linalg
+from kirchlab.certify import ratio_gap, shifted_ratio
 from kirchlab.eigen import (EigenCurve, eigen_curve, eigen_weight, eigenvalue_lower_bound,
                             is_admissible, principal_eigenpair, rayleigh_quotient,
                             weight_flux)
@@ -232,6 +233,24 @@ def test_negative_alpha_is_refused_before_any_arithmetic(call, alpha):
     assert caught == []
 
 
+# every public alpha path; each goes through certify.shifted_ratio or weight_flux
+NONFINITE_ALPHA_CALLS = {
+    "shifted_ratio": shifted_ratio, "ratio_gap": ratio_gap,
+    "eigenvalue_lower_bound": eigenvalue_lower_bound, "weight_flux": weight_flux,
+    "eigen_weight": eigen_weight, "is_admissible": is_admissible,
+    "principal_eigenpair": principal_eigenpair,
+    "eigen_curve": lambda c, alpha: eigen_curve(c, [1.0, alpha]),
+}
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", list(NONFINITE_ALPHA_CALLS))
+def test_nonfinite_alpha_is_refused_naming_it(name, alpha):
+    # alpha < 0 is false for NaN, and at alpha = inf the flux was silently zero
+    with pytest.raises(ValueError, match=f"^alpha must be finite, got {alpha}$"):
+        NONFINITE_ALPHA_CALLS[name](ramp_field(unit_grid(8)), alpha)
+
+
 def test_lower_bound_ramp_hand_value():
     # c = 1+x on the unit square: |grad c| = 1 and the node extrema are
     # 1+h and 2-h, approaching the continuum arithmetic value
@@ -358,8 +377,9 @@ def test_eigen_curve_weight_error_after_earlier_alphas(monkeypatch):
     with pytest.raises(ValueError, match="alpha must be positive"):
         eigen_curve(ramp_field(g), [0.5, -1.0])
     monkeypatch.setattr(linalg, "LOBPCG_MAX_ITER", 1)
-    with pytest.raises(linalg.NoConvergence, match="at alpha = 0.5$"):
-        eigen_curve(ramp_field(g), [0.5, -1.0])
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(linalg.NoConvergence, match="at alpha = 0.5$"):
+            eigen_curve(ramp_field(g), [0.5, bad])
 
 
 def test_eigen_curve_csv_format():
