@@ -58,8 +58,7 @@ def pointwise_criterion(c: ScalarField) -> ScalarField:
     Lap uses the zero ghosts, so values on the one-node boundary collar are
     meaningless for coefficients; interior_min reports the honest region.
     """
-    if float(c.values.min()) <= 0.0:
-        raise ValueError(f"ratio field must be positive, min = {c.values.min():.6g}")
+    _check_ratio(c)
     overflow = ValueError(f"pointwise criterion overflows a double "
                           f"(max c = {c.values.max():.3g})")
     with np.errstate(over="ignore"):
@@ -106,10 +105,15 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be finite, got {alpha}")
 
 
-def _ratio_terms(c: ScalarField) -> tuple[float, float, float, float]:
-    """The alpha-free terms of shifted_ratio: |grad c|_inf, c_min, c_max and sqrt(lambda1)."""
+def _check_ratio(c: ScalarField) -> None:
+    """Refuse a ratio field that is not positive everywhere, naming its minimum."""
     if float(c.values.min()) <= 0.0:
         raise ValueError(f"ratio field must be positive, min = {c.values.min():.6g}")
+
+
+def _ratio_terms(c: ScalarField) -> tuple[float, float, float, float]:
+    """The alpha-free terms of shifted_ratio: |grad c|_inf, c_min, c_max and sqrt(lambda1)."""
+    _check_ratio(c)
     return (coeff_grad_inf(c), float(c.values.min()), float(c.values.max()),
             math.sqrt(dirichlet_lambda1(c.grid)))
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import _check_alpha, _ratio_terms, _shift, shifted_ratio
-from .grid import (FaceField, KirchlabError, ScalarField, divergence, face_average,
-                   gradient, grad_norm_sq, integrate)
+from .certify import _check_alpha, _check_ratio, _ratio_terms, _shift, shifted_ratio
+from .grid import (FaceField, KirchlabError, ScalarField, _face_mean, _ghost_difference,
+                   divergence, face_average, gradient, grad_norm_sq, integrate)
 from .linalg import NoConvergence, _lobpcg_stack
 
 ADMISSIBLE_TOL = 1e-10
@@ -67,31 +67,22 @@ def weight_flux(c: ScalarField, alpha: float) -> FaceField:
     extrapolated from the two nearest parallel interior faces, falling back to
     a copy (or zero) on very thin grids.
     """
-    if float(c.values.min()) <= 0.0:
-        raise ValueError(f"ratio field must be positive, min = {c.values.min():.6g}")
+    _check_ratio(c)
     _check_alpha(alpha)
-    g = c.grid
-    return FaceField(g, _column_flux(c.mat, g.hx, alpha),
-                     _column_flux(c.mat.T, g.hy, alpha).T.copy())
-
-
-def _column_flux(U: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    """weight_flux on the faces between the columns of U, spacing h."""
-    f = np.zeros((U.shape[0], U.shape[1] + 1))
-    if U.shape[1] >= 2:
-        cf = 0.5 * (U[:, 1:] + U[:, :-1])
-        # past alpha ~ 1.3e154 the square is inf and the flux 0, whose true
-        # size is below |dU/h| * 5.6e-309
-        with np.errstate(over="ignore"):
-            sq = (cf + alpha) ** 2
-        f[:, 1:-1] = (U[:, 1:] - U[:, :-1]) / h / sq
-        if U.shape[1] >= 3:
-            f[:, 0] = 2.0 * f[:, 1] - f[:, 2]
-            f[:, -1] = 2.0 * f[:, -2] - f[:, -3]
+    g, faces = c.grid, []
+    for axis, h in ((1, g.hx), (0, g.hy)):
+        # past alpha ~ 1.3e154 the square is inf and the flux 0, whose true size
+        # is below |dc/h| * 5.6e-309.  The end faces' ghost quotients, replaced
+        # below, may overflow; FaceField refuses an inner face that is not finite
+        with np.errstate(all="ignore"):
+            f = _ghost_difference(c.mat, axis) / h / (_face_mean(c.mat, axis) + alpha) ** 2
+        F = f.swapaxes(axis, 0)       # the n + 1 faces of n nodes along axis
+        if len(F) >= 4:
+            F[0], F[-1] = 2.0 * F[1] - F[2], 2.0 * F[-2] - F[-3]
         else:
-            f[:, 0] = f[:, 1]
-            f[:, -1] = f[:, 1]
-    return f
+            F[0], F[-1] = (F[1], F[1]) if len(F) == 3 else (0.0, 0.0)
+        faces.append(f)
+    return FaceField(g, *faces)
 
 
 def eigen_weight(c: ScalarField, alpha: float) -> ScalarField:

@@ -140,9 +140,6 @@ class _Parser:
         self.advance()
 
     def parse(self) -> Expr:
-        kind, _, off = self.cur
-        if kind == "end":
-            raise ExprError("empty expression", off)
         tree = self.expression(0)
         kind, text, off = self.cur
         if kind == "rparen":

@@ -13,9 +13,9 @@ faces between nodes, divergences back at the nodes:
 With zero ghosts the pair (gradient, -divergence) is an exact discrete
 adjoint, so the Green identity  sum u * div F = -sum F . grad u  holds to
 roundoff for every face field F.  All quadrature is the midpoint rule
-hx*hy*sum over interior nodes.  The one face stencil (_face_differences)
-also takes a stack of node matrices, for the weighted Laplacian of a block of
-vectors; every other operator here acts on one field.
+hx*hy*sum over interior nodes.  Two axis kernels, _ghost_difference and
+_face_mean, make every node-to-face transfer; the weighted Laplacian and its
+face weights take stacks of node matrices, every other operator one field.
 
 Node storage is row-major with x fastest: values.reshape(ny, nx)[j, i] is
 the node at (x0 + (i+1)*hx, y0 + (j+1)*hy).
@@ -244,20 +244,11 @@ def coeff_node_gradient(c: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     (one-sided); an axis with a single node column has no information and
     contributes 0.
     """
-    g = c.grid
-    return _column_gradient(c.mat, g.hx), _column_gradient(c.mat.T, g.hy).T.copy()
-
-
-def _column_gradient(U: np.ndarray, h: float) -> np.ndarray:
-    """coeff_node_gradient across the columns of U, spacing h."""
-    gu = np.zeros(U.shape)
-    if U.shape[1] > 1:
-        d = (U[:, 1:] - U[:, :-1]) / h
-        gu[:, 0] = d[:, 0]
-        gu[:, -1] = d[:, -1]
-        if U.shape[1] > 2:
-            gu[:, 1:-1] = 0.5 * (d[:, :-1] + d[:, 1:])
-    return gu
+    # np.diff is on the n - 1 interior faces of an axis of n nodes, and their
+    # face means, the end differences copied, land back on the n nodes
+    g, U = c.grid, c.mat
+    return tuple(_face_mean(np.diff(U, axis=axis) / h, axis) if U.shape[axis] > 1
+                 else np.zeros(U.shape) for axis, h in ((1, g.hx), (0, g.hy)))
 
 
 def coeff_grad_inf(c: ScalarField) -> float:
@@ -275,13 +266,19 @@ def face_average(c: ScalarField) -> FaceField:
 def _face_means(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """face_average's x- and y-face values of the node matrices on the last two
     axes of U, any axis before them a stack."""
-    fx = np.empty(U.shape[:-1] + (U.shape[-1] + 1,))
-    fy = np.empty(U.shape[:-2] + (U.shape[-2] + 1, U.shape[-1]))
-    for F, V in ((fx, U), (fy.swapaxes(-1, -2), U.swapaxes(-1, -2))):
-        np.add(V[..., :-1], V[..., 1:], out=F[..., 1:-1])
-        F[..., 1:-1] *= 0.5
-        F[..., 0], F[..., -1] = V[..., 0], V[..., -1]
-    return fx, fy
+    return _face_mean(U, -1), _face_mean(U, -2)
+
+
+def _face_mean(U: np.ndarray, axis: int) -> np.ndarray:
+    """Node-to-face means along axis of U: the mean of the two neighbours on each
+    inner face, the end values copied onto the two end faces."""
+    axis %= U.ndim
+    f = np.empty(U.shape[:axis] + (U.shape[axis] + 1,) + U.shape[axis + 1:])
+    F, V = f.swapaxes(axis, 0), U.swapaxes(axis, 0)
+    np.add(V[:-1], V[1:], out=F[1:-1])
+    F[1:-1] *= 0.5
+    F[0], F[-1] = V[0], V[-1]
+    return f
 
 
 def dirichlet_lambda1(grid: Grid) -> float:

@@ -110,7 +110,7 @@ def solve_frozen(P: Problem, s: float) -> ScalarField:
 
     Raises a ValueError when the solution is not finite.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         u = poisson_solve(P.grid, P.h.values / _frozen_coefficients(P, [s])[0])
     if not np.isfinite(u).all():
         raise ValueError(f"frozen solve at s = {s:.6g} is not finite")

@@ -41,6 +41,11 @@ def test_pointwise_criterion_overflow_raises():
     with pytest.raises(ValueError, match=r"pointwise criterion overflows a double "
                                          r"\(max c = 1e\+200\)"):
         pointwise_criterion(ScalarField.full(unit_grid(8), 1e200))
+    # |grad c|^2 fits in a double, but dividing it by c = 1e-300 does not
+    c = ScalarField(unit_grid(4), np.where(np.arange(16) == 5, 1e-300, 1e10))
+    with pytest.raises(ValueError, match=r"^pointwise criterion overflows a double "
+                                         r"\(max c = 1e\+10\)$"):
+        pointwise_criterion(c)
 
 
 def test_ratio_criterion_values():
@@ -135,10 +140,13 @@ def test_construction_needs_3_nodes_per_axis():
         for ny in range(3, 13):
             c = pointwise_certified_ratio(Grid.over_rectangle(nx, ny))
             assert interior_min(pointwise_criterion(c)) >= -1e-6
-    for nx, ny in ((2, 8), (8, 2)):
+    for nx, ny in ((2, 8), (8, 2), (1, 4)):
         with pytest.raises(KirchlabError, match=r"^construction violates its own certificate: "
                                                 r".* \(grid too coarse\)$"):
             pointwise_certified_ratio(Grid.over_rectangle(nx, ny))
+    # on one node the ghost-zero node gradient vanishes
+    with pytest.raises(KirchlabError, match=r"^degenerate construction on this grid$"):
+        pointwise_certified_ratio(Grid.over_rectangle(1, 1))
 
 
 def test_construction_weight_never_positive():

@@ -11,7 +11,8 @@ import kirchlab.kirchhoff
 from kirchlab import KirchlabError, cli, expr, linalg
 from kirchlab.cli import main, parse_config, to_json_text
 from kirchlab.eigen import principal_eigenpair
-from kirchlab.grid import ScalarField, dirichlet_lambda1, grad_norm_sq, read_field, write_field
+from kirchlab.grid import (Grid, ScalarField, dirichlet_lambda1, grad_norm_sq, read_field,
+                           write_field)
 from kirchlab.certify import interior_min, pointwise_criterion
 
 from conftest import three_root_fields, unit_grid
@@ -209,6 +210,52 @@ def test_empty_format_list_exits_2(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 2
     assert "empty output format list ','" in capsys.readouterr().err
     assert not out.exists()
+
+
+BASE_CONFIG = "[grid]\nnx = 4\nny = 4\n\n[coefficients]\na = 1\nb = 1\nh = 1\n"
+CONFIG_ERRORS = {  # id: (config text, command, message after "config error: ")
+    "missing-nx": (BASE_CONFIG.replace("nx = 4\n", ""), ["certify"],
+                   "missing required key 'nx' in section [grid]"),
+    "key-before-section": ("nx = 4\n" + BASE_CONFIG, ["certify"], "malformed config "),
+    "duplicate-key": (BASE_CONFIG.replace("nx = 4\n", "nx = 4\nnx = 4\n"), ["certify"],
+                      "malformed config "),
+    "unreadable-field": (BASE_CONFIG.replace("a = 1", "a_file = {missing}"), ["certify"],
+                         "coefficient 'a': cannot read {missing}: "),
+    "no-grid": (BASE_CONFIG.replace("[grid]\nnx = 4\nny = 4\n", ""), ["certify"],
+                "missing required section [grid]"),
+    "no-coefficients": (BASE_CONFIG.split("\n[coefficients]")[0], ["certify"],
+                        "missing required section [coefficients]"),
+    "unknown-format": (BASE_CONFIG + "\n[output]\nformats = csv,xml\n", ["certify"],
+                       "unknown output format 'xml' "),
+    "logspace-count": (BASE_CONFIG, ["eigen", "--alphas=logspace:1,2,0"],
+                       "malformed alpha 'logspace:1,2,0': logspace needs count >= 1"),
+    "empty-alphas": (BASE_CONFIG, ["eigen", "--alphas=,"], "empty alpha list"),
+    "empty-scales": (BASE_CONFIG, ["scan-study", "--scales=,"], "empty scale list"),
+}
+
+
+@pytest.mark.parametrize("config,command,message", CONFIG_ERRORS.values(),
+                         ids=CONFIG_ERRORS.keys())
+def test_config_error_exits_2_before_any_output(tmp_path, capsys, config, command, message):
+    missing = tmp_path / "missing.field"
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(config.format(missing=missing))
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + message.format(missing=missing))
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_empty_optional_key_takes_its_default(tmp_path):
+    # an empty lx is the default side length 1, as if lx were absent
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 4\nny = 4\nlx =\nly = 2",
+                       coeffs="a = 1\nb = 1\nh = 1")
+    assert main(["certify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    certificate = json.loads((out / "certificate.json").read_text())
+    assert certificate["grid"] == Grid.over_rectangle(4, 4, 1.0, 2.0).header()
 
 
 def test_certify_constant_ratio_exit_0(tmp_path):

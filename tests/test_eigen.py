@@ -181,6 +181,20 @@ def test_principal_eigenpair_requires_admissible():
         principal_eigenpair(ScalarField.full(g, 1.0), 1.0)
 
 
+@pytest.mark.parametrize("v,resid,error,message", [
+    (np.ones(36), 1e-3, linalg.NoConvergence,
+     r"^pencil residual 1\.000e-03 too large at alpha = 1$"),
+    (np.where(np.arange(36) == 7, -1.0, 1.0), 1e-12, KirchlabError,
+     r"^principal eigenfunction changes sign at alpha = 1 .*; refine the grid$"),
+], ids=["residual", "sign-change"])
+def test_principal_eigenpair_refuses_an_unverified_pair(monkeypatch, v, resid, error, message):
+    # a solver result above PENCIL_RESID_TOL, or one that changes sign, is an
+    # error and never a row
+    monkeypatch.setattr(eigen, "_lobpcg_stack", lambda g, W, B, where: [(1.0, v, 3, resid)])
+    with pytest.raises(error, match=message):
+        principal_eigenpair(ramp_field(unit_grid(6)), 1.0)
+
+
 def test_rayleigh_scale_invariance(rng):
     g = unit_grid(16)
     c = ramp_field(g)

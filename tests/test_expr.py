@@ -177,6 +177,9 @@ def test_unbalanced_paren_offset():
     with pytest.raises(ExprError, match=r"^'\)' without matching '\(' \(offset 3\)$") as exc:
         parse("1+2)")
     assert exc.value.offset == 3
+    # where an operand is due
+    with pytest.raises(ExprError, match=r"^'\)' without matching '\(' \(offset 2\)$"):
+        parse("1+)")
 
 
 def test_unknown_identifier():
@@ -199,6 +202,11 @@ def test_empty_and_unexpected():
         parse("x$")
     with pytest.raises(ExprError, match=r"^unexpected end of input \(offset 2\)$"):
         parse("2+")
+
+
+def test_malformed_number():
+    with pytest.raises(ExprError, match=r"^malformed number '1\.2\.3' \(offset 0\)$"):
+        parse("1.2.3")
 
 
 @pytest.mark.parametrize("src,char,offset", [("１+x", "１", 0), ("x*٣", "٣", 2),

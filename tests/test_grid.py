@@ -89,6 +89,18 @@ def test_divergence_hand_stencil():
     assert lap.values[0] == pytest.approx(-48.0)
 
 
+def test_face_field_refuses_bad_shapes_and_non_finite_values():
+    g = Grid.over_rectangle(3, 2)
+    with pytest.raises(ValueError, match=r"^face arrays \(2, 3\), \(3, 3\) do not match "
+                                         r"grid 3x2$"):
+        FaceField(g, np.zeros((2, 3)), np.zeros((3, 3)))
+    for bad in (np.nan, np.inf):
+        yfaces = np.zeros((3, 3))
+        yfaces[1, 2] = bad
+        with pytest.raises(ValueError, match=r"^face field contains non-finite values$"):
+            FaceField(g, np.zeros((2, 4)), yfaces)
+
+
 def test_laplacian_is_div_grad_bit_for_bit(rng):
     g = Grid.over_rectangle(9, 6, 1.3, 0.7)
     u = smooth_random(g, rng)

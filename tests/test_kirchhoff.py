@@ -80,6 +80,16 @@ def test_solve_frozen_poisson_oracle():
     assert np.abs(u.values - exact.values).max() <= 2e-3
 
 
+@pytest.mark.parametrize("a,h", [(1.0, 1e308), (1e-308, 1e300)])
+def test_solve_frozen_not_finite_raises_without_warnings(a, h):
+    # the sine solve of a right-hand side this large meets inf - inf; the solve
+    # refuses the result without leaking numpy's RuntimeWarning
+    g = unit_grid(8)
+    P = constant_problem(g, ScalarField.full(g, h), a=a)
+    with pytest.raises(ValueError, match=r"^frozen solve at s = 0 is not finite$"):
+        solve_frozen(P, 0.0)
+
+
 def test_fixed_point_map_zero_and_scaling(rng):
     g = unit_grid(12)
     assert fixed_point_map(constant_problem(g, ScalarField.zeros(g)), 3.0) == 0.0
@@ -373,6 +383,25 @@ def test_refinement_budget_never_reports_an_unverified_root(monkeypatch):
     assert any(lo <= s <= hi for s in expected)
 
 
+def test_refinement_stops_at_a_bracket_of_two_adjacent_doubles(monkeypatch):
+    # g = Phi(s) - s jumps from -1 to +1 between 0.3 and the next double, so no s
+    # meets ROOT_RTOL; Phi' = 1 gives no Newton step, and bisection narrows the
+    # bracket to those two doubles, then stops at the end of smaller |g|, the
+    # lower one on a tie
+    report = _scan_synthetic_phi(monkeypatch, lambda s: s + np.where(s > 0.3, 1.0, -1.0),
+                                 lambda s: 1.0, 16)
+    (root,) = report.roots
+    assert root.s == 0.3
+    assert root.dphi == 1.0
+    assert 50 <= root.refine_evals < kh.REFINE_MAX
+
+
+def test_scan_needs_16_samples():
+    g = unit_grid(4)
+    with pytest.raises(ValueError, match=r"^need at least 16 samples, got 15$"):
+        fixed_point_scan(constant_problem(g, sine_forcing(g)), 15)
+
+
 def test_scan_root_hit_by_a_sample_gets_its_slope():
     # zero forcing: Phi = 0, so s = 0 is the only sample with g = 0 and no sign
     # change follows; one 2-row evaluation gives Phi'(0) = 0
@@ -586,6 +615,18 @@ def test_linearized_solve_aposteriori_random(rng):
         check = 2.0 * b.values * laplacian(u).values * grad_inner(u, v) \
             + m.values * laplacian(v).values + gfield.values
         assert np.abs(check).max() <= 1e-6 * (1 + np.abs(gfield.values).max())
+
+
+def test_linearized_solve_refuses_a_wrong_poisson_solve(rng, monkeypatch):
+    # a Poisson solve off by a factor 2 fails the a-posteriori check, which
+    # raises with the unverified iterate
+    g = unit_grid(16)
+    P = constant_problem(g, sine_forcing(g))
+    u = solve_frozen(P, 0.0)
+    monkeypatch.setattr(kh, "poisson_solve", lambda grid, f: 2.0 * poisson_solve(grid, f))
+    with pytest.raises(NoConvergence, match=r"^linearized solve residual .* exceeds ") as err:
+        linearized_solve(P, u, smooth_random(g, rng))
+    assert err.value.iterate is not None and err.value.iterate.grid == g
 
 
 def test_linearized_solve_singular_jacobian():

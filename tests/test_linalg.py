@@ -232,6 +232,15 @@ def test_lobpcg_analytic_3x3():
     assert iterations >= 1 and residual <= 1e-10
 
 
+def test_lobpcg_reraises_the_stack_failure(monkeypatch):
+    failure = NoConvergence("LOBPCG stalled")
+    monkeypatch.setattr(linalg, "_lobpcg_stack", lambda g, W, B, where: [failure])
+    g = unit_grid(3)
+    with pytest.raises(NoConvergence) as err:
+        lobpcg_smallest_positive(ScalarField.full(g, 1.0), np.ones(9))
+    assert err.value is failure
+
+
 @pytest.mark.parametrize("nx,ny", [(1, 1), (2, 3), (5, 4)])
 def test_lobpcg_grids_smaller_than_the_block(nx, ny, rng):
     # tiny grids, down to a single node, where the first Ritz pair is exact

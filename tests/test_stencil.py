@@ -8,6 +8,8 @@ the energy from its own np.diff face differences, and the weighted Laplacian
 on an (ny, nx, k) block.  The eigensolver's stacked kernel is compared with
 the one-block operator.  The face means of face_average and of the stacked
 face weights are compared with the column-by-column reference they replaced.
+The coefficient gradient and the eigen weight flux, built on the same two axis
+kernels, are compared with the column-by-column operators they replaced.
 The inputs spread over ten decades, and some carry exact +-0.0 on the edge
 rows and columns, where the ghost differences and the boundary face means act.
 """
@@ -15,8 +17,9 @@ rows and columns, where the ghost differences and the boundary face means act.
 import numpy as np
 import pytest
 
-from kirchlab.grid import (Grid, ScalarField, _face_differences, _face_means, face_average,
-                           grad_norm_sq, gradient)
+from kirchlab.eigen import weight_flux
+from kirchlab.grid import (Grid, ScalarField, _face_differences, _face_means, coeff_node_gradient,
+                           face_average, grad_norm_sq, gradient)
 from kirchlab.linalg import _face_weights, _weighted_laplacian, apply_weighted_laplacian
 
 from conftest import positive_random
@@ -50,6 +53,35 @@ def ref_column_faces(U: np.ndarray) -> np.ndarray:
 
 def ref_face_average(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ref_column_faces(U), ref_column_faces(U.T).T.copy()
+
+
+def ref_column_gradient(U: np.ndarray, h: float) -> np.ndarray:
+    """coeff_node_gradient across the columns of the node matrix U, spacing h."""
+    gu = np.zeros(U.shape)
+    if U.shape[1] > 1:
+        d = (U[:, 1:] - U[:, :-1]) / h
+        gu[:, 0] = d[:, 0]
+        gu[:, -1] = d[:, -1]
+        if U.shape[1] > 2:
+            gu[:, 1:-1] = 0.5 * (d[:, :-1] + d[:, 1:])
+    return gu
+
+
+def ref_column_flux(U: np.ndarray, h: float, alpha: float) -> np.ndarray:
+    """weight_flux on the faces between the columns of the node matrix U, spacing h."""
+    f = np.zeros((U.shape[0], U.shape[1] + 1))
+    if U.shape[1] >= 2:
+        cf = 0.5 * (U[:, 1:] + U[:, :-1])
+        with np.errstate(over="ignore"):
+            sq = (cf + alpha) ** 2
+        f[:, 1:-1] = (U[:, 1:] - U[:, :-1]) / h / sq
+        if U.shape[1] >= 3:
+            f[:, 0] = 2.0 * f[:, 1] - f[:, 2]
+            f[:, -1] = 2.0 * f[:, -2] - f[:, -3]
+        else:
+            f[:, 0] = f[:, 1]
+            f[:, -1] = f[:, 1]
+    return f
 
 
 def ref_weighted_laplacian(w: ScalarField, X: np.ndarray) -> np.ndarray:
@@ -157,3 +189,28 @@ def test_face_means_match_column_reference(nx, ny, lx, ly, rng):
         assert same_bits(fxu, xf) and same_bits(fyu, yf)
         assert same_bits(wf.xfaces, xf) and same_bits(wf.yfaces, yf)
         assert same_bits(wxu[..., 0], xf / g.hx ** 2) and same_bits(wyu[..., 0], yf / g.hy ** 2)
+
+
+# every node count per axis from 1 to 4 meets its own end-face rule
+COEFF_SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 3), (4, 2), (5, 7),
+                (8, 8), (33, 20), (64, 64)]
+ALPHAS = [0.0, 1e-3, 0.5, 10.0, 1e150, 1e155, 1e300]
+
+
+@pytest.mark.parametrize("nx,ny", COEFF_SHAPES, ids=[f"{nx}x{ny}" for nx, ny in COEFF_SHAPES])
+@pytest.mark.parametrize("lx,ly", [(1.0, 0.7), (1.3, 1.0)], ids=["wide", "tall"])
+def test_coefficient_operators_match_column_references(nx, ny, lx, ly, rng):
+    # positive ratio fields over ten decades and smooth ones; past alpha ~ 1.3e154
+    # the squared face value overflows and the flux is 0
+    g = Grid.over_rectangle(nx, ny, lx, ly)
+    for c in (ScalarField(g, 10.0 ** rng.uniform(-5, 5, size=g.n_nodes)),
+              positive_random(g, rng, wobble=0.8)):
+        gx, gy = coeff_node_gradient(c)
+        for got, ref in ((gx, ref_column_gradient(c.mat, g.hx)),
+                         (gy, ref_column_gradient(c.mat.T, g.hy).T.copy())):
+            assert got.flags.c_contiguous and same_bits(got, ref)
+        for alpha in ALPHAS:
+            F = weight_flux(c, alpha)
+            for got, ref in ((F.xfaces, ref_column_flux(c.mat, g.hx, alpha)),
+                             (F.yfaces, ref_column_flux(c.mat.T, g.hy, alpha).T.copy())):
+                assert got.flags.c_contiguous and same_bits(got, ref)
