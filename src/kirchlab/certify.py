@@ -40,17 +40,6 @@ class Certificate:
     grid: Grid
     details: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "ratio_value": self.ratio_value,
-            "min_D": self.min_d,
-            "theta": self.theta,
-            "lambda1": self.lambda1,
-            "grid": self.grid.header(),
-            "details": self.details,
-        }
-
 
 def pointwise_criterion(c: ScalarField) -> ScalarField:
     """The field D = Lap c - 2 |grad c|^2 / c at every node.
@@ -145,13 +134,7 @@ def ratio_gap(c: ScalarField, alpha: float) -> float:
 
 def certify(a: ScalarField, b: ScalarField) -> Certificate:
     """Run the three uniqueness tests on c = a/b, strongest first."""
-    if a.grid != b.grid:
-        raise ValueError("a and b live on different grids")
-    if float(a.values.min()) <= 0.0 or float(b.values.min()) <= 0.0:
-        raise ValueError(
-            f"coefficients must be positive: min a = {a.values.min():.6g}, "
-            f"min b = {b.values.min():.6g}")
-
+    _check_coefficients(a, b)
     c = _ratio_field(a, b)
     c_lo = float(c.values.min())
     c_hi = float(c.values.max())
@@ -177,6 +160,17 @@ def certify(a: ScalarField, b: ScalarField) -> Certificate:
     return Certificate("Inconclusive", ratio, min_d, None, lam1, a.grid,
                        f"ratio {ratio:.6g} > {RATIO_LIMIT:g} and min_D {min_d:.6g} < "
                        f"-{POINTWISE_TOL:g}: no criterion applies; {base_note}")
+
+
+def _check_coefficients(a: ScalarField, b: ScalarField) -> None:
+    """The coefficient rule of Problem and certify: a and b on one grid, each
+    positive at every node; a ValueError names the minima otherwise."""
+    if a.grid != b.grid:
+        raise ValueError("a and b live on different grids")
+    a_min, b_min = float(a.values.min()), float(b.values.min())
+    if a_min <= 0.0 or b_min <= 0.0:
+        raise ValueError(f"coefficients must be positive: min a = {a_min:.6g}, "
+                         f"min b = {b_min:.6g}")
 
 
 def _ratio_field(a: ScalarField, b: ScalarField) -> ScalarField:

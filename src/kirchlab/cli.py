@@ -15,7 +15,7 @@ import configparser
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -25,7 +25,8 @@ from . import expr
 from .certify import _ratio_field, certify, pointwise_certified_ratio
 from .eigen import eigen_curve
 from .grid import Grid, KirchlabError, ScalarField, read_field, write_field
-from .kirchhoff import NEWTON_TOL, Problem, fixed_point_scan, newton_solve
+from .kirchhoff import (NEWTON_TOL, Problem, _check_positive, _check_samples,
+                        fixed_point_scan, newton_solve)
 
 ALL_FORMATS = ("csv", "json", "fields")
 KEYS = {  # every key a config may set, by section
@@ -52,10 +53,7 @@ def _reason(err: Exception) -> str:
 
 @dataclass
 class Config:
-    grid: Grid
-    a: ScalarField
-    b: ScalarField
-    h: ScalarField
+    problem: Problem
     n_samples: int
     newton_tol: float
     s_max_override: float | None
@@ -107,8 +105,8 @@ def _read_ini(path: str) -> configparser.ConfigParser:
             parser.read_file(fh)
     except OSError as err:
         raise ValueError(f"cannot read config {path}: {err}") from None
-    except configparser.Error as err:
-        raise ValueError(f"malformed config {path}: {err}") from None
+    except configparser.Error as err:  # its text, file and line included, on one line
+        raise ValueError(f"malformed config {path}: {' '.join(str(err).split())}") from None
     for name, section in parser.items():
         if name not in KEYS and name != "DEFAULT":
             raise ValueError(f"unknown section [{name}] (choose from {tuple(KEYS)})")
@@ -121,13 +119,6 @@ def _read_ini(path: str) -> configparser.ConfigParser:
 def _section(parser: configparser.ConfigParser, name: str):
     """An optional section; the empty DEFAULT section when it is absent."""
     return parser[name] if name in parser else parser["DEFAULT"]
-
-
-def _positive_float(raw: str) -> float:
-    v = float(raw)
-    if not 0.0 < v < math.inf:
-        raise ValueError(f"{v} is not a positive finite number")
-    return v
 
 
 def _grid_and_out_dir(parser: configparser.ConfigParser) -> tuple:
@@ -149,20 +140,14 @@ def parse_config(path: str) -> Config:
         raise ValueError("missing required section [coefficients]")
 
     csec = parser["coefficients"]
-    a = _load_coefficient(csec, "a", grid)
-    b = _load_coefficient(csec, "b", grid)
-    h = _load_coefficient(csec, "h", grid)
-    for name, f in (("a", a), ("b", b)):
-        if float(f.values.min()) <= 0.0:
-            raise ValueError(f"coefficient '{name}' must be positive everywhere, "
-                             f"min = {f.values.min():.6g}")
+    problem = Problem(*(_load_coefficient(csec, name, grid) for name in "abh"))
 
     ssec = _section(parser, "solver")
-    n_samples = _get(ssec, "n_samples", int, 256)
-    newton_tol = _get(ssec, "newton_tol", _positive_float, NEWTON_TOL)
-    s_max_override = _get(ssec, "s_max_override", _positive_float, None)
-    if n_samples < 16:
-        raise ValueError(f"'n_samples' must be >= 16, got {n_samples}")
+    n_samples = _get(ssec, "n_samples", lambda raw: _check_samples(int(raw)), 256)
+    newton_tol = _get(ssec, "newton_tol", lambda raw: _check_positive("tol", float(raw)),
+                      NEWTON_TOL)
+    s_max_override = _get(ssec, "s_max_override",
+                          lambda raw: _check_positive("s_max", float(raw)), None)
 
     formats_raw = _get(_section(parser, "output"), "formats", str, ",".join(ALL_FORMATS))
     formats = tuple(tok.strip() for tok in formats_raw.split(",") if tok.strip())
@@ -172,7 +157,7 @@ def parse_config(path: str) -> Config:
         if tok not in ALL_FORMATS:
             raise ValueError(f"unknown output format '{tok}' (choose from {ALL_FORMATS})")
 
-    return Config(grid, a, b, h, n_samples=n_samples, newton_tol=newton_tol,
+    return Config(problem, n_samples=n_samples, newton_tol=newton_tol,
                   s_max_override=s_max_override, out_dir=out_dir, formats=formats)
 
 
@@ -216,11 +201,10 @@ def to_json_text(obj, indent: int = 0) -> str:
 # whatever [output] formats lists.  main writes the files and prints the note.
 
 def run_solve(cfg: Config) -> tuple:
-    problem = Problem(cfg.a, cfg.b, cfg.h)
-    report = fixed_point_scan(problem, cfg.n_samples, s_max=cfg.s_max_override)
+    report = fixed_point_scan(cfg.problem, cfg.n_samples, s_max=cfg.s_max_override)
 
     try:
-        sol = newton_solve(problem, tol=cfg.newton_tol)
+        sol = newton_solve(cfg.problem, tol=cfg.newton_tol)
         newton_info = {"converged": True, "s": sol.s, "residual": sol.residual,
                        "steps": sol.steps, "reason": None}
     except FAILURES as err:
@@ -248,7 +232,7 @@ def run_solve(cfg: Config) -> tuple:
         "roots": root_entries,
         "suspected_tangencies": list(report.suspected_tangencies),
         "newton": newton_info,
-        "grid": cfg.grid.header(),
+        "grid": cfg.problem.grid.header(),
     }
     files += [("scan.csv", "csv", csv_text),
               ("summary.json", "json", to_json_text(summary) + "\n")]
@@ -256,24 +240,28 @@ def run_solve(cfg: Config) -> tuple:
 
 
 def run_certify(cfg: Config) -> tuple:
-    cert = certify(cfg.a, cfg.b)
+    cert = certify(cfg.problem.a, cfg.problem.b)
+    doc = {"verdict": cert.verdict, "ratio_value": cert.ratio_value, "min_D": cert.min_d,
+           "theta": cert.theta, "lambda1": cert.lambda1, "grid": cert.grid.header(),
+           "details": cert.details}
     return ((0 if cert.verdict != "Inconclusive" else 1),
-            [("certificate.json", None, to_json_text(cert.to_json_dict()) + "\n")],
+            [("certificate.json", None, to_json_text(doc) + "\n")],
             f"{cert.verdict} (ratio {cert.ratio_value:.4g}, min_D {cert.min_d:.4g})")
 
 
 def run_eigen(cfg: Config, alphas: list, write_fields: bool) -> tuple:
-    c = _ratio_field(cfg.a, cfg.b)
-    curve = eigen_curve(c, alphas)
+    curve = eigen_curve(_ratio_field(cfg.problem.a, cfg.problem.b), alphas)
     if not curve.rows:
         print("eigen: admissible set empty for the sampled alphas", file=sys.stderr)
         return 1, [], None
+    csv_text = "alpha,lambda,ee_bound,rayleigh_gap\n" + "".join(
+        ",".join(map(fmt, row)) + "\n" for row in curve.rows)
     summary = {
-        "grid": cfg.grid.header(),
+        "grid": cfg.problem.grid.header(),
         "rows": [{"alpha": p.alpha, "iterations": p.iterations, "residual": p.residual}
                  for p in curve.pairs],
     }
-    files = [("eigen_curve.csv", None, curve.to_csv()),
+    files = [("eigen_curve.csv", None, csv_text),
              ("eigen_summary.json", "json", to_json_text(summary) + "\n")]
     if write_fields:
         files += [(f"eigenfunction_{i:03d}.field", "fields", pair.u)
@@ -282,9 +270,9 @@ def run_eigen(cfg: Config, alphas: list, write_fields: bool) -> tuple:
 
 
 def run_scan_study(cfg: Config, scales: list) -> tuple:
-    lines = ["k,n_roots,s_values"]
+    P, lines = cfg.problem, ["k,n_roots,s_values"]
     for k in scales:
-        problem = Problem(cfg.a, cfg.b, ScalarField(cfg.grid, k * cfg.h.values))
+        problem = replace(P, h=ScalarField(P.grid, k * P.h.values))
         report = fixed_point_scan(problem, cfg.n_samples, s_max=cfg.s_max_override)
         s_vals = ";".join(fmt(r.s) for r in report.roots)
         lines.append(f"{fmt(k)},{len(report.roots)},{s_vals}")
@@ -303,7 +291,8 @@ def _parse_float_list(raw: str, what: str) -> list:
     try:
         if raw.startswith("logspace:"):
             lo, hi, count = raw[len("logspace:"):].split(",")
-            lo, hi, count = _positive_float(lo), _positive_float(hi), int(count)
+            lo, hi, count = (_check_positive("logspace end", float(lo)),
+                             _check_positive("logspace end", float(hi)), int(count))
             if count < 1:
                 raise ValueError("logspace needs count >= 1")
             return list(np.logspace(math.log10(lo), math.log10(hi), count))

@@ -51,12 +51,6 @@ class EigenCurve:
     rows: list
     pairs: list = field(default_factory=list, init=False)  # the EigenPair behind each row
 
-    def to_csv(self) -> str:
-        lines = ["alpha,lambda,ee_bound,rayleigh_gap"]
-        for alpha, lam, bound, gap in self.rows:
-            lines.append(f"{alpha:.17g},{lam:.17g},{bound:.17g},{gap:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def weight_flux(c: ScalarField, alpha: float) -> FaceField:
     """Face flux G ~ grad c / (c + alpha)^2 whose negative divergence is the weight.

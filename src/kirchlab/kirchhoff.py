@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigen
-from .certify import _ratio_field
+from .certify import _check_coefficients, _ratio_field
 from .grid import (Grid, KirchlabError, ScalarField, grad_inner, grad_norm_sq, integrate,
                    laplacian, node_grad_sq, dirichlet_lambda1)
 from .linalg import NoConvergence, _sine_basis, poisson_solve
@@ -49,13 +49,10 @@ class Problem:
     h: ScalarField
 
     def __post_init__(self):
-        if self.b.grid != self.a.grid or self.h.grid != self.a.grid:
-            raise ValueError("coefficient fields live on different grids")
+        _check_coefficients(self.a, self.b)
+        if self.h.grid != self.a.grid:
+            raise ValueError("h lives on a different grid from a and b")
         self.a0 = float(self.a.values.min())
-        self.b0 = float(self.b.values.min())
-        if self.a0 <= 0.0 or self.b0 <= 0.0:
-            raise ValueError(f"coefficients must be positive: min a = {self.a0:.6g}, "
-                             f"min b = {self.b0:.6g}")
 
     @property
     def grid(self) -> Grid:
@@ -80,6 +77,20 @@ class ScanReport:
     roots: list    # NonlocalSolution, sorted by s
     suspected_tangencies: list  # s values where |Phi(s)-s| dips without a crossing
     n_phi_evals: int = 0  # every Phi evaluation: the samples plus all refinement
+
+
+def _check_samples(n_samples: int) -> int:
+    """The scan's sample count, refused below 16."""
+    if n_samples < 16:
+        raise ValueError(f"need at least 16 samples, got {n_samples}")
+    return n_samples
+
+
+def _check_positive(name: str, value: float) -> float:
+    """A tolerance or ceiling, refused unless positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 def diffusion_coefficient(P: Problem, s: float) -> ScalarField:
@@ -234,11 +245,11 @@ def fixed_point_scan(P: Problem, n_samples: int = 256,
     solve there, Phi'(s) and the Phi evaluations it took after sampling.  Local
     minima of |Phi(s)-s| below 1e-6*(1+s) without a crossing are reported as
     suspected tangencies (a double root there is exactly where the Jacobian
-    degenerates).  s_max replaces the computed ceiling when given.
+    degenerates).  s_max, positive and finite, replaces the computed ceiling
+    when given.
     """
-    if n_samples < 16:
-        raise ValueError(f"need at least 16 samples, got {n_samples}")
-    ceiling = s_max if s_max is not None else _scan_ceiling(P)
+    _check_samples(n_samples)
+    ceiling = _check_positive("s_max", s_max) if s_max is not None else _scan_ceiling(P)
     ss = np.linspace(0.0, 1.05 * max(ceiling, BRACKET_EPS), n_samples)
     phis = np.concatenate([_phi(P, ss[j:j + SCAN_BLOCK])
                            for j in range(0, n_samples, SCAN_BLOCK)])
@@ -386,8 +397,10 @@ def newton_solve(P: Problem, tol: float = NEWTON_TOL) -> NonlocalSolution:
 
     Starts from the frozen solve at s = 0; each step is one linearized_solve,
     and each iterate's nonlinear state is evaluated once.  Raises
-    NoConvergence (with the last iterate) after 50 steps.
+    NoConvergence (with the last iterate) after 50 steps, and ValueError for
+    a tol that is not positive and finite.
     """
+    _check_positive("tol", tol)
     u = solve_frozen(P, 0.0)
     for steps in range(NEWTON_MAX_ITER + 1):
         s, _, _, r = _nonlinear_state(P, u)

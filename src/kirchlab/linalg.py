@@ -128,13 +128,15 @@ def lobpcg_smallest_positive(w: ScalarField, B: np.ndarray) -> tuple[float, np.n
     entry sum (so a sign-definite x is positive) and residual is
     |A x - lambda B x| / |A x|, recomputed from x.  The iteration stops once
     the Ritz pair's residual reaches LOBPCG_TOL.
-    Raises ValueError when B is nowhere positive (no positive eigenvalue
-    exists) and NoConvergence after LOBPCG_MAX_ITER steps.
+    Raises ValueError when w or B is not finite or B is nowhere positive (no
+    positive eigenvalue exists), and NoConvergence after LOBPCG_MAX_ITER steps.
     """
     g = w.grid
     B = np.asarray(B, dtype=float).reshape(-1)
     if B.size != g.n_nodes:
         raise ValueError(f"weight length {B.size} != grid nodes {g.n_nodes}")
+    if not (np.isfinite(w.values).all() and np.isfinite(B).all()):
+        raise ValueError("pencil weights w and B must be finite")
     if float(w.values.min()) <= 0.0:
         raise ValueError(f"min weight {w.values.min():.6g} <= 0")
     if float(B.max()) <= 0.0:

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import warnings
+from functools import partial
 
 import pytest
 
@@ -10,10 +11,11 @@ import kirchlab.eigen
 import kirchlab.kirchhoff
 from kirchlab import KirchlabError, cli, expr, linalg
 from kirchlab.cli import main, parse_config, to_json_text
-from kirchlab.eigen import principal_eigenpair
+from kirchlab.eigen import EigenCurve, principal_eigenpair
 from kirchlab.grid import (Grid, ScalarField, dirichlet_lambda1, grad_norm_sq, read_field,
                            write_field)
-from kirchlab.certify import interior_min, pointwise_criterion
+from kirchlab.certify import certify, interior_min, pointwise_criterion
+from kirchlab.kirchhoff import Problem
 
 from conftest import three_root_fields, unit_grid
 
@@ -115,24 +117,48 @@ def test_solve_reports_newton_steps(tmp_path, monkeypatch):
     assert newton["steps"] == len(calls) >= 1
 
 
+COEFFICIENT_RULE = [  # (a, b, the text Problem and certify raise); a and b live on 8x8
+    # nodes, except "9x9", which is 1 on 9x9 nodes
+    ("x-0.5", "1", "coefficients must be positive: min a = -0.388889, min b = 1"),
+    ("1", "x-0.5", "coefficients must be positive: min a = 1, min b = -0.388889"),
+    ("1", "9x9", "a and b live on different grids"),
+]
+
+
 @pytest.mark.parametrize("source", ["expression", "file"])
 @pytest.mark.parametrize("command", [
     ["solve"], ["certify"], ["eigen", "--alphas", "0.5,2"], ["scan-study", "--scales", "1"]])
 def test_nonpositive_coefficient_exits_2(tmp_path, capsys, command, source):
-    if source == "expression":
-        b_line = "b = x-0.5"
-    else:
-        g = unit_grid(8)
-        X, _ = g.node_coords()
-        write_field(ScalarField(g, X - 0.5), tmp_path / "b.field")
-        b_line = f"b_file = {tmp_path / 'b.field'}"
-    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 8\nny = 8",
-                       coeffs=f"a = 1\n{b_line}\nh = 1", solver="n_samples = 16")
-    assert main([command[0], "--config", cfg, "--out", str(tmp_path / "out"),
-                 "--quiet", *command[1:]]) == 2
-    err = capsys.readouterr().err
-    assert "'b'" in err
-    assert "Traceback" not in err
+    # one text per coefficient rule: Problem and certify raise it, and the CLI
+    # prints it after "config error: ", with a and b given as expressions or as
+    # field files.  A field file on another grid never reaches Problem: the
+    # [grid] check refuses it first and names the coefficient
+    g, g9 = unit_grid(8), unit_grid(9)
+    for a_text, b_text, message in COEFFICIENT_RULE:
+        fields, lines = {}, []
+        for name, text in (("a", a_text), ("b", b_text)):
+            f = ScalarField.full(g9, 1.0) if text == "9x9" else \
+                expr.eval_field(expr.parse(text), g)
+            fields[name] = f
+            if source == "file" or text == "9x9":
+                write_field(f, tmp_path / f"{name}.field")
+                lines.append(f"{name}_file = {tmp_path / f'{name}.field'}")
+            else:
+                lines.append(f"{name} = {text}")
+        for build in (partial(Problem, fields["a"], fields["b"], ScalarField.zeros(g)),
+                      partial(certify, fields["a"], fields["b"])):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
+        if b_text == "9x9":
+            message = f"coefficient 'b': field file grid {g9} does not match the [grid] section"
+        cfg = write_config(tmp_path / "cfg.ini", grid="nx = 8\nny = 8",
+                           coeffs="\n".join(lines) + "\nh = 1", solver="n_samples = 16")
+        out = tmp_path / "out"
+        assert main([command[0], "--config", cfg, "--out", str(out), "--quiet",
+                     *command[1:]]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
 
 def test_certify_and_eigen_deterministic_output(tmp_path):
@@ -216,9 +242,12 @@ BASE_CONFIG = "[grid]\nnx = 4\nny = 4\n\n[coefficients]\na = 1\nb = 1\nh = 1\n"
 CONFIG_ERRORS = {  # id: (config text, command, message after "config error: ")
     "missing-nx": (BASE_CONFIG.replace("nx = 4\n", ""), ["certify"],
                    "missing required key 'nx' in section [grid]"),
-    "key-before-section": ("nx = 4\n" + BASE_CONFIG, ["certify"], "malformed config "),
+    "key-before-section": ("nx = 4\n" + BASE_CONFIG, ["certify"],
+                           "malformed config {cfg}: File contains no section headers. "
+                           "file: '{cfg}', line: 1 "),
     "duplicate-key": (BASE_CONFIG.replace("nx = 4\n", "nx = 4\nnx = 4\n"), ["certify"],
-                      "malformed config "),
+                      "malformed config {cfg}: While reading from '{cfg}' [line 3]: "
+                      "option 'nx' in section 'grid' already exists"),
     "unreadable-field": (BASE_CONFIG.replace("a = 1", "a_file = {missing}"), ["certify"],
                          "coefficient 'a': cannot read {missing}: "),
     "no-grid": (BASE_CONFIG.replace("[grid]\nnx = 4\nny = 4\n", ""), ["certify"],
@@ -231,20 +260,33 @@ CONFIG_ERRORS = {  # id: (config text, command, message after "config error: ")
                        "malformed alpha 'logspace:1,2,0': logspace needs count >= 1"),
     "empty-alphas": (BASE_CONFIG, ["eigen", "--alphas=,"], "empty alpha list"),
     "empty-scales": (BASE_CONFIG, ["scan-study", "--scales=,"], "empty scale list"),
+    "logspace-end": (BASE_CONFIG, ["eigen", "--alphas=logspace:0,1,3"],
+                     "malformed alpha 'logspace:0,1,3': logspace end must be positive and "
+                     "finite, got 0.0"),
+    # the [solver] values go through the scan's and Newton's own checks
+    "few-samples": (BASE_CONFIG + "\n[solver]\nn_samples = 15\n", ["solve"],
+                    "bad value for 'n_samples' in [solver]: need at least 16 samples, got 15"),
+    "zero-newton-tol": (BASE_CONFIG + "\n[solver]\nnewton_tol = 0\n", ["solve"],
+                        "bad value for 'newton_tol' in [solver]: tol must be positive and "
+                        "finite, got 0.0"),
+    "negative-s-max": (BASE_CONFIG + "\n[solver]\ns_max_override = -1\n", ["solve"],
+                       "bad value for 's_max_override' in [solver]: s_max must be positive "
+                       "and finite, got -1.0"),
 }
 
 
 @pytest.mark.parametrize("config,command,message", CONFIG_ERRORS.values(),
                          ids=CONFIG_ERRORS.keys())
 def test_config_error_exits_2_before_any_output(tmp_path, capsys, config, command, message):
+    # one stderr line, which names the file and line of a malformed config
     missing = tmp_path / "missing.field"
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(config.format(missing=missing))
     out = tmp_path / "out"
     assert main([*command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: " + message.format(missing=missing))
-    assert "Traceback" not in err
+    assert err.startswith("config error: " + message.format(missing=missing, cfg=cfg))
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
 
 
@@ -263,6 +305,8 @@ def test_certify_constant_ratio_exit_0(tmp_path):
     out = tmp_path / "out"
     assert main(["certify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     cert = json.loads((out / "certificate.json").read_text())
+    assert list(cert) == ["verdict", "ratio_value", "min_D", "theta", "lambda1", "grid",
+                          "details"]
     assert cert["verdict"] == "UniqueConstantRatio"
     assert cert["theta"] == pytest.approx(1.0)
 
@@ -341,8 +385,8 @@ def test_eigen_write_fields_solves_each_alpha_once(tmp_path, monkeypatch):
     assert weights == [0.5, 1.0, 2.0]
     monkeypatch.undo()
 
-    parsed = parse_config(cfg)
-    c = ScalarField(parsed.grid, parsed.a.values / parsed.b.values)
+    P = parse_config(cfg).problem
+    c = ScalarField(P.grid, P.a.values / P.b.values)
     assert not (out / "eigenfunction_003.field").exists()
     for i, alpha in enumerate([0.5, 1.0, 2.0]):
         write_field(principal_eigenpair(c, alpha).u, tmp_path / "reference.field")
@@ -709,15 +753,27 @@ def test_eigen_summary_reports_each_row(tmp_path):
     assert main(["eigen", "--config", cfg, "--alphas", "2,0.5,1",
                  "--out", str(out), "--quiet"]) == 0
     summary = json.loads((out / "eigen_summary.json").read_text())
-    parsed = parse_config(cfg)
-    assert summary["grid"] == parsed.grid.header()
-    c = ScalarField(parsed.grid, parsed.a.values / parsed.b.values)
+    P = parse_config(cfg).problem
+    assert summary["grid"] == P.grid.header()
+    c = ScalarField(P.grid, P.a.values / P.b.values)
     assert [row["alpha"] for row in summary["rows"]] == [2.0, 0.5, 1.0]
     for row in summary["rows"]:
         pair = principal_eigenpair(c, row["alpha"])
         assert set(row) == {"alpha", "iterations", "residual"}
         assert row["iterations"] == pair.iterations >= 1
         assert row["residual"] == pair.residual <= 1e-10
+
+
+def test_eigen_curve_csv_format(tmp_path, monkeypatch):
+    # a header, then one line per curve row with every value in 17 significant digits
+    monkeypatch.setattr(cli, "eigen_curve",
+                        lambda c, alphas: EigenCurve([(0.5, 2.25, 1.0, 1e-12)]))
+    cfg = write_config(tmp_path / "cfg.ini", grid="nx = 8\nny = 8",
+                       coeffs="a = 1+x\nb = 1\nh = 0")
+    out = tmp_path / "out"
+    assert main(["eigen", "--config", cfg, "--alphas", "0.5", "--out", str(out), "--quiet"]) == 0
+    assert (out / "eigen_curve.csv").read_text() == \
+        "alpha,lambda,ee_bound,rayleigh_gap\n0.5,2.25,1,9.9999999999999998e-13\n"
 
 
 def test_eigen_summary_follows_json_format(tmp_path):

@@ -6,9 +6,8 @@ import pytest
 
 from kirchlab import eigen, linalg
 from kirchlab.certify import ratio_gap, shifted_ratio
-from kirchlab.eigen import (EigenCurve, eigen_curve, eigen_weight, eigenvalue_lower_bound,
-                            is_admissible, principal_eigenpair, rayleigh_quotient,
-                            weight_flux)
+from kirchlab.eigen import (eigen_curve, eigen_weight, eigenvalue_lower_bound, is_admissible,
+                            principal_eigenpair, rayleigh_quotient, weight_flux)
 from kirchlab.grid import (KirchlabError, ScalarField, coeff_grad_inf, dirichlet_lambda1,
                            grad_norm_sq, gradient, integrate)
 from dense_oracle import (Pencil, assemble_weighted_laplacian, pencil_eigensolve,
@@ -345,7 +344,7 @@ def test_eigen_curve_split_into_stacks_keeps_every_bit(stack_nodes, monkeypatch)
                         solve_stack(g, W, B, where))
     split = eigen_curve(c, alphas)
     assert stacks == {1: [1] * 9, 768: [3, 3, 3], 1280: [5, 4]}[stack_nodes]
-    assert split.to_csv() == whole.to_csv()
+    assert np.array(split.rows).tobytes() == np.array(whole.rows).tobytes()
     assert curve_pairs(split) == curve_pairs(whole)
     for row, pair in zip(whole.rows, whole.pairs):
         alone = principal_eigenpair(c, row[0])
@@ -394,14 +393,6 @@ def test_eigen_curve_weight_error_after_earlier_alphas(monkeypatch):
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(linalg.NoConvergence, match="at alpha = 0.5$"):
             eigen_curve(ramp_field(g), [0.5, bad])
-
-
-def test_eigen_curve_csv_format():
-    curve = EigenCurve([(0.5, 2.25, 1.0, 1e-12)])
-    text = curve.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "alpha,lambda,ee_bound,rayleigh_gap"
-    assert lines[1].startswith("0.5,2.25,1,")
 
 
 def test_weighted_mass_bound_for_eigenfunctions():

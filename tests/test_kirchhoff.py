@@ -54,6 +54,8 @@ def test_problem_rejects_bad_coefficients():
     with pytest.raises(ValueError):
         Problem(ScalarField.full(g, 1.0), ScalarField.full(g2, 1.0),
                 ScalarField.zeros(g))
+    with pytest.raises(ValueError, match=r"^h lives on a different grid from a and b$"):
+        Problem(ScalarField.full(g, 1.0), ScalarField.full(g, 1.0), ScalarField.zeros(g2))
 
 
 def test_solve_frozen_zero_forcing():
@@ -400,6 +402,20 @@ def test_scan_needs_16_samples():
     g = unit_grid(4)
     with pytest.raises(ValueError, match=r"^need at least 16 samples, got 15$"):
         fixed_point_scan(constant_problem(g, sine_forcing(g)), 15)
+
+
+@pytest.mark.parametrize("s_max", [-1.0, 0.0, math.inf, math.nan])
+def test_scan_refuses_a_ceiling_not_positive_and_finite(s_max):
+    g = unit_grid(16)
+    with pytest.raises(ValueError, match=rf"^s_max must be positive and finite, got {s_max}$"):
+        fixed_point_scan(constant_problem(g, sine_forcing(g)), 16, s_max=s_max)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.inf, math.nan])
+def test_newton_refuses_a_tolerance_not_positive_and_finite(tol):
+    g = unit_grid(16)
+    with pytest.raises(ValueError, match=rf"^tol must be positive and finite, got {tol}$"):
+        newton_solve(constant_problem(g, sine_forcing(g)), tol=tol)
 
 
 def test_scan_root_hit_by_a_sample_gets_its_slope():

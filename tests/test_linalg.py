@@ -241,6 +241,17 @@ def test_lobpcg_reraises_the_stack_failure(monkeypatch):
     assert err.value is failure
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", ["w", "B"])
+def test_lobpcg_refuses_non_finite_weights(bad, value):
+    # a ScalarField is finite when made, but its values can be written after
+    g = unit_grid(3)
+    w, B = ScalarField.full(g, 1.0), np.ones(9)
+    (w.values if bad == "w" else B)[4] = value
+    with pytest.raises(ValueError, match=r"^pencil weights w and B must be finite$"):
+        lobpcg_smallest_positive(w, B)
+
+
 @pytest.mark.parametrize("nx,ny", [(1, 1), (2, 3), (5, 4)])
 def test_lobpcg_grids_smaller_than_the_block(nx, ny, rng):
     # tiny grids, down to a single node, where the first Ritz pair is exact

@@ -37,7 +37,8 @@ def test_readme_example_config_is_accepted(tmp_path):
     cfg = tmp_path / "problem.ini"
     cfg.write_text(example_config())
     config = parse_config(str(cfg))
-    assert (config.grid.nx, config.grid.ny, config.n_samples) == (64, 64, 256)
+    grid = config.problem.grid
+    assert (grid.nx, grid.ny, config.n_samples) == (64, 64, 256)
     assert config.formats == ("csv", "json", "fields")
 
 
