@@ -74,16 +74,22 @@ def interior_min(f: ScalarField) -> float:
 
 
 def shifted_ratio(c: ScalarField, alpha: float) -> float:
-    """|grad c|_inf (c_max+alpha) / (sqrt(lambda1) (c_min+alpha)^2); 0 for constant c,
-    finite for every finite alpha >= 0.
+    """|grad c|_inf (c_max+alpha) / (sqrt(lambda1) (c_min+alpha)^2); 0 for constant c.
 
     The one closed form behind ratio_criterion, ratio_gap and
-    eigen.eigenvalue_lower_bound.  Those three are derived from this value
-    directly rather than from each other, so the +1/-1 shift of ratio_gap
-    never rounds a small ratio away.  A negative or non-finite alpha is a ValueError.
+    eigen.eigenvalue_lower_bound, each derived from this value directly, so the
+    +1/-1 shift of ratio_gap never rounds a small ratio away.  The terms enter
+    times the power of two that puts c_min+alpha in [0.5, 1): the scaling is
+    exact, so the square neither overflows nor underflows, and only a ratio past
+    the largest double is inf.  A negative or non-finite alpha is a ValueError.
     """
+    _check_ratio(c)
     _check_alpha(alpha)
-    return _shift(_ratio_terms(c), alpha)
+    lo = float(c.values.min()) + alpha
+    with np.errstate(over="ignore"):
+        grad_inf, hi, lo = np.ldexp([coeff_grad_inf(c), float(c.values.max()) + alpha, lo],
+                                    -math.frexp(lo)[1]).tolist()
+    return grad_inf * hi / (math.sqrt(dirichlet_lambda1(c.grid)) * lo ** 2)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -98,23 +104,6 @@ def _check_ratio(c: ScalarField) -> None:
     """Refuse a ratio field that is not positive everywhere, naming its minimum."""
     if float(c.values.min()) <= 0.0:
         raise ValueError(f"ratio field must be positive, min = {c.values.min():.6g}")
-
-
-def _ratio_terms(c: ScalarField) -> tuple[float, float, float, float]:
-    """The alpha-free terms of shifted_ratio: |grad c|_inf, c_min, c_max and sqrt(lambda1)."""
-    _check_ratio(c)
-    return (coeff_grad_inf(c), float(c.values.min()), float(c.values.max()),
-            math.sqrt(dirichlet_lambda1(c.grid)))
-
-
-def _shift(terms: tuple[float, float, float, float], alpha: float) -> float:
-    """shifted_ratio at alpha from the terms of _ratio_terms."""
-    grad_inf, c_lo, c_hi, sqrt_lam1 = terms
-    lo, hi = c_lo + alpha, c_hi + alpha
-    try:
-        return grad_inf * hi / (sqrt_lam1 * lo ** 2)
-    except OverflowError:         # lo^2 exceeds a double: divide by lo twice
-        return grad_inf * (hi / lo) / (sqrt_lam1 * lo)
 
 
 def ratio_criterion(c: ScalarField) -> float:
@@ -133,33 +122,44 @@ def ratio_gap(c: ScalarField, alpha: float) -> float:
 
 
 def certify(a: ScalarField, b: ScalarField) -> Certificate:
-    """Run the three uniqueness tests on c = a/b, strongest first."""
+    """Run the three uniqueness tests on c = a/b, strongest first.
+
+    Uniqueness depends on c only up to a positive factor (u = mu v maps
+    (a, b, h) to (mu^2 a, b, mu^3 h)), so the tests run on c times the power
+    of two that puts max c in [0.5, 1).  That scaling is exact: ratio_value is
+    unchanged, the mean and min_D scale back exactly, and the pointwise test
+    compares min_D with -POINTWISE_TOL * mean(a/b), so c and 2^j c get the
+    same certificate while both stay normal doubles.
+    """
     _check_coefficients(a, b)
     c = _ratio_field(a, b)
-    c_lo = float(c.values.min())
-    c_hi = float(c.values.max())
-    c_mean = float(c.values.mean())
-    lam1 = dirichlet_lambda1(a.grid)
+    exp = math.frexp(float(c.values.max()))[1]
+    c = ScalarField(c.grid, np.ldexp(c.values, -exp))
+    c_lo, c_hi, c_mean = float(c.values.min()), float(c.values.max()), float(c.values.mean())
     ratio = ratio_criterion(c)
-    min_d = interior_min(pointwise_criterion(c))
+    d_min = interior_min(pointwise_criterion(c))
+    tol = POINTWISE_TOL * c_mean
+    with np.errstate(over="ignore"):    # a min_D past the largest double is -inf
+        mean, min_d, tol_ab = np.ldexp([c_mean, d_min, tol], exp).tolist()
 
-    base_note = ("min_D measured with the one-node boundary collar excluded; "
-                 "pointwise and ratio tests are independent of the forcing term.")
-
+    theta = None
     if c_hi - c_lo <= CONSTANT_RTOL * c_mean:
-        return Certificate("UniqueConstantRatio", ratio, min_d, c_mean, lam1, a.grid,
-                           f"a/b constant to relative variation "
-                           f"{(c_hi - c_lo) / c_mean:.3e}; {base_note}")
-    if min_d >= -POINTWISE_TOL:
-        return Certificate("UniquePointwise", ratio, min_d, None, lam1, a.grid,
-                           f"pointwise criterion min {min_d:.6g} >= -{POINTWISE_TOL:g}; "
-                           f"{base_note}")
-    if ratio <= RATIO_LIMIT:
-        return Certificate("UniqueRatioBound", ratio, min_d, None, lam1, a.grid,
-                           f"ratio {ratio:.6g} <= {RATIO_LIMIT:g}; {base_note}")
-    return Certificate("Inconclusive", ratio, min_d, None, lam1, a.grid,
-                       f"ratio {ratio:.6g} > {RATIO_LIMIT:g} and min_D {min_d:.6g} < "
-                       f"-{POINTWISE_TOL:g}: no criterion applies; {base_note}")
+        verdict, theta = "UniqueConstantRatio", mean
+        reason = f"a/b constant to relative variation {(c_hi - c_lo) / c_mean:.3e}"
+    elif d_min >= -tol:
+        verdict = "UniquePointwise"
+        reason = (f"pointwise criterion min {min_d:.6g} >= -{tol_ab:.6g} "
+                  f"({POINTWISE_TOL:g} mean(a/b))")
+    elif ratio <= RATIO_LIMIT:
+        verdict, reason = "UniqueRatioBound", f"ratio {ratio:.6g} <= {RATIO_LIMIT:g}"
+    else:
+        verdict = "Inconclusive"
+        reason = (f"ratio {ratio:.6g} > {RATIO_LIMIT:g} and min_D {min_d:.6g} < "
+                  f"-{tol_ab:.6g} ({POINTWISE_TOL:g} mean(a/b)): no criterion applies")
+    return Certificate(verdict, ratio, min_d, theta, dirichlet_lambda1(a.grid), a.grid,
+                       f"{reason}; min_D measured with the one-node boundary collar "
+                       f"excluded; pointwise and ratio tests are independent of the "
+                       f"forcing term.")
 
 
 def _check_coefficients(a: ScalarField, b: ScalarField) -> None:

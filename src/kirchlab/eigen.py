@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import _check_alpha, _check_ratio, _ratio_terms, _shift, shifted_ratio
+from .certify import _check_alpha, _check_ratio, shifted_ratio
 from .grid import (FaceField, KirchlabError, ScalarField, _face_mean, _ghost_difference,
                    divergence, face_average, gradient, grad_norm_sq, integrate)
 from .linalg import NoConvergence, _lobpcg_stack
@@ -161,11 +161,7 @@ def eigenvalue_lower_bound(c: ScalarField, alpha: float) -> float:
     1 / (2 (ratio_gap + 1)); for constant c the gradient sup vanishes and the
     bound is +inf.
     """
-    return _bound_of(shifted_ratio(c, alpha))
-
-
-def _bound_of(ratio: float) -> float:
-    """eigenvalue_lower_bound from the shifted ratio at its alpha."""
+    ratio = shifted_ratio(c, alpha)
     return math.inf if ratio == 0.0 else 1.0 / (2.0 * ratio)
 
 
@@ -176,18 +172,17 @@ def eigen_curve(c: ScalarField, alphas) -> EigenCurve:
     _STACK_NODES // n node weights 1/(c + alpha); each gets the bits it gets
     alone, so a row's pair is principal_eigenpair at its alpha.  The checks run
     per alpha in order, so the first alpha that fails raises what it raises
-    when solved alone.  The alpha-free terms of the lower bound are computed once.
+    when solved alone.
     """
-    curve, terms = EigenCurve([]), None
+    curve = EigenCurve([])
     for stack in _stacks(c, alphas):
-        terms = terms or _ratio_terms(c)
         W = 1.0 / (c.values + np.array([[alpha] for alpha, _ in stack]))
         outs = _lobpcg_stack(c.grid, W, np.stack([m.values for _, m in stack]),
                              [f" at alpha = {alpha:.6g}" for alpha, _ in stack])
         for (alpha, m), out in zip(stack, outs):
             pair = _eigenpair(c, alpha, out)
             gap = abs(_rayleigh(c, alpha, pair.u, m) - pair.lam)
-            curve.rows.append((alpha, pair.lam, _bound_of(_shift(terms, alpha)), gap))
+            curve.rows.append((alpha, pair.lam, eigenvalue_lower_bound(c, alpha), gap))
             curve.pairs.append(pair)
     return curve
 

@@ -469,4 +469,4 @@ def read_field(path) -> ScalarField:
     if len(body) != grid.n_nodes:
         raise ValueError(
             f"{path}: expected {grid.n_nodes} values for a {nx}x{ny} field, found {len(body)}")
-    return ScalarField(grid, np.array([float(t) for t in body]))
+    return ScalarField(grid, np.array(body, dtype=float))

@@ -80,7 +80,9 @@ class ScanReport:
 
 
 def _check_samples(n_samples: int) -> int:
-    """The scan's sample count, refused below 16."""
+    """The scan's sample count, refused unless an integer of at least 16."""
+    if not isinstance(n_samples, (int, np.integer)):
+        raise ValueError(f"sample count must be an integer, got {n_samples!r}")
     if n_samples < 16:
         raise ValueError(f"need at least 16 samples, got {n_samples}")
     return n_samples
@@ -185,7 +187,7 @@ def energy_upper_bound(P: Problem) -> float:
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         h2 = P.grid.cell_area * np.sum(P.h.values ** 2)
-        bound = float(np.divide(h2, P.a0 ** 2 * dirichlet_lambda1(P.grid)))
+        bound = float(np.divide(h2, np.square(P.a0) * dirichlet_lambda1(P.grid)))
     if not np.isfinite(bound):
         raise ValueError(f"energy bound integral(h^2)/(min(a)^2 lambda1) = {bound} is not "
                          f"a finite double (max |h| = {np.abs(P.h.values).max():.3g}, "

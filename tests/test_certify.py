@@ -9,7 +9,7 @@ from kirchlab.eigen import eigenvalue_lower_bound
 from kirchlab.grid import Grid, KirchlabError, ScalarField, coeff_grad_inf, dirichlet_lambda1
 from kirchlab.kirchhoff import Problem, fixed_point_scan, jacobian_functional
 
-from conftest import field_from, sign_changing, smooth_random, unit_grid
+from conftest import field_from, sign_changing, smooth_random, three_root_fields, unit_grid
 
 
 def test_pointwise_criterion_constant_interior_zero():
@@ -205,6 +205,54 @@ def test_shifted_ratio_keeps_its_bits_where_the_square_fits(rng):
             expected = grad_inf * (c_hi + alpha) / (root_lam1 * (c_lo + alpha) ** 2)
             assert shifted_ratio(c, alpha) == expected
         assert ratio_criterion(c) == shifted_ratio(c, 0.0)
+
+
+def _scale_fields():
+    g = unit_grid(8)
+    one = ScalarField.full(g, 1.0)
+    strip = three_root_fields()
+    return {"1+8x": (field_from(g, lambda X, Y: 1.0 + 8.0 * X), one),
+            "1+1e-6xy": (field_from(g, lambda X, Y: 1.0 + 1e-6 * X * Y), one),
+            "exp(4xy)": (field_from(g, lambda X, Y: np.exp(4.0 * X * Y)), one),
+            "strip": (strip["a"], strip["b"])}
+
+
+@pytest.mark.parametrize("name", list(_scale_fields()))
+def test_certify_gives_c_and_a_power_of_two_times_c_one_certificate(name):
+    # u = mu v maps (a, b, h) to (mu^2 a, b, mu^3 h), so uniqueness for every h
+    # depends on c = a/b only up to a positive factor
+    a, b = _scale_fields()[name]
+    base = certify(a, b)
+    tiny = np.finfo(float).tiny
+    checked = 0
+    for j in range(-1000, 1001, 25):
+        with np.errstate(over="ignore", under="ignore"):
+            a_j = np.ldexp(a.values, j)
+            c_j = a_j / b.values
+        if a_j.min() < tiny or a_j.max() > 1e300 or c_j.min() < tiny or c_j.max() > 1e300:
+            continue
+        cert = certify(ScalarField(a.grid, a_j), b)
+        assert (cert.verdict, cert.ratio_value) == (base.verdict, base.ratio_value), j
+        assert cert.min_d == math.ldexp(base.min_d, j), j
+        checked += 1
+    assert checked >= 20
+
+
+def test_certify_measures_the_pointwise_tolerance_against_the_mean():
+    # D scales with c: an absolute floor of -1e-8 certified 1e-12 (1+8x),
+    # although 1+8x itself is Inconclusive
+    g = unit_grid(8)
+    one = ScalarField.full(g, 1.0)
+    ramp = field_from(g, lambda X, Y: 1.0 + 8.0 * X)
+    assert certify(ramp, one).verdict == "Inconclusive"
+    cert = certify(ScalarField(g, 1e-12 * ramp.values), one)
+    tol = 1e-8 * float(np.mean(1e-12 * ramp.values))
+    assert cert.verdict == "Inconclusive"
+    assert -1e-8 < cert.min_d < -tol
+    assert f" < -{tol:.6g} (1e-08 mean(a/b)): no criterion applies; " in cert.details
+    cpe = pointwise_certified_ratio(g)
+    assert f" >= -{1e-8 * float(cpe.values.mean()):.6g} (1e-08 mean(a/b)); " in \
+        certify(cpe, one).details
 
 
 def test_certified_problems_have_unique_roots(rng):

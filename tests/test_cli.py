@@ -551,7 +551,7 @@ def test_solve_overflow_config_records_newton_failure(tmp_path, capsys):
 
 
 EXTREME_CONFIGS = [  # (extra [grid] line, a, extra [solver] line, subcommands, exit code)
-    ("", "1e200", "", ["solve", "certify"], 3),
+    ("", "1e200", "", ["solve", "certify"], 0),
     ("lx = 1e200", "1", "", ["solve", "certify", "example"], 3),
     ("lx = 1e-300", "1", "", ["solve", "certify", "example"], 3),
     ("x0 = nan", "1", "", ["solve"], 2),
@@ -571,13 +571,24 @@ EXTREME_CONFIGS = [  # (extra [grid] line, a, extra [solver] line, subcommands, 
     ids=[f"{command}-{grid_line or solver_line or 'a = ' + a}".replace(" ", "")
          for grid_line, a, solver_line, commands, _ in EXTREME_CONFIGS for command in commands])
 def test_extreme_config_exit_code(tmp_path, capsys, command, grid_line, a, solver_line, code):
-    # finite extremes overflow Python floats during the run (3); non-finite
-    # geometry or [solver] values are bad input (2) and create no output directory
+    # a = 1e200 is solved and certified like a = 1 (0); finite extreme geometry
+    # overflows Python floats during the run (3); non-finite geometry or
+    # [solver] values are bad input (2) and create no output directory
     cfg = write_config(tmp_path / "cfg.ini", grid=f"nx = 8\nny = 8\n{grid_line}",
                        coeffs=f"a = {a}\nb = 1\nh = 1", solver=f"n_samples = 16\n{solver_line}")
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == code
     err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        if command == "solve":
+            summary = json.loads((out / "summary.json").read_text())
+            assert [root["s"] for root in summary["roots"]] == [0.0]
+            assert summary["newton"]["converged"] is True
+        else:
+            cert = json.loads((out / "certificate.json").read_text())
+            assert cert["verdict"] == "UniqueConstantRatio"
+        return
     assert err.startswith("config error: " if code == 2 else "numerical failure: ")
     assert "Traceback" not in err
     assert "Warning" not in err

@@ -231,6 +231,26 @@ def test_field_file_roundtrip(tmp_path, rng):
     assert back.values == pytest.approx(f.values, rel=0, abs=0)
 
 
+def test_read_field_parses_each_token_as_python_float_does(tmp_path):
+    # signed zeros, subnormals, the normal/subnormal edge, the largest doubles,
+    # decimal ties that round to even, and "%.17g" texts in both notations
+    tokens = ["0", "-0", "5e-324", "-4.9406564584124654e-324", "2.2250738585072009e-308",
+              "2.2250738585072011e-308", "2.2250738585072014e-308", "1.7976931348623157e+308",
+              "-1.7976931348623157e+308", "9007199254740993",
+              "1.00000000000000011102230246251565404236316680908203125",
+              "0.10000000000000001", "0.0001", "-9.9999999999999998e-05",
+              "99999999999999984", "1e+17", "123456789.12345679", "-3"]
+    g = Grid.over_rectangle(6, 3)
+    path = tmp_path / "f.field"
+    path.write_text(f"# field {g.header()}\n" + " ".join(tokens) + "\n", encoding="ascii")
+    expected = np.array([float(t) for t in tokens])
+    assert np.array_equal(read_field(path).values.view(np.int64), expected.view(np.int64))
+    path.write_text(f"# field {g.header()}\n" + " ".join(tokens[:-1] + ["abc"]) + "\n",
+                    encoding="ascii")
+    with pytest.raises(ValueError, match=r"^could not convert string to float: 'abc'$"):
+        read_field(path)
+
+
 def test_write_field_formats_like_repr_17g(tmp_path, rng):
     g = Grid.over_rectangle(3, 4)
     extremes = [5e-324, 1.7976931348623157e308, -0.0, 1e-300, -5e-324,

@@ -404,6 +404,16 @@ def test_scan_needs_16_samples():
         fixed_point_scan(constant_problem(g, sine_forcing(g)), 15)
 
 
+def test_scan_refuses_a_sample_count_that_is_not_an_integer():
+    g = unit_grid(4)
+    P = constant_problem(g, sine_forcing(g))
+    for n in (16.5, 16.0):
+        with pytest.raises(ValueError, match=rf"^sample count must be an integer, got {n}$"):
+            fixed_point_scan(P, n)
+    report, again = fixed_point_scan(P, np.int64(16)), fixed_point_scan(P, 16)
+    assert [r.s for r in report.roots] == [r.s for r in again.roots]
+
+
 @pytest.mark.parametrize("s_max", [-1.0, 0.0, math.inf, math.nan])
 def test_scan_refuses_a_ceiling_not_positive_and_finite(s_max):
     g = unit_grid(16)

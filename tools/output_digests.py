@@ -71,6 +71,12 @@ def runs(work: Path) -> list:
     out.append(("constant-ratio-16", "[grid]\nnx = 16\nny = 16\n\n[coefficients]\n"
                 "a = 2\nb = 1\nh = sin(pi*x)*sin(pi*y)\n", ("eigen", "--alphas", "0.1,1,10")))
     out.append(("strip", strip_config(work), ("solve",)))
+    # ratios rescaled far from 1: a certificate depends on a/b only up to a factor
+    for tag, a, commands in (("tiny-ramp-8", "1e-12*(1+8*x)", ("certify",)),
+                             ("huge-a-8", "1e200", ("solve", "certify")),
+                             ("tiny-a-8", "1e-200", ("certify",))):
+        config = f"[grid]\nnx = 8\nny = 8\n\n[coefficients]\na = {a}\nb = 1\nh = 1\n"
+        out += [(tag, config, (command,)) for command in commands]
     return out
 
 
