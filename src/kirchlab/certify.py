@@ -135,7 +135,8 @@ def certify(a: ScalarField, b: ScalarField) -> Certificate:
     c = _ratio_field(a, b)
     exp = math.frexp(float(c.values.max()))[1]
     c = ScalarField(c.grid, np.ldexp(c.values, -exp))
-    c_lo, c_hi, c_mean = float(c.values.min()), float(c.values.max()), float(c.values.mean())
+    c_lo, c_hi = float(c.values.min()), float(c.values.max())
+    c_mean = c_lo + float((c.values - c_lo).mean())   # exact for a constant ratio
     ratio = ratio_criterion(c)
     d_min = interior_min(pointwise_criterion(c))
     tol = POINTWISE_TOL * c_mean

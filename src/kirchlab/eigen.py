@@ -20,16 +20,12 @@ import numpy as np
 
 from .certify import _check_alpha, _check_ratio, shifted_ratio
 from .grid import (FaceField, KirchlabError, ScalarField, _face_mean, _ghost_difference,
-                   divergence, face_average, gradient, grad_norm_sq, integrate)
+                   _per_batch, divergence, face_average, gradient, grad_norm_sq, integrate)
 from .linalg import NoConvergence, _lobpcg_stack
 
 ADMISSIBLE_TOL = 1e-10
 SIGN_TOL = 1e-8
 PENCIL_RESID_TOL = 1e-8
-# most alphas x grid nodes in one LOBPCG stack.  Stacks save numpy call
-# overhead on small grids but leave the cache on large ones: on the 8-alpha
-# ramp curve, 2 alphas per stack were fastest at 64^2 and 1 at 128^2
-_STACK_NODES = 8_192
 
 
 @dataclass
@@ -169,7 +165,7 @@ def eigen_curve(c: ScalarField, alphas) -> EigenCurve:
     """Solve the eigenproblem for every admissible alpha in the given order.
 
     The admissible alphas go through the LOBPCG as stacks of up to
-    _STACK_NODES // n node weights 1/(c + alpha); each gets the bits it gets
+    grid._per_batch(n) node weights 1/(c + alpha); each gets the bits it gets
     alone, so a row's pair is principal_eigenpair at its alpha.  The checks run
     per alpha in order, so the first alpha that fails raises what it raises
     when solved alone.
@@ -189,10 +185,9 @@ def eigen_curve(c: ScalarField, alphas) -> EigenCurve:
 
 def _stacks(c: ScalarField, alphas):
     """The admissible (alpha, m_alpha) of alphas in order, in lists of at most
-    max(1, _STACK_NODES // n).  An alpha whose weight raises (a nonpositive
-    alpha, or a weight that is not finite) does so once the alphas before it
-    are yielded, as when each alpha is solved alone."""
-    size = max(1, _STACK_NODES // c.grid.n_nodes)
+    grid._per_batch(n).  An alpha whose weight raises (a nonpositive alpha, or a
+    weight that is not finite) does so once the alphas before it are yielded, as
+    when each alpha is solved alone."""
     stack = []
     for alpha in map(float, alphas):
         try:
@@ -203,7 +198,7 @@ def _stacks(c: ScalarField, alphas):
             raise
         if admissible:
             stack.append((alpha, m))
-        if len(stack) == size:
+        if len(stack) == _per_batch(c.grid.n_nodes):
             yield stack
             stack = []
     if stack:

@@ -28,6 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+BATCH_NODES = 16_384   # most node values per operand of one batched kernel call: 128 KiB
+
+
+def _per_batch(nodes: int) -> int:
+    """How many items of `nodes` values each one batch holds: at least one."""
+    return max(1, BATCH_NODES // nodes)
+
 
 class KirchlabError(Exception):
     """A computation that failed on input the library accepted; input it cannot
@@ -304,7 +311,6 @@ def dirichlet_lambda1(grid: Grid) -> float:
 # [10^16, 10^17) is an even integer plus an error term below its half-ulp.  All
 # other values (zeros, subnormals, |x| < 1e-4 or >= 1e17) take Python's "%.17g".
 
-_CHUNK = 8192                     # values formatted and written at a time
 _WIDTH = 24                       # longest "%.17g" text, "-2.2250738585072014e-308"
 _POW10 = np.array([float(10 ** k) for k in range(21)])
 
@@ -448,12 +454,12 @@ def _format_chunk(v: np.ndarray, start: int, nx: int) -> bytes:
 
 
 def write_field(f: ScalarField, path) -> None:
-    """Write f as a field file, _CHUNK values at a time."""
+    """Write f as a field file, BATCH_NODES values at a time."""
     g = f.grid
     with open(path, "wb") as fh:
         fh.write(f"# field {g.header()}\n".encode("ascii"))
-        for start in range(0, g.n_nodes, _CHUNK):
-            fh.write(_format_chunk(f.values[start:start + _CHUNK], start, g.nx))
+        for start in range(0, g.n_nodes, BATCH_NODES):
+            fh.write(_format_chunk(f.values[start:start + BATCH_NODES], start, g.nx))
 
 
 def read_field(path) -> ScalarField:

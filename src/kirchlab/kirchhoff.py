@@ -23,21 +23,19 @@ import numpy as np
 
 from . import eigen
 from .certify import _check_coefficients, _ratio_field
-from .grid import (Grid, KirchlabError, ScalarField, grad_inner, grad_norm_sq, integrate,
-                   laplacian, node_grad_sq, dirichlet_lambda1)
+from .grid import (Grid, KirchlabError, ScalarField, _per_batch, grad_inner, grad_norm_sq,
+                   integrate, laplacian, node_grad_sq, dirichlet_lambda1)
 from .linalg import NoConvergence, _sine_basis, poisson_solve
 
-ROOT_RTOL = 1e-10          # |Phi(s) - s| <= ROOT_RTOL * (1 + s) at a root
+ROOT_RTOL = 1e-10          # |Phi(s) - s| <= ROOT_RTOL * s at a root
 TANGENCY_RTOL = 1e-6
 REFINE_MAX = 120          # Phi evaluations allowed to refine one sign change
-BRACKET_EPS = 1e-12
 CEILING_RTOL = 1e-6        # relative width at which the ceiling bisection stops
 CEILING_MAX_STEPS = 2200   # enough halvings to cross the whole double range
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 50
 SINGULAR_TOL = 1e-8
 LINEARIZED_RTOL = 1e-6
-SCAN_BLOCK = 16            # Phi samples per kernel call in the scan
 
 
 @dataclass
@@ -185,9 +183,9 @@ def energy_upper_bound(P: Problem) -> float:
     operators) gives s <= integral(h^2) / (a0^2 * lambda1).  A bound that
     does not fit in a double raises ValueError naming it.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         h2 = P.grid.cell_area * np.sum(P.h.values ** 2)
-        bound = float(np.divide(h2, np.square(P.a0) * dirichlet_lambda1(P.grid)))
+        bound = float(h2 / P.a0 / P.a0 / dirichlet_lambda1(P.grid))
     if not np.isfinite(bound):
         raise ValueError(f"energy bound integral(h^2)/(min(a)^2 lambda1) = {bound} is not "
                          f"a finite double (max |h| = {np.abs(P.h.values).max():.3g}, "
@@ -238,28 +236,28 @@ def fixed_point_scan(P: Problem, n_samples: int = 256,
     """Enumerate all fixed points of Phi on the provable bracket [0, 1.05*S_max],
     S_max the tight energy cap of _scan_ceiling.
 
-    Uniform samples of g(s) = Phi(s) - s, SCAN_BLOCK of them per kernel call and
+    Uniform samples of g(s) = Phi(s) - s, grid._per_batch(n) per kernel call,
     each bitwise equal to fixed_point_map, give the root starts, and every start
-    goes through _refine: each maximal run of samples with |g| <= 1e-10*(1+s)
-    starts at its sample of least |g| inside the run's two neighbouring samples,
-    and each strict sign change between two other samples at its secant point.
+    goes through _refine: each maximal run of samples with |g| <= 1e-10*s starts
+    at its sample of least |g| inside the run's two neighbouring samples, and
+    each strict sign change between two other samples at its secant point.
     Each root reports the polished s at which that bound was verified, the frozen
     solve there, Phi'(s) and the Phi evaluations it took after sampling.  Local
-    minima of |Phi(s)-s| below 1e-6*(1+s) without a crossing are reported as
-    suspected tangencies (a double root there is exactly where the Jacobian
-    degenerates).  s_max, positive and finite, replaces the computed ceiling
-    when given.
+    minima of |Phi(s)-s| below 1e-6*s without a crossing are suspected tangencies
+    (a double root there is where the Jacobian degenerates).  The tests are
+    relative, so (4^j a, b, 8^j h) scans to 4^j times the roots, bit for bit, and
+    a zero ceiling to the root 0 of [0, 0].  A given s_max replaces the ceiling.
     """
     _check_samples(n_samples)
     ceiling = _check_positive("s_max", s_max) if s_max is not None else _scan_ceiling(P)
-    ss = np.linspace(0.0, 1.05 * max(ceiling, BRACKET_EPS), n_samples)
-    phis = np.concatenate([_phi(P, ss[j:j + SCAN_BLOCK])
-                           for j in range(0, n_samples, SCAN_BLOCK)])
+    ss = np.linspace(0.0, 1.05 * ceiling, n_samples)
+    block = _per_batch(P.grid.n_nodes)
+    phis = np.concatenate([_phi(P, ss[j:j + block]) for j in range(0, n_samples, block)])
     gs = phis - ss
 
     # root starts (first s, bracket ends as sample indices), disjoint by construction;
     # signs are compared because the product of two |g| > 1e154 overflows
-    hit = np.abs(gs) <= ROOT_RTOL * (1.0 + ss)
+    hit = np.abs(gs) <= ROOT_RTOL * ss
     s_l, g_l = ss.tolist(), gs.tolist()
     starts = []
     for i, j in np.flatnonzero(np.diff(hit, prepend=False, append=False)).reshape(-1, 2):
@@ -285,13 +283,13 @@ def fixed_point_scan(P: Problem, n_samples: int = 256,
 
 def _suspected_tangencies(ss: np.ndarray, gs: np.ndarray, root_ss: list) -> list:
     """Interior samples where g = Phi(s) - s keeps one strict sign over the sample
-    and both neighbours, |g| is a local minimum below TANGENCY_RTOL*(1+s), and
+    and both neighbours, |g| is a local minimum below TANGENCY_RTOL*s, and
     no root lies within 1.5 sample spacings."""
     mag, mid = np.abs(gs), ss[1:-1]
     pos, neg = gs > 0.0, gs < 0.0
     keep = ((pos[:-2] & pos[1:-1] & pos[2:]) | (neg[:-2] & neg[1:-1] & neg[2:]))
     keep &= mag[1:-1] <= np.minimum(mag[:-2], mag[2:])
-    keep &= mag[1:-1] < TANGENCY_RTOL * (1.0 + mid)
+    keep &= mag[1:-1] < TANGENCY_RTOL * mid
     if root_ss:
         spacing = ss[1] - ss[0]
         keep &= ~(np.abs(np.subtract.outer(mid, root_ss)) <= 1.5 * spacing).any(axis=1)
@@ -306,7 +304,7 @@ def _refine(P: Problem, s: float, lo: float, g_lo: float, hi: float, g_hi: float
     kernel call) shrinks the bracket to the sign change of g.  The next s is the
     Newton step s - g/(Phi' - 1) when it lies strictly inside the bracket and
     moves at most half as far as the step before it, the bracket's midpoint
-    otherwise.  The iteration stops when |g| <= ROOT_RTOL*(1+s), or at an s not
+    otherwise.  The iteration stops when |g| <= ROOT_RTOL*s, or at an s not
     strictly inside the bracket: the end with the smaller |g| once no double
     lies between the ends, or a first point on an end.  _polish then takes one
     last Newton step.  Raises NoConvergence naming the bracket after REFINE_MAX
@@ -316,7 +314,7 @@ def _refine(P: Problem, s: float, lo: float, g_lo: float, hi: float, g_hi: float
     for evals in range(1, REFINE_MAX + 1):
         phi, dphi = (float(v) for v in _phi(P, [s], slope=True))
         g = phi - s
-        if abs(g) <= ROOT_RTOL * (1.0 + s) or not lo < s < hi:
+        if abs(g) <= ROOT_RTOL * s or not lo < s < hi:
             return _polish(P, lo, hi, s, g, dphi, evals)
         if (g > 0.0) == (g_lo > 0.0):
             lo, g_lo = s, g
@@ -329,7 +327,7 @@ def _refine(P: Problem, s: float, lo: float, g_lo: float, hi: float, g_hi: float
             width, s = 0.5 * (hi - lo), 0.5 * (lo + hi)
             if not lo < s < hi:
                 s = lo if abs(g_lo) <= abs(g_hi) else hi
-    raise NoConvergence(f"root refinement left |Phi(s) - s| above {ROOT_RTOL:g}*(1 + s) "
+    raise NoConvergence(f"root refinement left |Phi(s) - s| above {ROOT_RTOL:g}*s "
                         f"after {REFINE_MAX} evaluations; the root lies in "
                         f"[{lo:.17g}, {hi:.17g}]")
 

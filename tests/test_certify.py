@@ -76,6 +76,15 @@ def test_certify_constant_ratio():
     assert cert.theta == pytest.approx(1.0, rel=1e-12)
 
 
+def test_certify_theta_of_a_constant_ratio_is_the_constant():
+    # a sum and a divide report 0.09999999999999999 for a = 0.1 on 8x8
+    for n in (8, 256):
+        g = unit_grid(n)
+        for value in (1e200, 1e-200, 0.1, 1.7, 2.0 / 3.0, 3.0):
+            cert = certify(ScalarField.full(g, value), ScalarField.full(g, 1.0))
+            assert (cert.verdict, cert.theta) == ("UniqueConstantRatio", value), (n, value)
+
+
 def test_certify_ratio_bound():
     g = unit_grid(32)
     a = field_from(g, lambda X, Y: 1.0 + X)

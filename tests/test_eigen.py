@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kirchlab import eigen, linalg
+from kirchlab import eigen, grid, linalg
 from kirchlab.certify import ratio_gap, shifted_ratio
 from kirchlab.eigen import (eigen_curve, eigen_weight, eigenvalue_lower_bound, is_admissible,
                             principal_eigenpair, rayleigh_quotient, weight_flux)
@@ -338,7 +338,7 @@ def test_eigen_curve_split_into_stacks_keeps_every_bit(stack_nodes, monkeypatch)
     assert len(whole.rows) == 9
     stacks = []
     solve_stack = eigen._lobpcg_stack
-    monkeypatch.setattr(eigen, "_STACK_NODES", stack_nodes)
+    monkeypatch.setattr(grid, "BATCH_NODES", stack_nodes)
     monkeypatch.setattr(eigen, "_lobpcg_stack",
                         lambda g, W, B, where: stacks.append(len(B)) or
                         solve_stack(g, W, B, where))

@@ -1,12 +1,13 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import kirchlab.kirchhoff as kh
-from kirchlab.grid import (Grid, KirchlabError, ScalarField, dirichlet_lambda1, grad_norm_sq,
-                           integrate, laplacian)
+from kirchlab.grid import (Grid, KirchlabError, ScalarField, _per_batch, dirichlet_lambda1,
+                           grad_norm_sq, integrate, laplacian)
 from kirchlab.kirchhoff import (Problem, diffusion_coefficient, energy_upper_bound,
                                 fixed_point_map, fixed_point_scan,
                                 jacobian_functional, jacobian_identity,
@@ -199,16 +200,76 @@ def test_scan_sign_test_without_products():
     report = fixed_point_scan(P)
     assert len(report.roots) == 1
     s = report.roots[0].s
-    assert abs(fixed_point_map(P, s) - s) <= kh.ROOT_RTOL * (1.0 + s)
+    assert abs(fixed_point_map(P, s) - s) <= kh.ROOT_RTOL * s
 
 
 def test_scan_zero_forcing():
+    # the ceiling is 0, so the scan samples the bracket [0, 0], whose root is s = 0
     g = unit_grid(8)
     report = fixed_point_scan(constant_problem(g, ScalarField.zeros(g)), 64)
+    assert report.s_max == 0.0
+    assert report.samples == [(0.0, 0.0)] * 64
     assert len(report.roots) == 1
-    assert report.roots[0].s == pytest.approx(0.0, abs=1e-12)
+    assert report.roots[0].s == 0.0
     assert (report.roots[0].u.values == 0.0).all()
     assert report.suspected_tangencies == []
+
+
+def _scaled_strip(scale_a: float, scale_h: float) -> Problem:
+    f = three_root_fields()
+    g = f["a"].grid
+    return Problem(ScalarField(g, scale_a * f["a"].values), f["b"],
+                   ScalarField(g, scale_h * f["h"].values))
+
+
+def test_scan_roots_scale_exactly_with_the_problem():
+    # u = mu v maps (a, b, h) to (mu^2 a, b, mu^3 h) and every root s to mu^2 s;
+    # with mu = 2^j every step of the scan scales exactly
+    base = fixed_point_scan(_scaled_strip(1.0, 1.0))
+    assert len(base.roots) == 3
+    for j in [j for j in range(-40, 21, 5) if j] + [-1, 1]:
+        report = fixed_point_scan(_scaled_strip(4.0 ** j, 8.0 ** j))
+        assert [r.s for r in report.roots] == [4.0 ** j * r.s for r in base.roots], j
+        assert [r.dphi for r in report.roots] == [r.dphi for r in base.roots], j
+        assert report.n_phi_evals == base.n_phi_evals, j
+
+
+def test_scan_finds_the_three_roots_of_a_tiny_strip():
+    # eps a, b, eps^1.5 h has the roots eps s; a root test with an absolute part
+    # lost two of them at eps = 1e-9
+    expected = [r.s for r in fixed_point_scan(_scaled_strip(1.0, 1.0)).roots]
+    for eps in (1e-3, 1e-6, 1e-9, 1e-12):
+        report = fixed_point_scan(_scaled_strip(eps, eps ** 1.5))
+        assert [r.s / eps for r in report.roots] == pytest.approx(expected, rel=1e-12), eps
+
+
+def test_scan_memory_stays_within_one_batch():
+    # a block holds at most grid.BATCH_NODES values per operand (one 128x128
+    # sample); the warm-up call fills the sine-basis cache
+    g = unit_grid(128)
+    P = Problem(field_from(g, lambda X, Y: 1.0 + X), ScalarField.full(g, 1.0),
+                field_from(g, lambda X, Y: np.sin(np.pi * X) * np.sin(2.0 * np.pi * Y)))
+    fixed_point_scan(P)
+    tracemalloc.start()
+    try:
+        fixed_point_scan(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+@pytest.mark.parametrize("a", [1e155, 1e200])
+def test_scan_brackets_the_root_of_a_huge_a(a):
+    # min(a)^2 overflows, so energy_upper_bound divides by min(a) twice; at 1e200
+    # the energy underflows to 0 and the bracket is [0, 0]
+    g = unit_grid(8)
+    P = constant_problem(g, ScalarField.full(g, 1.0), a=a)
+    report = fixed_point_scan(P)
+    (root,) = report.roots
+    assert fixed_point_map(P, root.s) == root.s
+    assert root.s <= report.s_max <= energy_upper_bound(P)
+    assert (root.s > 0.0) == (a == 1e155)
 
 
 @pytest.mark.parametrize("phi0,s_expected", [(4.0, 1.0), (1.125, 0.5)])
@@ -282,8 +343,8 @@ def test_scan_samples_equal_fixed_point_map_bitwise(nx, ny, lx, ly, n_samples, r
 @pytest.mark.parametrize("n_samples", [256, 257])
 def test_scan_samples_are_block_poisson_solves(n_samples, rng, monkeypatch):
     # The name is historical: the samples are spectral kernel calls, one per
-    # block of SCAN_BLOCK, with no Poisson solve; refinement then makes one
-    # 2-row kernel call per evaluation, and each root one frozen solve.
+    # block of grid._per_batch(n) samples, with no Poisson solve; refinement then
+    # makes one 2-row kernel call per evaluation, and each root one frozen solve.
     g = unit_grid(8)
     P = Problem(positive_random(g, rng), positive_random(g, rng), sign_changing(g, rng))
     events, phi_kernel = [], kh._phi
@@ -299,11 +360,12 @@ def test_scan_samples_are_block_poisson_solves(n_samples, rng, monkeypatch):
     monkeypatch.setattr(kh, "_phi", counting_phi)
     monkeypatch.setattr(kh, "poisson_solve", counting_poisson)
     report = fixed_point_scan(P, n_samples)
-    n_blocks = math.ceil(n_samples / kh.SCAN_BLOCK)
+    block = _per_batch(g.n_nodes)
+    n_blocks = math.ceil(n_samples / block)
     assert len(report.roots) == 1
     samples, rest = events[:n_blocks], events[n_blocks:]
     assert [kind for kind, _ in samples] == ["phi"] * n_blocks
-    assert [width for _, width in samples[:-1]] == [kh.SCAN_BLOCK] * (n_blocks - 1)
+    assert [width for _, width in samples[:-1]] == [block] * (n_blocks - 1)
     assert sum(width for _, width in samples) == n_samples
     refinement = [e for e in rest if e[0] == "slope"]
     assert rest == refinement + [("poisson", 1)] * len(report.roots)
@@ -365,7 +427,7 @@ def test_scan_roots_meet_tolerance_at_reported_s(n_samples):
     report = fixed_point_scan(P, n_samples)
     assert len(report.roots) == 3
     for root in report.roots:
-        assert abs(fixed_point_map(P, root.s) - root.s) <= kh.ROOT_RTOL * (1.0 + root.s)
+        assert abs(fixed_point_map(P, root.s) - root.s) <= kh.ROOT_RTOL * root.s
         assert np.array_equal(root.u.values, solve_frozen(P, root.s).values)
         assert root.dphi == kh._phi(P, [root.s], slope=True)[1]
         assert 0 < root.refine_evals <= 8
@@ -455,7 +517,7 @@ def test_scan_hit_root_is_polished(off):
     # Newton step takes it to roundoff, so s matches its field's energy
     P = cubic_problem(unit_grid(16), 4.0)
     report = fixed_point_scan(P, 17, s_max=(1.0 + off) * 2.0 / 1.05)
-    g = [abs(phi - s) - kh.ROOT_RTOL * (1.0 + s) for s, phi in report.samples]
+    g = [abs(phi - s) - kh.ROOT_RTOL * s for s, phi in report.samples]
     assert sum(v <= 0.0 for v in g) == 1
     (root,) = report.roots
     assert abs(root.s - 1.0) <= 4.5e-16
@@ -484,16 +546,16 @@ def test_scan_keeps_two_roots_closer_than_the_old_merge_distance(monkeypatch):
     assert 0.5 in [s for s, _ in report.samples]
     assert [root.s for root in report.roots] == pytest.approx([r1, r2], rel=0, abs=5e-10)
     for root in report.roots:
-        assert abs(c * (root.s - r1) * (root.s - r2)) <= kh.ROOT_RTOL * (1.0 + root.s)
+        assert abs(c * (root.s - r1) * (root.s - r2)) <= kh.ROOT_RTOL * root.s
 
 
 def test_scan_run_of_root_samples_is_one_root(monkeypatch):
     # Phi(s) = s + c (s - 1/2)^3 is within ROOT_RTOL of s at the five samples around
     # 1/2, which make one run: one root at its middle sample, which is exact
-    c = 1e-4
+    c = 3e-5
     report = _scan_synthetic_phi(monkeypatch, lambda s: s + c * (s - 0.5) ** 3,
                                  lambda s: 1.0 + 3.0 * c * (s - 0.5) ** 2, 201)
-    hits = [s for s, p in report.samples if abs(p - s) <= kh.ROOT_RTOL * (1.0 + s)]
+    hits = [s for s, p in report.samples if abs(p - s) <= kh.ROOT_RTOL * s]
     assert len(hits) == 5
     (root,) = report.roots
     assert (root.s, root.refine_evals) == (0.5, 1)
@@ -511,7 +573,7 @@ def _tangencies_loop(ss, gs, root_ss):
             continue
         if abs(gs[i]) > min(abs(gs[i - 1]), abs(gs[i + 1])):
             continue
-        if abs(gs[i]) >= kh.TANGENCY_RTOL * (1.0 + ss[i]):
+        if abs(gs[i]) >= kh.TANGENCY_RTOL * ss[i]:
             continue
         if any(abs(ss[i] - sr) <= 1.5 * spacing for sr in root_ss):
             continue
@@ -537,7 +599,7 @@ def _tangency_cases(rng):
     ties = np.tile([2 * tiny, tiny, tiny, 2 * tiny], ss.size // 4)
     alternating = tiny * (-1.0) ** np.arange(ss.size)
     above = np.full(ss.size, kh.TANGENCY_RTOL * 3.0)
-    at_bound = kh.TANGENCY_RTOL * (1.0 + ss)
+    at_bound = kh.TANGENCY_RTOL * ss
     dip = np.full(ss.size, 1e-3)
     dip[[10, 30, 50]] = [1e-8, -1e-8, 0.0]
     dip[31] = -1e-3

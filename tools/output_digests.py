@@ -41,16 +41,18 @@ def write_field_text(path: Path, header: str, values) -> None:
     path.write_text(f"# field {header}\n" + "\n".join(rows) + "\n", encoding="ascii")
 
 
-def strip_config(work: Path) -> str:
-    """The three-root strip problem of tests/conftest.py, read from field files."""
+def strip_config(work: Path, tag: str, scale: dict) -> str:
+    """The three-root strip problem of tests/conftest.py, each coefficient times
+    its factor in scale (default 1), read from field files."""
     from conftest import THREE_ROOT_STRIPS
     from kirchlab.grid import Grid
 
     header = Grid.over_rectangle(64, 1).header()
     lines = []
     for name, strips in THREE_ROOT_STRIPS.items():
-        path = work / f"strip_{name}.field"
-        write_field_text(path, header, [strips[i // 8] for i in range(64)])
+        path = work / f"{tag}_{name}.field"
+        factor = scale.get(name, 1.0)
+        write_field_text(path, header, [factor * strips[i // 8] for i in range(64)])
         lines.append(f"{name}_file = {path}")
     return "[grid]\nnx = 64\nny = 1\n\n[coefficients]\n" + "\n".join(lines) + "\n"
 
@@ -70,11 +72,15 @@ def runs(work: Path) -> list:
     out += [("json-16", json_only, args) for args in ALL_FIVE[:3]]
     out.append(("constant-ratio-16", "[grid]\nnx = 16\nny = 16\n\n[coefficients]\n"
                 "a = 2\nb = 1\nh = sin(pi*x)*sin(pi*y)\n", ("eigen", "--alphas", "0.1,1,10")))
-    out.append(("strip", strip_config(work), ("solve",)))
+    out.append(("strip", strip_config(work, "strip", {}), ("solve",)))
+    # u = 2^-15 v: the roots are 4^-15 times the strip's
+    tiny = strip_config(work, "tiny_strip", {"a": 4.0 ** -15, "h": 8.0 ** -15})
+    out.append(("tiny-strip", tiny, ("solve",)))
     # ratios rescaled far from 1: a certificate depends on a/b only up to a factor
     for tag, a, commands in (("tiny-ramp-8", "1e-12*(1+8*x)", ("certify",)),
                              ("huge-a-8", "1e200", ("solve", "certify")),
-                             ("tiny-a-8", "1e-200", ("certify",))):
+                             ("tiny-a-8", "1e-200", ("certify",)),
+                             ("const-8", "0.1", ("certify",))):
         config = f"[grid]\nnx = 8\nny = 8\n\n[coefficients]\na = {a}\nb = 1\nh = 1\n"
         out += [(tag, config, (command,)) for command in commands]
     return out
