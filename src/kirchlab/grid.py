@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BATCH_NODES = 16_384   # most node values per operand of one batched kernel call: 128 KiB
+BATCH_NODES = 8_192   # most node values per operand of one batched kernel call: 64 KiB
 
 
 def _per_batch(nodes: int) -> int:

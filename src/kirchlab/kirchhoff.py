@@ -153,13 +153,15 @@ def _phi(P: Problem, ss, slope: bool = False) -> np.ndarray:
     # area / (ly + lx) scales the coefficients before they are squared, so
     # only an energy that overflows itself overflows
     weight = g.cell_area / (ly[:, None] + lx[None, :])
+    # later products reuse the call's buffers: each new one is fresh pages (512 KiB at 256^2)
     with np.errstate(over="ignore", invalid="ignore"):
-        F = P.h.values / m
+        F = np.divide(P.h.values, m, out=None if slope else m)
         if slope:
             F = np.concatenate((F, F * (P.b.values / m)))
-        Fh = Sy @ F.reshape(-1, g.ny, g.nx) @ Sx
-        WFh = Fh[:k] * weight
-        phi = (Fh[:k] * WFh).sum(axis=(-2, -1))
+        T = Sy @ F.reshape(-1, g.ny, g.nx)
+        Fh = np.matmul(T, Sx, out=F.reshape(T.shape))
+        WFh = np.multiply(Fh[:k], weight, out=T[:k])
+        phi = np.multiply(Fh[:k], WFh, out=Fh[:k]).sum(axis=(-2, -1))
         if slope:
             phi = np.append(phi, -2.0 * (Fh[1] * WFh[0]).sum())
     finite = np.isfinite(phi)
@@ -183,9 +185,9 @@ def energy_upper_bound(P: Problem) -> float:
     operators) gives s <= integral(h^2) / (a0^2 * lambda1).  A bound that
     does not fit in a double raises ValueError naming it.
     """
-    with np.errstate(over="ignore"):
-        h2 = P.grid.cell_area * np.sum(P.h.values ** 2)
-        bound = float(h2 / P.a0 / P.a0 / dirichlet_lambda1(P.grid))
+    with np.errstate(over="ignore"):   # h/a0 before squaring: exact under 2^j, no h^2 underflow
+        q2 = float(np.sum((P.h.values / P.a0) ** 2))
+    bound = P.grid.cell_area * q2 / dirichlet_lambda1(P.grid)
     if not np.isfinite(bound):
         raise ValueError(f"energy bound integral(h^2)/(min(a)^2 lambda1) = {bound} is not "
                          f"a finite double (max |h| = {np.abs(P.h.values).max():.3g}, "
@@ -234,19 +236,17 @@ def residual(P: Problem, u: ScalarField) -> float:
 def fixed_point_scan(P: Problem, n_samples: int = 256,
                      s_max: float | None = None) -> ScanReport:
     """Enumerate all fixed points of Phi on the provable bracket [0, 1.05*S_max],
-    S_max the tight energy cap of _scan_ceiling.
+    S_max the tight energy cap of _scan_ceiling or the given s_max.
 
-    Uniform samples of g(s) = Phi(s) - s, grid._per_batch(n) per kernel call,
-    each bitwise equal to fixed_point_map, give the root starts, and every start
-    goes through _refine: each maximal run of samples with |g| <= 1e-10*s starts
-    at its sample of least |g| inside the run's two neighbouring samples, and
-    each strict sign change between two other samples at its secant point.
-    Each root reports the polished s at which that bound was verified, the frozen
-    solve there, Phi'(s) and the Phi evaluations it took after sampling.  Local
-    minima of |Phi(s)-s| below 1e-6*s without a crossing are suspected tangencies
-    (a double root there is where the Jacobian degenerates).  The tests are
-    relative, so (4^j a, b, 8^j h) scans to 4^j times the roots, bit for bit, and
-    a zero ceiling to the root 0 of [0, 0].  A given s_max replaces the ceiling.
+    Uniform samples of g(s) = Phi(s) - s, grid._per_batch(n) per kernel call and
+    each bitwise equal to fixed_point_map, give the root starts for _refine: a
+    run of samples with |g| <= 1e-10*s at its sample of least |g| between the
+    run's neighbours, a strict sign change between two other samples at its
+    secant point.  A root reports the polished s, its frozen solve, Phi'(s) and
+    its Phi evaluations after sampling; local minima of |g| below 1e-6*s without
+    a crossing are suspected tangencies.  The tests are relative, so (4^j a, b,
+    8^j h) scans to 4^j times the roots, bit for bit; a zero ceiling scans [0, 0]
+    (root 0), and Phi(s) > s atop the bracket raises KirchlabError.
     """
     _check_samples(n_samples)
     ceiling = _check_positive("s_max", s_max) if s_max is not None else _scan_ceiling(P)
@@ -254,6 +254,8 @@ def fixed_point_scan(P: Problem, n_samples: int = 256,
     block = _per_batch(P.grid.n_nodes)
     phis = np.concatenate([_phi(P, ss[j:j + block]) for j in range(0, n_samples, block)])
     gs = phis - ss
+    if s_max is None and gs[-1] > 0.0:   # Phi(s) < s above the ceiling, unless it underflowed
+        raise KirchlabError(f"Phi(s) > s = {ss[-1]:.6g} atop the bracket: energy bound underflowed")
 
     # root starts (first s, bracket ends as sample indices), disjoint by construction;
     # signs are compared because the product of two |g| > 1e154 overflows
@@ -327,19 +329,17 @@ def _refine(P: Problem, s: float, lo: float, g_lo: float, hi: float, g_hi: float
             width, s = 0.5 * (hi - lo), 0.5 * (lo + hi)
             if not lo < s < hi:
                 s = lo if abs(g_lo) <= abs(g_hi) else hi
-    raise NoConvergence(f"root refinement left |Phi(s) - s| above {ROOT_RTOL:g}*s "
-                        f"after {REFINE_MAX} evaluations; the root lies in "
-                        f"[{lo:.17g}, {hi:.17g}]")
+    raise NoConvergence(f"root refinement left |Phi(s) - s| above {ROOT_RTOL:g}*s after "
+                        f"{REFINE_MAX} evaluations; the root lies in [{lo:.17g}, {hi:.17g}]")
 
 
 def _polish(P: Problem, lo: float, hi: float, s: float, g: float, dphi: float,
             evals: int) -> tuple:
     """One more Newton step from a refined root s with g = Phi(s) - s, as
-    (s, Phi'(s), evaluations), kept when it stays strictly inside the bracket
-    [lo, hi] and lowers |g|.  Newton converges quadratically, so a root that
-    just met ROOT_RTOL usually drops to roundoff, and s then agrees with the
-    energy of its frozen solve to about 1e-15, not only to ROOT_RTOL.  The step
-    costs one evaluation, counted either way."""
+    (s, Phi'(s), evaluations), kept when it stays strictly inside [lo, hi] and
+    lowers |g|.  Newton converges quadratically, so a root that just met
+    ROOT_RTOL usually drops to roundoff, and s then agrees with the energy of its
+    frozen solve to about 1e-15.  The step costs one evaluation, counted either way."""
     newton = s - g / (dphi - 1.0) if dphi != 1.0 else math.nan
     if not (lo < newton < hi and newton != s):
         return s, dphi, evals

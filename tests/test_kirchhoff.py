@@ -244,8 +244,8 @@ def test_scan_finds_the_three_roots_of_a_tiny_strip():
 
 
 def test_scan_memory_stays_within_one_batch():
-    # a block holds at most grid.BATCH_NODES values per operand (one 128x128
-    # sample); the warm-up call fills the sine-basis cache
+    # a block holds at most grid.BATCH_NODES values per operand, or one sample
+    # (a 128x128 one here); the warm-up call fills the sine-basis cache
     g = unit_grid(128)
     P = Problem(field_from(g, lambda X, Y: 1.0 + X), ScalarField.full(g, 1.0),
                 field_from(g, lambda X, Y: np.sin(np.pi * X) * np.sin(2.0 * np.pi * Y)))
@@ -259,17 +259,27 @@ def test_scan_memory_stays_within_one_batch():
     assert peak < 2e6
 
 
-@pytest.mark.parametrize("a", [1e155, 1e200])
-def test_scan_brackets_the_root_of_a_huge_a(a):
-    # min(a)^2 overflows, so energy_upper_bound divides by min(a) twice; at 1e200
-    # the energy underflows to 0 and the bracket is [0, 0]
+@pytest.mark.parametrize("a,h", [(1e155, 1.0), (1e200, 1.0), (1e-10, 1e-162)])
+def test_scan_brackets_the_root_of_an_extreme_problem(a, h):
+    # min(a)^2 overflows at 1e155 and h^2 underflows at 1e-162, so energy_upper_bound
+    # squares h/min(a); at 1e200 that square and the energy underflow to 0 and the
+    # bracket is [0, 0]
     g = unit_grid(8)
-    P = constant_problem(g, ScalarField.full(g, 1.0), a=a)
+    P = constant_problem(g, ScalarField.full(g, h), a=a)
     report = fixed_point_scan(P)
     (root,) = report.roots
     assert fixed_point_map(P, root.s) == root.s
     assert root.s <= report.s_max <= energy_upper_bound(P)
-    assert (root.s > 0.0) == (a == 1e155)
+    assert (root.s > 0.0) == (a != 1e200)
+
+
+def test_scan_refuses_a_ceiling_below_phi(monkeypatch):
+    # a ceiling that underflowed while Phi did not raises instead of reporting no root
+    g = unit_grid(8)
+    P = constant_problem(g, ScalarField.full(g, 1e-162), a=1e-10)
+    monkeypatch.setattr(kh, "_scan_ceiling", lambda P: 0.0)
+    with pytest.raises(KirchlabError, match="energy bound underflowed"):
+        fixed_point_scan(P)
 
 
 @pytest.mark.parametrize("phi0,s_expected", [(4.0, 1.0), (1.125, 0.5)])
