@@ -24,6 +24,7 @@ the node at (x0 + (i+1)*hx, y0 + (j+1)*hy).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -462,17 +463,86 @@ def write_field(f: ScalarField, path) -> None:
             fh.write(_format_chunk(f.values[start:start + BATCH_NODES], start, g.nx))
 
 
+# Reading follows Clinger (1990).  A plain token -?digits[.digits] with 1 to 18 digits n,
+# f after the point, is the double nearest n / 10^f: that quotient itself where n <= 2^53
+# (exact operands, one rounding), else, for n < 10^17, the candidate next to it that
+# _round17 prints back as n (half a 17-digit unit is at most 5e-17 |x|, half an ulp at
+# least 2^-54 |x| = 5.55e-17 |x|).  numpy's C reader parses n from text of digits and
+# spaces; any other token, and every chunk numpy refuses, goes through float().
+# _INT_TEXT maps str.split()'s whitespace to a space, and _SPACE marks it.
+_INT_TEXT = bytes(32 if chr(i).isspace() else i for i in range(128)) + bytes(range(128, 256))
+_SPACE = np.frombuffer(_INT_TEXT, dtype=np.uint8) == 32
+
+
+def _float_tokens(words: list) -> list:
+    """The reader's slow path: Python's float() of each ASCII token."""
+    return [float(w.decode("ascii")) for w in words]
+
+
+def _read_tokens(raw: np.ndarray, s: np.ndarray, e: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """The doubles of the tokens raw[s[i]:e[i]], each bitwise as float() reads it;
+    inner holds the positions of the tokens' bytes that are not digits."""
+    b0, b1, k = int(s[0]), int(e[-1]), s.size
+    mark = inner[slice(*np.searchsorted(inner, (b0, b1)))]
+    ch, neg = raw[mark], raw[s] == 45
+    dot, minus = mark[ch == 46], mark[ch == 45]
+    bad = np.zeros(k, dtype=bool)     # a byte but a digit, a point or a leading minus
+    bad[np.searchsorted(s, np.concatenate((mark[(ch != 46) & (ch != 45)], minus[
+        (minus > 0) & ~_SPACE[raw[minus - 1]]])), "right") - 1] = True
+    one = dot.size == k and (s <= dot).all() and (dot < e).all()   # point i in token i
+    owner = np.arange(k) if one else np.searchsorted(s, dot, "right") - 1
+    f, points = np.zeros(k, dtype=np.int64), np.bincount(owner, minlength=k)
+    f[owner] = e[owner] - dot - 1
+    digits = e - s - neg - points
+    bad |= (points > 1) | (digits < 1) | (digits > 18)
+    text = raw[b0:b1]
+    if bad.any():                     # a bad token's text becomes "0" and spaces
+        text = text.copy()
+        text[np.repeat(bad, np.diff(s, append=b1))] = 32
+        text[s[bad] - b0] = 48
+    try:                              # on text it cannot read numpy 1 warns, numpy 2 raises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            n = np.fromstring(text.tobytes().translate(_INT_TEXT, b".-"), dtype=np.int64, sep=" ")
+        n = n.reshape(k)              # and a count that does not match raises too
+    except (ValueError, Warning):
+        n, bad = np.zeros(k, dtype=np.int64), np.ones(k, dtype=bool)
+    x = n / _POW10.take(f, mode="clip")
+    bad |= n >= 10 ** 17
+    big = np.flatnonzero((n > 2 ** 53) & ~bad)   # a candidate from two exact quotients
+    q, p, wide = n[big], _POW10[f[big]], n[big] < 10 ** 16   # wide: 16 digits, the 17th a zero
+    want, d = np.where(wide, 10 * q, q), 16 - f[big] - wide
+    y = (q & -16) / p + (q & 15) / p
+    r = _round17(y, d)
+    i = np.flatnonzero(r != want)     # else the neighbour on the token's side
+    y[i] = np.nextafter(y[i], np.where(r[i] < want[i], np.inf, 0.0))
+    r[i] = _round17(y[i], d[i])
+    x[big] = y
+    bad[big[r != want]] = True
+    np.negative(x, out=x, where=neg)
+    x[bad] = _float_tokens([raw[a:z].tobytes() for a, z in zip(s[bad].tolist(), e[bad].tolist())])
+    return x
+
+
 def read_field(path) -> ScalarField:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("ascii")
         parts = header.split()
         if parts[:2] != ["#", "field"] or len(parts) != 8:
             raise ValueError(f"{path}: malformed field header: {header.strip()!r}")
         nx, ny = int(parts[2]), int(parts[3])
         x0, y0, hx, hy = (float(p) for p in parts[4:8])
-        body = fh.read().split()
+        raw = np.frombuffer(fh.read(), dtype=np.uint8)
     grid = Grid(nx, ny, x0, y0, hx, hy)
-    if len(body) != grid.n_nodes:
-        raise ValueError(
-            f"{path}: expected {grid.n_nodes} values for a {nx}x{ny} field, found {len(body)}")
-    return ScalarField(grid, np.array(body, dtype=float))
+    mark = np.flatnonzero(raw - 48 > 9)   # every byte but the digits
+    space = _SPACE[raw[mark]]
+    gap = np.concatenate(([-1], mark[space], [raw.size]))   # tokens lie between spaces
+    cut = np.flatnonzero(gap[1:] - gap[:-1] > 1)
+    starts, ends, inner = gap[cut] + 1, gap[cut + 1], mark[~space]
+    del mark, space, gap, cut
+    if starts.size != grid.n_nodes:
+        raise ValueError(f"{path}: expected {grid.n_nodes} values for a {nx}x{ny} field, "
+                         f"found {starts.size}")
+    return ScalarField(grid, np.concatenate([  # BATCH_NODES tokens at a time
+        _read_tokens(raw, starts[t:t + BATCH_NODES], ends[t:t + BATCH_NODES], inner)
+        for t in range(0, grid.n_nodes, BATCH_NODES)]))

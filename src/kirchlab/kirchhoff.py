@@ -25,7 +25,7 @@ from . import eigen
 from .certify import _check_coefficients, _ratio_field
 from .grid import (Grid, KirchlabError, ScalarField, _per_batch, grad_inner, grad_norm_sq,
                    integrate, laplacian, node_grad_sq, dirichlet_lambda1)
-from .linalg import NoConvergence, _sine_basis, poisson_solve
+from .linalg import NoConvergence, _grid_basis, poisson_solve
 
 ROOT_RTOL = 1e-10          # |Phi(s) - s| <= ROOT_RTOL * s at a root
 TANGENCY_RTOL = 1e-6
@@ -95,11 +95,12 @@ def _check_positive(name: str, value: float) -> float:
 
 def diffusion_coefficient(P: Problem, s: float) -> ScalarField:
     """The frozen coefficient a + s*b; its minimum is at least min a."""
-    return ScalarField(P.grid, _frozen_coefficients(P, [s])[0])
+    with np.errstate(over="ignore"):
+        return ScalarField(P.grid, _frozen_coefficients(P, [s])[0])
 
 
 def _frozen_coefficients(P: Problem, ss) -> np.ndarray:
-    """Rows a + s*b, one per s of ss.
+    """Rows a + s*b, one per s of ss, in one new buffer; callers silence overflow.
 
     Raises ValueError for a negative s, and one naming the first s at
     which a + s*b does not fit in a double.
@@ -107,9 +108,9 @@ def _frozen_coefficients(P: Problem, ss) -> np.ndarray:
     ss = np.asarray(ss, dtype=float)
     if (ss < 0.0).any():
         raise ValueError(f"nonlocal scalar must be nonnegative, got {ss[ss < 0.0][0]:.6g}")
-    with np.errstate(over="ignore"):
-        m = P.a.values + ss[:, None] * P.b.values
-    finite = np.isfinite(m).all(axis=1)
+    m = np.multiply(ss[:, None], P.b.values)
+    m += P.a.values
+    finite = np.isfinite(m.max(axis=1))   # a NaN row has a NaN max
     if not finite.all():
         raise ValueError(f"frozen coefficient a + s*b is not a finite double at "
                          f"s = {ss[~finite][0]:.6g} (max b = {P.b.values.max():.3g})")
@@ -147,23 +148,21 @@ def _phi(P: Problem, ss, slope: bool = False) -> np.ndarray:
     g = P.grid
     ss = np.asarray(ss, dtype=float)
     k = ss.size
-    m = _frozen_coefficients(P, ss)
-    Sx, lx = _sine_basis(g.nx, g.hx)
-    Sy, ly = _sine_basis(g.ny, g.hy)
-    # area / (ly + lx) scales the coefficients before they are squared, so
-    # only an energy that overflows itself overflows
-    weight = g.cell_area / (ly[:, None] + lx[None, :])
-    # later products reuse the call's buffers: each new one is fresh pages (512 KiB at 256^2)
+    Sy, Sx, _, weight = _grid_basis(g)
+    # area / (ly + lx) scales the coefficients before they are squared, so only an energy
+    # that overflows itself overflows; the products reuse the call's buffers, not fresh pages
     with np.errstate(over="ignore", invalid="ignore"):
-        F = np.divide(P.h.values, m, out=None if slope else m)
-        if slope:
-            F = np.concatenate((F, F * (P.b.values / m)))
+        m = _frozen_coefficients(P, ss)
+        F = np.empty((2, g.n_nodes)) if slope else m
+        np.divide(P.h.values, m, out=F[:k])
+        if slope:                 # the row beta f_s = (b/m) f_s
+            np.multiply(np.divide(P.b.values, m, out=m), F[:1], out=F[1:])
         T = Sy @ F.reshape(-1, g.ny, g.nx)
         Fh = np.matmul(T, Sx, out=F.reshape(T.shape))
         WFh = np.multiply(Fh[:k], weight, out=T[:k])
         phi = np.multiply(Fh[:k], WFh, out=Fh[:k]).sum(axis=(-2, -1))
         if slope:
-            phi = np.append(phi, -2.0 * (Fh[1] * WFh[0]).sum())
+            phi = np.append(phi, -2.0 * np.multiply(Fh[1], WFh[0], out=T[1]).sum())
     finite = np.isfinite(phi)
     if not finite[:k].all():
         raise ValueError(f"gradient energy overflows a double at s = {ss[~finite[:k]][0]:.6g}")

@@ -1,10 +1,13 @@
 import math
 import re
+import warnings
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
+import kirchlab.grid as grid_module
+from kirchlab.certify import pointwise_certified_ratio
 from kirchlab.grid import (FaceField, Grid, ScalarField, coeff_grad_inf,
                            coeff_node_gradient, dirichlet_lambda1, divergence,
                            face_average, grad_inner, grad_norm_sq, gradient,
@@ -249,6 +252,121 @@ def test_read_field_parses_each_token_as_python_float_does(tmp_path):
                     encoding="ascii")
     with pytest.raises(ValueError, match=r"^could not convert string to float: 'abc'$"):
         read_field(path)
+
+
+def _field_file(tmp_path, body: str, nodes: int):
+    """A one-row field file of nodes values whose body text is body."""
+    g = Grid.over_rectangle(nodes, 1)
+    path = tmp_path / "f.field"
+    path.write_bytes(f"# field {g.header()}\n{body}".encode("ascii"))
+    return path
+
+
+def _assert_reads_as_float(path, words):
+    expected = np.array([float(w) for w in words])
+    assert np.array_equal(read_field(path).values.view(np.int64), expected.view(np.int64))
+
+
+def _slow_tokens(monkeypatch) -> list:
+    """The list to which every token the reader hands to float() is appended."""
+    slow, read = [], grid_module._float_tokens
+    monkeypatch.setattr(grid_module, "_float_tokens",
+                        lambda words: slow.extend(w.decode() for w in words) or read(words))
+    return slow
+
+
+@pytest.mark.filterwarnings("error")
+def test_read_field_reads_plain_and_edge_tokens_as_float_does(tmp_path, rng):
+    # around 2^53, where n / 10^f stops being exact, with and without a point;
+    # 18 to 25 digits; 17-digit integers; signed zeros and bare points; then
+    # every special value of the writer in its "%.17g" text, among them the 16
+    # that round up to a power of ten and their neighbours
+    two53 = 2 ** 53
+    words = [str(two53 + i) for i in range(-1, 4)] + [f"{two53 + i}.0" for i in range(-1, 4)]
+    words += ["1" * 18, "9" * 18, "-0.99999999999999999", "1" * 19, "9" * 25,
+              "1234567890123456.789012345", "0.000000000000000000000012345"]
+    words += [f"{x:.17g}" for x in _signed(rng, 10.0 ** rng.uniform(16, 17, 200))]
+    words += ["-0", "-0.000", ".5", "-.5", "5.", "007", "-007.50", "0", "0.0"]
+    words += [f"{x:.17g}" for x in _special_values()]
+    _assert_reads_as_float(_field_file(tmp_path, " ".join(words) + "\n", len(words)), words)
+
+
+def test_read_field_reads_arbitrary_17_digit_decimals_as_float_does(tmp_path, rng):
+    # most 17-digit decimals are no double's "%.17g" text, so the print-back
+    # proof fails and float() reads them
+    digits = rng.integers(10 ** 16, 10 ** 17, 20000).tolist()
+    points = rng.integers(0, 18, 20000).tolist()
+    words = [("-" if p % 2 else "") + f"{d}"[:p] + "." + f"{d}"[p:]
+             for d, p in zip(digits, points)]
+    unprinted = sum(Decimal(f"{float(w):.17g}") != Decimal(w) for w in words)
+    assert unprinted > len(words) // 2
+    _assert_reads_as_float(_field_file(tmp_path, " ".join(words) + "\n", len(words)), words)
+
+
+@pytest.mark.parametrize("body", [" 1.5 -2\r\n0.10000000000000001\t3\r\n",
+                                  "\n\n  1.5\t\t-2   0.10000000000000001 3",
+                                  "1.5\x0b-2\x0c0.10000000000000001\x1c3\x1f"])
+def test_read_field_splits_on_whitespace_as_str_split_does(tmp_path, body):
+    _assert_reads_as_float(_field_file(tmp_path, body, 4), body.split())
+
+
+def test_read_field_reads_other_tokens_of_a_plain_body_through_float(tmp_path, rng,
+                                                                    monkeypatch):
+    # one token that is not plain does not send its neighbours down the slow path
+    slow = _slow_tokens(monkeypatch)
+    plain = [f"{x:.17g}" for x in _signed(rng, rng.uniform(0.1, 1e16, 63))]
+    for odd in ("1.2246467991473532e-16", "+1", "1_0", "-1E5"):
+        slow.clear()
+        words = plain[:40] + [odd] + plain[40:]
+        _assert_reads_as_float(_field_file(tmp_path, " ".join(words), 64), words)
+        assert slow == [odd]
+    with pytest.raises(ValueError, match="^field contains non-finite values$"):
+        read_field(_field_file(tmp_path, " ".join(plain + ["inf"]), 64))
+    with pytest.raises(ValueError, match="expected 1 values for a 1x1 field, found 0$"):
+        read_field(_field_file(tmp_path, "", 1))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("word", ["abc", "1.2.3", "1-2", "-", ".", "--1", "1e", "0x10", "1.5\x00"])
+def test_read_field_refuses_a_bad_token_with_float_s_message(tmp_path, word):
+    path = _field_file(tmp_path, f"1.5 {word} -2 {word}x\n", 4)
+    message = f"could not convert string to float: {word!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_field(path)
+
+
+def test_read_field_sends_no_token_of_the_example_field_to_float(tmp_path, monkeypatch):
+    # the 64^2 example field is all plain tokens; a sign-changing field written
+    # by kirchlab carries exponent tokens on its zero line, and "%.17g" gives up
+    # to 21 digits to 1e-4 <= |x| < 0.1: only those with more than 18 go slow
+    slow = _slow_tokens(monkeypatch)
+    path = tmp_path / "f.field"
+    sine = field_from(Grid.over_rectangle(63, 9), lambda X, Y: np.sin(2 * np.pi * X) * (0.5 + Y))
+    for field in (pointwise_certified_ratio(Grid.over_rectangle(64, 64)), sine):
+        slow.clear()
+        write_field(field, path)
+        words = path.read_text().split()[8:]
+        _assert_reads_as_float(path, words)
+        assert slow == [w for w in words if "e" in w or sum(map(str.isdigit, w)) > 18]
+    assert sum("e" in w for w in slow) == 9 and len(slow) > 9
+
+
+@pytest.mark.parametrize("refusal", ["raises", "warns", "miscounts"])
+def test_read_field_reads_a_chunk_numpy_refuses_through_float(tmp_path, rng, monkeypatch,
+                                                             refusal):
+    # numpy 2 raises on text it cannot read, numpy 1 warns; either way, and on a
+    # count that does not match, the chunk's tokens take float()
+    words = [f"{x:.17g}" for x in rng.normal(size=12)]
+
+    def fromstring(text, dtype, sep):
+        if refusal == "raises":
+            raise ValueError("string or file could not be read to its end")
+        if refusal == "warns":
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return np.zeros(3, dtype=dtype)
+
+    monkeypatch.setattr(np, "fromstring", fromstring)
+    _assert_reads_as_float(_field_file(tmp_path, " ".join(words), 12), words)
 
 
 def test_write_field_formats_like_repr_17g(tmp_path, rng):
