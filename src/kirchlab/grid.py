@@ -526,13 +526,13 @@ def _read_tokens(raw: np.ndarray, s: np.ndarray, e: np.ndarray, inner: np.ndarra
 
 def read_field(path) -> ScalarField:
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii")
+        header, _, rest = fh.readline().decode("ascii").partition("\r")   # as text mode reads it
         parts = header.split()
         if parts[:2] != ["#", "field"] or len(parts) != 8:
             raise ValueError(f"{path}: malformed field header: {header.strip()!r}")
         nx, ny = int(parts[2]), int(parts[3])
         x0, y0, hx, hy = (float(p) for p in parts[4:8])
-        raw = np.frombuffer(fh.read(), dtype=np.uint8)
+        raw = np.frombuffer(rest.encode() + fh.read(), dtype=np.uint8)
     grid = Grid(nx, ny, x0, y0, hx, hy)
     mark = np.flatnonzero(raw - 48 > 9)   # every byte but the digits
     space = _SPACE[raw[mark]]

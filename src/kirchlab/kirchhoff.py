@@ -25,7 +25,7 @@ from . import eigen
 from .certify import _check_coefficients, _ratio_field
 from .grid import (Grid, KirchlabError, ScalarField, _per_batch, grad_inner, grad_norm_sq,
                    integrate, laplacian, node_grad_sq, dirichlet_lambda1)
-from .linalg import NoConvergence, _grid_basis, poisson_solve
+from .linalg import NoConvergence, _energy_basis, poisson_solve
 
 ROOT_RTOL = 1e-10          # |Phi(s) - s| <= ROOT_RTOL * s at a root
 TANGENCY_RTOL = 1e-6
@@ -148,7 +148,7 @@ def _phi(P: Problem, ss, slope: bool = False) -> np.ndarray:
     g = P.grid
     ss = np.asarray(ss, dtype=float)
     k = ss.size
-    Sy, Sx, _, weight = _grid_basis(g)
+    Sy, Sx, weight = _energy_basis(g)
     # area / (ly + lx) scales the coefficients before they are squared, so only an energy
     # that overflows itself overflows; the products reuse the call's buffers, not fresh pages
     with np.errstate(over="ignore", invalid="ignore"):

@@ -310,6 +310,14 @@ def test_read_field_splits_on_whitespace_as_str_split_does(tmp_path, body):
     _assert_reads_as_float(_field_file(tmp_path, body, 4), body.split())
 
 
+def test_read_field_ends_the_header_at_any_line_end(tmp_path):
+    g = Grid.over_rectangle(4, 1)
+    path = tmp_path / "f.field"
+    for end in ("\n", "\r\n", "\r"):
+        path.write_bytes(f"# field {g.header()}{end}1.5 -2{end}0.1 3{end}".encode("ascii"))
+        _assert_reads_as_float(path, ["1.5", "-2", "0.1", "3"])
+
+
 def test_read_field_reads_other_tokens_of_a_plain_body_through_float(tmp_path, rng,
                                                                     monkeypatch):
     # one token that is not plain does not send its neighbours down the slow path
