@@ -509,7 +509,7 @@ def _read_tokens(raw: np.ndarray, s: np.ndarray, e: np.ndarray, inner: np.ndarra
         n, bad = np.zeros(k, dtype=np.int64), np.ones(k, dtype=bool)
     x = n / _POW10.take(f, mode="clip")
     bad |= n >= 10 ** 17
-    big = np.flatnonzero((n > 2 ** 53) & ~bad)   # a candidate from two exact quotients
+    big = _select((n > 2 ** 53) & ~bad)   # a candidate from two exact quotients
     q, p, wide = n[big], _POW10[f[big]], n[big] < 10 ** 16   # wide: 16 digits, the 17th a zero
     want, d = np.where(wide, 10 * q, q), 16 - f[big] - wide
     y = (q & -16) / p + (q & 15) / p
@@ -518,7 +518,7 @@ def _read_tokens(raw: np.ndarray, s: np.ndarray, e: np.ndarray, inner: np.ndarra
     y[i] = np.nextafter(y[i], np.where(r[i] < want[i], np.inf, 0.0))
     r[i] = _round17(y[i], d[i])
     x[big] = y
-    bad[big[r != want]] = True
+    bad[big] |= r != want
     np.negative(x, out=x, where=neg)
     x[bad] = _float_tokens([raw[a:z].tobytes() for a, z in zip(s[bad].tolist(), e[bad].tolist())])
     return x
@@ -526,19 +526,20 @@ def _read_tokens(raw: np.ndarray, s: np.ndarray, e: np.ndarray, inner: np.ndarra
 
 def read_field(path) -> ScalarField:
     with open(path, "rb") as fh:
-        header, _, rest = fh.readline().decode("ascii").partition("\r")   # as text mode reads it
-        parts = header.split()
-        if parts[:2] != ["#", "field"] or len(parts) != 8:
-            raise ValueError(f"{path}: malformed field header: {header.strip()!r}")
-        nx, ny = int(parts[2]), int(parts[3])
-        x0, y0, hx, hy = (float(p) for p in parts[4:8])
-        raw = np.frombuffer(rest.encode() + fh.read(), dtype=np.uint8)
+        data = fh.read()   # its first line ends at a newline or, as in text mode, a CR
+    header, cr, _ = data[:data.find(b"\n") + 1 or None].decode("ascii").partition("\r")
+    parts = header.split()
+    if parts[:2] != ["#", "field"] or len(parts) != 8:
+        raise ValueError(f"{path}: malformed field header: {header.strip()!r}")
+    nx, ny = int(parts[2]), int(parts[3])
+    x0, y0, hx, hy = (float(p) for p in parts[4:8])
+    raw = np.frombuffer(data, dtype=np.uint8, offset=len(header) + len(cr))
     grid = Grid(nx, ny, x0, y0, hx, hy)
-    mark = np.flatnonzero(raw - 48 > 9)   # every byte but the digits
+    mark = np.flatnonzero(raw < 48 if raw.max(initial=0) < 58 else raw - 48 > 9)   # non-digits
     space = _SPACE[raw[mark]]
     gap = np.concatenate(([-1], mark[space], [raw.size]))   # tokens lie between spaces
-    cut = np.flatnonzero(gap[1:] - gap[:-1] > 1)
-    starts, ends, inner = gap[cut] + 1, gap[cut + 1], mark[~space]
+    cut = _select(gap[1:] - gap[:-1] > 1)
+    starts, ends, inner = gap[:-1][cut] + 1, gap[1:][cut], mark[~space]
     del mark, space, gap, cut
     if starts.size != grid.n_nodes:
         raise ValueError(f"{path}: expected {grid.n_nodes} values for a {nx}x{ny} field, "
