@@ -485,10 +485,9 @@ def _read_tokens(raw: np.ndarray, s: np.ndarray, e: np.ndarray, inner: np.ndarra
     b0, b1, k = int(s[0]), int(e[-1]), s.size
     mark = inner[slice(*np.searchsorted(inner, (b0, b1)))]
     ch, neg = raw[mark], raw[s] == 45
-    dot, minus = mark[ch == 46], mark[ch == 45]
-    bad = np.zeros(k, dtype=bool)     # a byte but a digit, a point or a leading minus
-    bad[np.searchsorted(s, np.concatenate((mark[(ch != 46) & (ch != 45)], minus[
-        (minus > 0) & ~_SPACE[raw[minus - 1]]])), "right") - 1] = True
+    dot, bad = mark[ch == 46], np.zeros(k, dtype=bool)
+    if mark.size != dot.size + np.count_nonzero(neg):   # a byte but a digit, point or leading -
+        bad[np.searchsorted(s, np.setdiff1d(mark[ch != 46], s[neg], True), "right") - 1] = True
     one = dot.size == k and (s <= dot).all() and (dot < e).all()   # point i in token i
     owner = np.arange(k) if one else np.searchsorted(s, dot, "right") - 1
     f, points = np.zeros(k, dtype=np.int64), np.bincount(owner, minlength=k)
