@@ -486,7 +486,7 @@ def _read_tokens(raw: np.ndarray, s: np.ndarray, e: np.ndarray, inner: np.ndarra
     mark = inner[slice(*np.searchsorted(inner, (b0, b1)))]
     ch, neg = raw[mark], raw[s] == 45
     dot, bad = mark[ch == 46], np.zeros(k, dtype=bool)
-    if mark.size != dot.size + np.count_nonzero(neg):   # a byte but a digit, point or leading -
+    if mark.size != dot.size + np.count_nonzero(neg):   # not all points and leading minus
         bad[np.searchsorted(s, np.setdiff1d(mark[ch != 46], s[neg], True), "right") - 1] = True
     one = dot.size == k and (s <= dot).all() and (dot < e).all()   # point i in token i
     owner = np.arange(k) if one else np.searchsorted(s, dot, "right") - 1
