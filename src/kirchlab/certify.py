@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Grid, KirchlabError, ScalarField, coeff_grad_inf,
-                   dirichlet_lambda1, laplacian, node_grad_sq, node_gradient)
+from .grid import (Grid, KirchlabError, ScalarField, coeff_grad_inf, dirichlet_lambda1,
+                   divergence, gradient, node_grad_sq, node_gradient)
 from .linalg import poisson_solve
 
 CONSTANT_RTOL = 1e-10
@@ -52,8 +52,9 @@ def pointwise_criterion(c: ScalarField) -> ScalarField:
                           f"(max c = {c.values.max():.3g})")
     with np.errstate(over="ignore"):
         try:
-            lap, gsq = laplacian(c), node_grad_sq(c)
-        except ValueError:        # ScalarField refuses an infinite |grad c|^2
+            F = gradient(c)
+            lap, gsq = divergence(F), node_grad_sq(F)
+        except ValueError:        # FaceField and ScalarField refuse an infinite value
             raise overflow from None
         d = lap.values - 2.0 * gsq.values / c.values
     if not np.all(np.isfinite(d)):

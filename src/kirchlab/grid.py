@@ -231,17 +231,16 @@ def node_gradient(u: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def node_grad_sq(u: ScalarField) -> ScalarField:
-    """Four-face average of the squared face gradients, as a node field.
+def node_grad_sq(F: FaceField) -> ScalarField:
+    """Four-face average of the squared face gradients F = gradient(u), as a node field.
 
     Boundary faces difference against the zero ghosts; for coefficient-like
     fields (nonzero up to the boundary) the one-node collar next to the
     boundary is therefore polluted and callers must exclude it.
     """
-    F = gradient(u)
     gx2 = 0.5 * (F.xfaces[:, :-1] ** 2 + F.xfaces[:, 1:] ** 2)
     gy2 = 0.5 * (F.yfaces[:-1, :] ** 2 + F.yfaces[1:, :] ** 2)
-    return ScalarField(u.grid, (gx2 + gy2).reshape(-1))
+    return ScalarField(F.grid, (gx2 + gy2).reshape(-1))
 
 
 def coeff_node_gradient(c: ScalarField) -> tuple[np.ndarray, np.ndarray]:
@@ -463,12 +462,14 @@ def write_field(f: ScalarField, path) -> None:
             fh.write(_format_chunk(f.values[start:start + BATCH_NODES], start, g.nx))
 
 
-# Reading follows Clinger (1990).  A plain token -?digits[.digits] with 1 to 18 digits n,
-# f after the point, is the double nearest n / 10^f: that quotient itself where n <= 2^53
-# (exact operands, one rounding), else, for n < 10^17, the candidate next to it that
-# _round17 prints back as n (half a 17-digit unit is at most 5e-17 |x|, half an ulp at
-# least 2^-54 |x| = 5.55e-17 |x|).  numpy's C reader parses n from text of digits and
-# spaces; any other token, and every chunk numpy refuses, goes through float().
+# Reading follows Clinger (1990).  A plain token -?digits[.digits] whose digits n, f after
+# the point, are at most 18 past its leading zeros, is the double nearest n / 10^f: that
+# quotient itself where n <= 2^53 (exact operands, one rounding), else, for n < 10^17,
+# the candidate next to it that _round17 prints back as n (half a 17-digit unit is at
+# most 5e-17 |x|, half an ulp at least 2^-54 |x| = 5.55e-17 |x|); every power of ten
+# taken, 10^f and _round17's, must lie in _POW10.  numpy's C reader parses n from text of
+# digits and spaces, and the digits are counted here, as numpy 2 saturates an overflowing
+# integer silently; any other token, and every chunk numpy refuses, goes through float().
 # _INT_TEXT maps str.split()'s whitespace to a space, and _SPACE marks it.
 _INT_TEXT = bytes(32 if chr(i).isspace() else i for i in range(128)) + bytes(range(128, 256))
 _SPACE = np.frombuffer(_INT_TEXT, dtype=np.uint8) == 32
@@ -493,7 +494,13 @@ def _read_tokens(raw: np.ndarray, s: np.ndarray, e: np.ndarray, inner: np.ndarra
     f, points = np.zeros(k, dtype=np.int64), np.bincount(owner, minlength=k)
     f[owner] = e[owner] - dot - 1
     digits = e - s - neg - points
-    bad |= (points > 1) | (digits < 1) | (digits > 18)
+    bad |= (points > 1) | (digits < 1) | (f > 20)
+    long = np.flatnonzero((digits > 18) & ~bad)
+    if long.size:                     # all but the last 18 digits must be leading zeros
+        lead = digits[long] - 18
+        span = lead + (digits[long] - f[long] < lead)     # and the point among them
+        at = np.repeat(s[long] + neg[long] - np.cumsum(span) + span, span) + np.arange(span.sum())
+        bad[long] = np.logical_or.reduceat(raw[at] > 48, np.cumsum(span) - span)
     text = raw[b0:b1]
     if bad.any():                     # a bad token's text becomes "0" and spaces
         text = text.copy()
@@ -507,7 +514,7 @@ def _read_tokens(raw: np.ndarray, s: np.ndarray, e: np.ndarray, inner: np.ndarra
     except (ValueError, Warning):
         n, bad = np.zeros(k, dtype=np.int64), np.ones(k, dtype=bool)
     x = n / _POW10.take(f, mode="clip")
-    bad |= n >= 10 ** 17
+    bad |= (n >= 10 ** 17) | ((n > 2 ** 53) & (f + (n < 10 ** 16) > 20))   # _round17's 16 - d
     big = _select((n > 2 ** 53) & ~bad)   # a candidate from two exact quotients
     q, p, wide = n[big], _POW10[f[big]], n[big] < 10 ** 16   # wide: 16 digits, the 17th a zero
     want, d = np.where(wide, 10 * q, q), 16 - f[big] - wide

@@ -24,8 +24,8 @@ import numpy as np
 from . import eigen
 from .certify import _check_coefficients, _ratio_field
 from .grid import (Grid, KirchlabError, ScalarField, _per_batch, grad_inner, grad_norm_sq,
-                   integrate, laplacian, node_grad_sq, dirichlet_lambda1)
-from .linalg import NoConvergence, _energy_basis, poisson_solve
+                   gradient, integrate, laplacian, node_grad_sq, dirichlet_lambda1)
+from .linalg import NoConvergence, _sine_basis, poisson_solve
 
 ROOT_RTOL = 1e-10          # |Phi(s) - s| <= ROOT_RTOL * s at a root
 TANGENCY_RTOL = 1e-6
@@ -148,7 +148,7 @@ def _phi(P: Problem, ss, slope: bool = False) -> np.ndarray:
     g = P.grid
     ss = np.asarray(ss, dtype=float)
     k = ss.size
-    Sy, Sx, weight = _energy_basis(g)
+    Sy, Sx, _, _, weight = _sine_basis(g)
     # area / (ly + lx) scales the coefficients before they are squared, so only an energy
     # that overflows itself overflows; the products reuse the call's buffers, not fresh pages
     with np.errstate(over="ignore", invalid="ignore"):
@@ -428,7 +428,7 @@ def jacobian_identity(P: Problem, u: ScalarField) -> tuple[float, float]:
     s = grad_norm_sq(u)
     c = _ratio_field(P.a, P.b)
     lhs = integrate(ScalarField(P.grid, u.values * laplacian(u).values / (c.values + s)))
-    gsq = node_grad_sq(u)
+    gsq = node_grad_sq(gradient(u))
     weight = eigen.eigen_weight(c, s)
     rhs = -integrate(ScalarField(P.grid, gsq.values / (c.values + s))) \
         + 0.5 * integrate(ScalarField(P.grid, u.values ** 2 * weight.values))

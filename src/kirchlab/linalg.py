@@ -1,8 +1,9 @@
 """Linear algebra for the five-point operators.
 
 Three pieces: an exact Dirichlet Poisson solve by the discrete sine
-transform; the weighted Dirichlet Laplacian u -> -div(w grad u), applied
-matrix-free to a block of vectors; and the principal eigenpair of the pencil
+transform, whose basis is built once per grid and shared with kirchhoff._phi;
+the weighted Dirichlet Laplacian u -> -div(w grad u), applied matrix-free to
+a block of vectors; and the principal eigenpair of the pencil
 A x = lambda diag(B) x (A that weighted Laplacian, B an indefinite weight) by
 single-vector LOBPCG preconditioned with the w-scaled Poisson solve, in O(n)
 memory.  The eigensolver advances a stack of pencils on one grid in
@@ -33,28 +34,25 @@ class NoConvergence(KirchlabError):
 
 
 @functools.lru_cache(maxsize=8)
-def _sine_basis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal symmetric sine matrix of the 1-D Dirichlet second difference
-    on n interior nodes of width h, with its eigenvalues.
+def _sine_basis(grid: Grid) -> tuple:
+    """(Sy, Sx, ly, lx, weight): the orthonormal symmetric sine matrices of the 1-D
+    Dirichlet second differences along y and x, their eigenvalues, and the energy
+    weight area / (ly + lx) of kirchhoff._phi, an (ny, nx) matrix.
 
-    Cached per (n, h) and shared by every caller, so both arrays are read-only.
+    Cached per grid and shared by every caller, so every array is read-only; the
+    two axes share one matrix when their node counts and widths match.
     """
-    k = np.arange(1, n + 1)
-    S = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
-    lam = 4.0 / h ** 2 * np.sin(0.5 * np.pi * k / (n + 1)) ** 2
-    S.setflags(write=False)
-    lam.setflags(write=False)
-    return S, lam
+    def axis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+        k = np.arange(1, n + 1)
+        S = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+        return S, 4.0 / h ** 2 * np.sin(0.5 * np.pi * k / (n + 1)) ** 2
 
-
-@functools.lru_cache(maxsize=8)
-def _energy_basis(grid: Grid) -> tuple:
-    """Sy, Sx and the weight area / (ly + lx) of the sine coefficients in the gradient
-    energy (kirchhoff._phi), as an (ny, nx) matrix: cached per grid, shared, read-only."""
-    (Sx, lx), (Sy, ly) = _sine_basis(grid.nx, grid.hx), _sine_basis(grid.ny, grid.hy)
-    weight = grid.cell_area / (ly[:, None] + lx[None, :])
-    weight.setflags(write=False)
-    return Sy, Sx, weight
+    Sx, lx = axis(grid.nx, grid.hx)
+    Sy, ly = (Sx, lx) if (grid.ny, grid.hy) == (grid.nx, grid.hx) else axis(grid.ny, grid.hy)
+    basis = (Sy, Sx, ly, lx, grid.cell_area / (ly[:, None] + lx[None, :]))
+    for a in basis:
+        a.setflags(write=False)
+    return basis
 
 
 def poisson_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
@@ -76,8 +74,7 @@ def _sine_solve(grid: Grid, F: np.ndarray) -> np.ndarray:
     """poisson_solve of the (ny, nx) matrix F, or of each matrix of a (k, ny, nx)
     stack F with the bits it gets in any stack: the one sine solve.  One matrix
     goes through 2-D products, which numpy runs 5-12% faster than a stack of one."""
-    Sx, lx = _sine_basis(grid.nx, grid.hx)
-    Sy, ly = _sine_basis(grid.ny, grid.hy)
+    Sy, Sx, ly, lx, _ = _sine_basis(grid)
     return Sy @ ((Sy @ F @ Sx) / (ly[:, None] + lx[None, :])) @ Sx
 
 
@@ -116,13 +113,6 @@ def _weighted_laplacian(g: Grid, wx: np.ndarray, wy: np.ndarray, X: np.ndarray) 
     AX += fy[:, 1:] - fy[:, :-1]
     np.negative(AX, out=AX)
     return AX.reshape(X.shape)
-
-
-def _lowest_sine_mode(grid: Grid) -> np.ndarray:
-    """The lowest Dirichlet sine mode of the five-point Laplacian, a positive n-vector."""
-    Sx, _ = _sine_basis(grid.nx, grid.hx)
-    Sy, _ = _sine_basis(grid.ny, grid.hy)
-    return np.outer(Sy[:, 0], Sx[:, 0]).reshape(-1)
 
 
 def lobpcg_smallest_positive(w: ScalarField, B: np.ndarray) -> tuple[float, np.ndarray, int, float]:
@@ -184,7 +174,8 @@ def _lobpcg_stack(g: Grid, W: np.ndarray, B: np.ndarray, where: list[str]) -> li
     live = np.arange(k)
     results = [None] * k
     rel = np.full(k, math.inf)
-    S = np.tile(_lowest_sine_mode(g)[:, None], (k, 1, 1))
+    Sy, Sx = _sine_basis(g)[:2]          # start: the lowest sine mode, positive
+    S = np.tile(np.outer(Sy[:, 0], Sx[:, 0]).reshape(-1, 1), (k, 1, 1))
     for iteration in range(1, LOBPCG_MAX_ITER + 1):
         mu, x, ax, p, failed = _rayleigh_ritz(g, wx, wy, B, S)
         for i in np.flatnonzero(failed):

@@ -8,7 +8,7 @@ from kirchlab import eigen, grid, linalg
 from kirchlab.certify import ratio_gap, shifted_ratio
 from kirchlab.eigen import (eigen_curve, eigen_weight, eigenvalue_lower_bound, is_admissible,
                             principal_eigenpair, rayleigh_quotient, weight_flux)
-from kirchlab.grid import (KirchlabError, ScalarField, coeff_grad_inf, dirichlet_lambda1,
+from kirchlab.grid import (Grid, KirchlabError, ScalarField, coeff_grad_inf, dirichlet_lambda1,
                            grad_norm_sq, gradient, integrate)
 from dense_oracle import (Pencil, assemble_weighted_laplacian, pencil_eigensolve,
                           smallest_positive)
@@ -350,6 +350,17 @@ def test_eigen_curve_split_into_stacks_keeps_every_bit(stack_nodes, monkeypatch)
         alone = principal_eigenpair(c, row[0])
         assert (alone.lam, alone.u.values.tobytes(), alone.iterations, alone.residual) == \
             (pair.lam, pair.u.values.tobytes(), pair.iterations, pair.residual)
+
+
+def test_eigen_curve_rows_are_the_same_bits_on_a_power_of_two_domain():
+    # the ratio on [0, 2^j]^2 has the unit square's lambda: the stencil, the
+    # weight and the sine basis of the preconditioner all scale exactly
+    alphas = np.logspace(-2, 2, 8)
+    c = field_from(unit_grid(24), lambda X, Y: 1.0 + 0.8 * X + 0.3 * Y).values
+    rows = [[row[:2] for row in eigen_curve(ScalarField(Grid.over_rectangle(24, 24, side, side),
+                                                        c), alphas).rows]
+            for side in (1.0, 2.0 ** -6, 2.0 ** 6)]
+    assert len(rows[0]) > 0 and rows[1] == rows[0] and rows[2] == rows[0]
 
 
 def test_eigen_curve_steps_on_the_ramp():

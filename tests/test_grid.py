@@ -213,7 +213,7 @@ def test_node_grad_sq_counts_interior_faces(rng):
     boundary = 0.5 * g.cell_area * (
         float(F.xfaces[:, 0] @ F.xfaces[:, 0]) + float(F.xfaces[:, -1] @ F.xfaces[:, -1])
         + float(F.yfaces[0, :] @ F.yfaces[0, :]) + float(F.yfaces[-1, :] @ F.yfaces[-1, :]))
-    assert integrate(node_grad_sq(u)) + boundary == pytest.approx(grad_norm_sq(u), rel=1e-12)
+    assert integrate(node_grad_sq(F)) + boundary == pytest.approx(grad_norm_sq(u), rel=1e-12)
 
 
 def test_dirichlet_lambda1_hand_value():
@@ -345,18 +345,43 @@ def test_read_field_refuses_a_bad_token_with_float_s_message(tmp_path, word):
 
 def test_read_field_sends_no_token_of_the_example_field_to_float(tmp_path, monkeypatch):
     # the 64^2 example field is all plain tokens; a sign-changing field written
-    # by kirchlab carries exponent tokens on its zero line, and "%.17g" gives up
-    # to 21 digits to 1e-4 <= |x| < 0.1: only those with more than 18 go slow
+    # by kirchlab carries exponent tokens on its zero line, which alone go slow,
+    # while "%.17g" gives 19 to 21 digits, the first of them zeros, to
+    # 1e-4 <= |x| < 0.01: a sixth of the tokens of sin(2 pi x) sin(pi y) at 256^2
     slow = _slow_tokens(monkeypatch)
     path = tmp_path / "f.field"
     sine = field_from(Grid.over_rectangle(63, 9), lambda X, Y: np.sin(2 * np.pi * X) * (0.5 + Y))
-    for field in (pointwise_certified_ratio(Grid.over_rectangle(64, 64)), sine):
+    sine256 = field_from(Grid.over_rectangle(256, 256),
+                         lambda X, Y: np.sin(2 * np.pi * X) * np.sin(np.pi * Y))
+    counts = []
+    for field in (pointwise_certified_ratio(Grid.over_rectangle(64, 64)), sine, sine256):
         slow.clear()
         write_field(field, path)
         words = path.read_text().split()[8:]
         _assert_reads_as_float(path, words)
-        assert slow == [w for w in words if "e" in w or sum(map(str.isdigit, w)) > 18]
-    assert sum("e" in w for w in slow) == 9 and len(slow) > 9
+        assert slow == [w for w in words if "e" in w]
+        counts.append((len(slow), sum(sum(map(str.isdigit, w)) > 18 for w in words)))
+    assert counts[0] == (0, 0) and counts[1][0] == 9 and counts[1][1] > 0
+    assert counts[2][1] > 10000
+
+
+@pytest.mark.filterwarnings("error")
+def test_read_field_reads_long_tokens_with_leading_zeros_on_the_integer_path(tmp_path, rng,
+                                                                             monkeypatch):
+    # "%.17g" writes 19, 20 and 21 digits to 1e-2, 1e-3 and 1e-4 <= |x| below ten
+    # times that, all beyond the last 18 leading zeros: none goes slow.  A nonzero
+    # digit ahead of the last 18 does, as does a token whose powers of ten leave
+    # the table: here 16 digits after 20 fraction digits, 10^21 for _round17
+    slow = _slow_tokens(monkeypatch)
+    words = [f"{x:.17g}" for e in (-2, -3, -4)
+             for x in _signed(rng, 10.0 ** rng.uniform(e, e + 1, 300))]
+    assert {19, 20, 21} <= {sum(map(str.isdigit, w)) for w in words}
+    words += ["0.00012345678901234567", "-0.0012345678901234567", "000000000000000000000012.5"]
+    odd = ["0.00009876543210987654", "0.10000000000000000012", "1000000000000000000.5",
+           "10.000000000000000001", "0.000000000000000000000012345", "1" * 19]
+    _assert_reads_as_float(_field_file(tmp_path, " ".join(words + odd), len(words) + 6),
+                           words + odd)
+    assert slow == odd
 
 
 @pytest.mark.parametrize("refusal", ["raises", "warns", "miscounts"])

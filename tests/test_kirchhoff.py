@@ -234,6 +234,20 @@ def test_scan_roots_scale_exactly_with_the_problem():
         assert report.n_phi_evals == base.n_phi_evals, j
 
 
+def test_scan_roots_are_the_same_bits_on_a_power_of_two_domain():
+    # (a, b, h) on [0, 2^j]^2 is (a, b, 4^j h) on the unit square: the widths,
+    # the sine eigenvalues and the energy weight all scale exactly, so the strip
+    # with 4^-j h on the 2^j square has the unit strip's three roots
+    f = three_root_fields()
+    unit = [r.s for r in fixed_point_scan(_scaled_strip(1.0, 1.0)).roots]
+    for j in (-6, 3):
+        g = Grid.over_rectangle(64, 1, 2.0 ** j, 2.0 ** j)
+        P = Problem(ScalarField(g, f["a"].values), ScalarField(g, f["b"].values),
+                    ScalarField(g, 4.0 ** -j * f["h"].values))
+        assert [r.s for r in fixed_point_scan(P).roots] == unit, j
+    assert len(unit) == 3
+
+
 def test_scan_finds_the_three_roots_of_a_tiny_strip():
     # eps a, b, eps^1.5 h has the roots eps s; a root test with an absolute part
     # lost two of them at eps = 1e-9

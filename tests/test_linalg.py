@@ -120,12 +120,18 @@ def test_poisson_takes_one_right_hand_side(rng):
 
 
 def test_sine_basis_is_cached_and_read_only():
-    S, lam = _sine_basis(7, 0.125)
-    assert _sine_basis(7, 0.125)[0] is S
-    with pytest.raises(ValueError, match="read-only"):
-        S[0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        lam[0] = 1.0
+    g = unit_grid(7)
+    basis = _sine_basis(g)
+    assert all(a is b for a, b in zip(_sine_basis(Grid.over_rectangle(7, 7)), basis))
+    Sy, Sx, ly, lx, weight = basis
+    assert Sy is Sx and ly is lx
+    for a in basis:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1.0
+    expected = g.cell_area / (ly[:, None] + lx[None, :])
+    assert np.array_equal(weight.view(np.int64), expected.view(np.int64))
+    Sy, Sx, ly, lx, weight = _sine_basis(Grid.over_rectangle(7, 4, 1.0, 2.0))
+    assert Sy.shape == (4, 4) and Sx.shape == (7, 7) and weight.shape == (4, 7)
 
 
 def test_poisson_zero_rhs():
