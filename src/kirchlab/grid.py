@@ -150,12 +150,6 @@ class FaceField:
             raise ValueError("face field contains non-finite values")
 
 
-def _face_differences(U: np.ndarray, axes=(-2, -1)) -> tuple[np.ndarray, np.ndarray]:
-    """Undivided x- and y-face differences against the zero ghosts of the node
-    matrices on the (y, x) axes of U, any other axis a stack: the one face stencil."""
-    return _ghost_difference(U, axes[1]), _ghost_difference(U, axes[0])
-
-
 def _ghost_difference(U: np.ndarray, axis: int) -> np.ndarray:
     """Differences along axis of U against a zero slab at both ends: the bits of
     np.diff with prepend=0 and append=0, written slab by slab into one array."""
@@ -170,8 +164,8 @@ def _ghost_difference(U: np.ndarray, axis: int) -> np.ndarray:
 
 def gradient(u: ScalarField) -> FaceField:
     """Forward differences onto faces; boundary faces difference against ghost 0."""
-    dx, dy = _face_differences(u.mat)
-    return FaceField(u.grid, dx / u.grid.hx, dy / u.grid.hy)
+    g, U = u.grid, u.mat
+    return FaceField(g, _ghost_difference(U, 1) / g.hx, _ghost_difference(U, 0) / g.hy)
 
 
 def divergence(F: FaceField) -> ScalarField:
@@ -201,8 +195,8 @@ def grad_norm_sq(u: ScalarField) -> float:
     from the sine coefficients of its right-hand side.  Raises a ValueError
     when the energy does not fit in a double.
     """
-    g = u.grid
-    dx, dy = _face_differences(u.mat)
+    g, U = u.grid, u.mat
+    dx, dy = _ghost_difference(U, 1), _ghost_difference(U, 0)
     with np.errstate(over="ignore"):
         dx /= g.hx
         dy /= g.hy
@@ -267,13 +261,7 @@ def coeff_grad_inf(c: ScalarField) -> float:
 def face_average(c: ScalarField) -> FaceField:
     """Coefficient values on faces: arithmetic mean of the two adjacent nodes,
     the bare interior node value on boundary faces."""
-    return FaceField(c.grid, *_face_means(c.mat))
-
-
-def _face_means(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """face_average's x- and y-face values of the node matrices on the last two
-    axes of U, any axis before them a stack."""
-    return _face_mean(U, -1), _face_mean(U, -2)
+    return FaceField(c.grid, _face_mean(c.mat, 1), _face_mean(c.mat, 0))
 
 
 def _face_mean(U: np.ndarray, axis: int) -> np.ndarray:

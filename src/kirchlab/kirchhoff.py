@@ -372,6 +372,12 @@ def linearized_solve(P: Problem, u: ScalarField, g: ScalarField) -> ScalarField:
     1e-6*(1+|g|_inf).
     """
     _, m, lap_u, _ = _nonlinear_state(P, u)
+    return _linearized_step(P, u, m, lap_u, g)
+
+
+def _linearized_step(P: Problem, u: ScalarField, m: np.ndarray, lap_u: np.ndarray,
+                     g: ScalarField) -> ScalarField:
+    """linearized_solve at u given its M and Lap u node arrays."""
     denom = integrate(ScalarField(P.grid, 2.0 * P.b.values * u.values * lap_u / m)) - 1.0
     if abs(denom) < SINGULAR_TOL:
         raise KirchlabError(
@@ -394,19 +400,20 @@ def linearized_solve(P: Problem, u: ScalarField, g: ScalarField) -> ScalarField:
 def newton_solve(P: Problem, tol: float = NEWTON_TOL) -> NonlocalSolution:
     """Full-step Newton iteration on M(., E[u]) Lap u + h = 0.
 
-    Starts from the frozen solve at s = 0; each step is one linearized_solve,
-    and each iterate's nonlinear state is evaluated once.  Raises
+    Starts from the frozen solve at s = 0; each step is one linearized_solve
+    on the M and Lap u of the iterate's nonlinear state, evaluated once.  Raises
     NoConvergence (with the last iterate) after 50 steps, and ValueError for
     a tol that is not positive and finite.
     """
     _check_positive("tol", tol)
     u = solve_frozen(P, 0.0)
     for steps in range(NEWTON_MAX_ITER + 1):
-        s, _, _, r = _nonlinear_state(P, u)
+        s, m, lap_u, r = _nonlinear_state(P, u)
         res = float(np.abs(r).max())
         if res <= tol or steps == NEWTON_MAX_ITER:
             break
-        u = ScalarField(P.grid, u.values + linearized_solve(P, u, ScalarField(P.grid, r)).values)
+        v = _linearized_step(P, u, m, lap_u, ScalarField(P.grid, r))
+        u = ScalarField(P.grid, u.values + v.values)
     if not res <= tol:
         raise NoConvergence(f"Newton stalled at residual {res:.3e} after "
                             f"{NEWTON_MAX_ITER} iterations", iterate=u, residual=res)

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .grid import Grid, KirchlabError, ScalarField, _face_differences, _face_means
+from .grid import Grid, KirchlabError, ScalarField, _face_mean, _ghost_difference
 
 LOBPCG_TOL = 1e-10        # relative pencil residual of the principal pair
 LOBPCG_MAX_ITER = 2000    # about 2x the most steps seen (1023, 64x64 bump at alpha = 5)
@@ -98,14 +98,15 @@ def _face_weights(g: Grid, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The x- and y-face weights of the stencil for each node weight of the (k, n)
     stack W (its face averages), over hx^2 and hy^2: C-contiguous (k, ny, nx+1, 1)
     and (k, ny+1, nx, 1), the last axis for the block columns."""
-    wx, wy = _face_means(W.reshape(-1, g.ny, g.nx))
-    return (wx / g.hx ** 2)[..., None], (wy / g.hy ** 2)[..., None]
+    W = W.reshape(-1, g.ny, g.nx)
+    return (_face_mean(W, 2) / g.hx ** 2)[..., None], (_face_mean(W, 1) / g.hy ** 2)[..., None]
 
 
 def _weighted_laplacian(g: Grid, wx: np.ndarray, wy: np.ndarray, X: np.ndarray) -> np.ndarray:
     """apply_weighted_laplacian of each (n, m) block of the (k, n, m) stack X, block i
     with the face weights wx[i], wy[i] of _face_weights; no checks."""
-    fx, fy = _face_differences(X.reshape(len(X), g.ny, g.nx, -1), axes=(1, 2))
+    X4 = X.reshape(len(X), g.ny, g.nx, -1)
+    fx, fy = _ghost_difference(X4, 2), _ghost_difference(X4, 1)
     fx *= wx
     fy *= wy
     # -((fx[1:] - fx[:-1]) + (fy[1:] - fy[:-1])) in one stack-sized buffer

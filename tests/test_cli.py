@@ -99,15 +99,15 @@ def test_solve_records_newton_failure_reason(tmp_path):
 
 
 def test_solve_reports_newton_steps(tmp_path, monkeypatch):
-    # steps counts the linearized solves of the Newton cross-check
+    # steps counts the linearized steps of the Newton cross-check
     calls = []
-    solve = kirchlab.kirchhoff.linearized_solve
+    step = kirchlab.kirchhoff._linearized_step
 
     def counted(*args):
         calls.append(1)
-        return solve(*args)
+        return step(*args)
 
-    monkeypatch.setattr(kirchlab.kirchhoff, "linearized_solve", counted)
+    monkeypatch.setattr(kirchlab.kirchhoff, "_linearized_step", counted)
     cfg = cubic_config(tmp_path / "cfg.ini")
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0

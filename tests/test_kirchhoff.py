@@ -875,20 +875,20 @@ def count_calls(monkeypatch, name):
 
 def test_newton_evaluates_each_iterate_once(monkeypatch):
     P = cubic_problem(unit_grid(24), 4.0)
-    steps = count_calls(monkeypatch, "linearized_solve")
+    steps = count_calls(monkeypatch, "_linearized_step")
     energies = count_calls(monkeypatch, "grad_norm_sq")
     laplacians = count_calls(monkeypatch, "laplacian")
     newton_solve(P)
-    # one state per iterate, and each step's linearized_solve one more plus Lap v:
-    # 2 energies and 3 Laplacians per step
+    # one state per iterate, whose M and Lap u each step reuses, plus the step's
+    # Lap v: 1 energy and 2 Laplacians per step
     k = len(steps)
     assert k > 1
-    assert (len(energies), len(laplacians)) == (1 + 2 * k, 1 + 3 * k)
+    assert (len(energies), len(laplacians)) == (1 + k, 1 + 2 * k)
 
 
 def test_newton_gives_up_after_max_iter_steps(monkeypatch):
     P = cubic_problem(unit_grid(16), 4.0)
-    steps = count_calls(monkeypatch, "linearized_solve")
+    steps = count_calls(monkeypatch, "_linearized_step")
     with pytest.raises(NoConvergence, match="after 50 iterations") as info:
         newton_solve(P, tol=1e-30)
     assert len(steps) == kh.NEWTON_MAX_ITER

@@ -1,7 +1,7 @@
 """Bit-identity oracles for the one ghost-zero face stencil and the face means.
 
 gradient, the gradient energy and the weighted Laplacian all difference
-through grid._face_differences.  Each is compared here, bit for bit (by
+through grid._ghost_difference, one axis at a time.  Each is compared here, bit for bit (by
 tobytes, so that -0.0 and +0.0 differ), against a reference written the way it
 was before the three were merged: the gradient on a ghost-padded node matrix,
 the energy from its own np.diff face differences, and the weighted Laplacian
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from kirchlab.eigen import weight_flux
-from kirchlab.grid import (Grid, ScalarField, _face_differences, _face_means, coeff_node_gradient,
+from kirchlab.grid import (Grid, ScalarField, _face_mean, _ghost_difference, coeff_node_gradient,
                            face_average, grad_norm_sq, gradient)
 from kirchlab.linalg import _face_weights, _weighted_laplacian, apply_weighted_laplacian
 
@@ -127,14 +127,15 @@ def test_face_differences_of_a_stack_match_each_matrix(nx, ny, lx, ly, rng):
     g = Grid.over_rectangle(nx, ny, lx, ly)
     stack = np.concatenate((wide_values(rng, (2, ny, nx)),
                             zero_edges(wide_values(rng, (2, ny, nx)))))
-    dx, dy = _face_differences(stack)
+    dx, dy = _ghost_difference(stack, 2), _ghost_difference(stack, 1)
     assert dx.shape == (4, ny, nx + 1) and dy.shape == (4, ny + 1, nx)
     for U, dxu, dyu in zip(stack, dx, dy):
         xf, yf = ref_gradient(ScalarField(g, U))
         assert same_bits(dxu / g.hx, xf)
         assert same_bits(dyu / g.hy, yf)
     # the same stack with the node axes first, as the weighted Laplacian holds a block
-    dx_last, dy_last = _face_differences(np.moveaxis(stack, 0, -1), axes=(0, 1))
+    last = np.moveaxis(stack, 0, -1)
+    dx_last, dy_last = _ghost_difference(last, 1), _ghost_difference(last, 0)
     assert same_bits(np.moveaxis(dx_last, -1, 0), dx)
     assert same_bits(np.moveaxis(dy_last, -1, 0), dy)
 
@@ -179,7 +180,7 @@ def test_face_means_match_column_reference(nx, ny, lx, ly, rng):
     g = Grid.over_rectangle(nx, ny, lx, ly)
     stack = np.concatenate((wide_values(rng, (2, ny, nx)),
                             zero_edges(wide_values(rng, (2, ny, nx)))))
-    fx, fy = _face_means(stack)
+    fx, fy = _face_mean(stack, 2), _face_mean(stack, 1)
     wx, wy = _face_weights(g, stack.reshape(4, -1))
     for a in (fx, fy, wx, wy):
         assert a.flags.c_contiguous
