@@ -1,17 +1,18 @@
 """Bit-identity oracles for the one ghost-zero face stencil and the face means.
 
 gradient, the gradient energy and the weighted Laplacian all difference
-through grid._ghost_difference, one axis at a time.  Each is compared here, bit for bit (by
-tobytes, so that -0.0 and +0.0 differ), against a reference written the way it
-was before the three were merged: the gradient on a ghost-padded node matrix,
-the energy from its own np.diff face differences, and the weighted Laplacian
-on an (ny, nx, k) block.  The eigensolver's stacked kernel is compared with
-the one-block operator.  The face means of face_average and of the stacked
-face weights are compared with the column-by-column reference they replaced.
-The coefficient gradient and the eigen weight flux, built on the same two axis
-kernels, are compared with the column-by-column operators they replaced.
-The inputs spread over ten decades, and some carry exact +-0.0 on the edge
-rows and columns, where the ghost differences and the boundary face means act.
+through grid._ghost_difference, one axis at a time. Each is compared here, bit
+for bit (by tobytes, so that -0.0 and +0.0 differ), against a reference
+written the way it was before the three were merged: the gradient on a
+ghost-padded node matrix, the energy from its own np.diff face differences,
+and the weighted Laplacian on an (ny, nx, k) block. The eigensolver's stacked
+kernel is compared with the one-block operator. The face means of face_average
+and of the stacked face weights are compared with the column-by-column
+reference they replaced. The coefficient gradient and the eigen weight flux,
+built on the same two axis kernels, are compared with the column-by-column
+operators they replaced. The inputs spread over ten decades, and some carry
+exact +-0.0 on the edge rows and columns, where the ghost differences and the
+boundary face means act.
 """
 
 import numpy as np
@@ -127,7 +128,7 @@ def test_face_differences_of_a_stack_match_each_matrix(nx, ny, lx, ly, rng):
     g = Grid.over_rectangle(nx, ny, lx, ly)
     stack = np.concatenate((wide_values(rng, (2, ny, nx)),
                             zero_edges(wide_values(rng, (2, ny, nx)))))
-    dx, dy = _ghost_difference(stack, 2), _ghost_difference(stack, 1)
+    dx, dy = _ghost_difference(stack, -1), _ghost_difference(stack, -2)
     assert dx.shape == (4, ny, nx + 1) and dy.shape == (4, ny + 1, nx)
     for U, dxu, dyu in zip(stack, dx, dy):
         xf, yf = ref_gradient(ScalarField(g, U))
@@ -180,7 +181,7 @@ def test_face_means_match_column_reference(nx, ny, lx, ly, rng):
     g = Grid.over_rectangle(nx, ny, lx, ly)
     stack = np.concatenate((wide_values(rng, (2, ny, nx)),
                             zero_edges(wide_values(rng, (2, ny, nx)))))
-    fx, fy = _face_mean(stack, 2), _face_mean(stack, 1)
+    fx, fy = _face_mean(stack, -1), _face_mean(stack, -2)
     wx, wy = _face_weights(g, stack.reshape(4, -1))
     for a in (fx, fy, wx, wy):
         assert a.flags.c_contiguous
