@@ -23,8 +23,8 @@ import numpy as np
 
 from . import eigen
 from .certify import _check_coefficients, _ratio_field
-from .grid import (Grid, KirchlabError, ScalarField, _per_batch, grad_inner, grad_norm_sq,
-                   gradient, integrate, laplacian, node_grad_sq, dirichlet_lambda1)
+from .grid import (Grid, KirchlabError, ScalarField, grad_inner, grad_norm_sq, gradient,
+                   integrate, laplacian, node_grad_sq, dirichlet_lambda1)
 from .linalg import NoConvergence, _sine_basis, poisson_solve
 
 ROOT_RTOL = 1e-10          # |Phi(s) - s| <= ROOT_RTOL * s at a root
@@ -36,6 +36,7 @@ NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 50
 SINGULAR_TOL = 1e-8
 LINEARIZED_RTOL = 1e-6
+SCAN_NODES = 32_768        # most node values per operand of one scan block: 256 KiB
 
 
 @dataclass
@@ -74,7 +75,9 @@ class ScanReport:
     samples: list  # (s, Phi(s)) pairs in sample order
     roots: list    # NonlocalSolution, sorted by s
     suspected_tangencies: list  # s values where |Phi(s)-s| dips without a crossing
-    n_phi_evals: int = 0  # every Phi evaluation: the samples plus all refinement
+    # every Phi evaluation: the samples plus all refinement, counted per sample even
+    # where a zero bracket's samples share one evaluation
+    n_phi_evals: int = 0
 
 
 def _check_samples(n_samples: int) -> int:
@@ -131,44 +134,89 @@ def solve_frozen(P: Problem, s: float) -> ScalarField:
 
 def _phi(P: Problem, ss, slope: bool = False) -> np.ndarray:
     """Phi(s) for each s of ss from the forward sine transform alone: the one
-    definition of Phi.
+    definition of Phi, whose arithmetic is _phi_core's.
+
+    With slope=True, ss holds one s and the result is (Phi(s), Phi'(s)).  Keeps
+    _frozen_coefficients' checks, and raises a ValueError naming the first s whose
+    energy (or slope) does not fit in a double.
+    """
+    g = P.grid
+    ss = np.asarray(ss, dtype=float)
+    k = ss.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _frozen_coefficients(P, ss)
+        F = np.empty((2, g.ny, g.nx)) if slope else m.reshape(k, g.ny, g.nx)
+        phi = _phi_core(P, m, F, np.empty_like(F), slope)
+    _check_energies(ss, phi[:k])
+    if not np.isfinite(phi).all():
+        raise ValueError(f"gradient energy slope Phi'(s) overflows a double at s = {ss[0]:.6g}")
+    return phi
+
+
+def _phi_core(P: Problem, m: np.ndarray, F: np.ndarray, T: np.ndarray,
+              slope: bool = False) -> np.ndarray:
+    """Phi(s) for the k rows a + s*b of m, written through the (k, ny, nx)
+    buffers F and T, which F may share with m; no checks, callers silence overflow.
 
     With f_s = h/(a + s*b) and L the five-point Dirichlet operator, the Green
     identity gives Phi(s) = E[L^-1 f_s] = area <f_s, L^-1 f_s>, which in the
     sine basis is area * sum fh^2 / (ly + lx) with fh = Sy F Sx the sine
     coefficients of the (ny, nx) matrix F of f_s (Buzbee, Golub & Nielson 1970).
-    The rows of ss go through one stacked transform, and each gets the bits it
-    gets alone.  With slope=True, ss holds one s, the stack gains the row
-    beta*f_s with beta = b/(a + s*b), and the result is (Phi(s), Phi'(s)),
-    Phi'(s) = -2 area * sum (beta f_s)h * fh / (ly + lx).
+    The rows go through one stacked transform, and each gets the bits it gets
+    alone.  With slope=True, m holds one row, which it loses, F and T hold two,
+    the stack gains the row beta*f_s with beta = b/(a + s*b), and the result is
+    (Phi(s), Phi'(s)), Phi'(s) = -2 area * sum (beta f_s)h * fh / (ly + lx).
+    """
+    Sy, Sx, _, _, weight = _sine_basis(P.grid)
+    k = len(m)
+    rows = F.reshape(len(F), -1)
+    # area / (ly + lx) scales the coefficients before they are squared, so only an
+    # energy that overflows itself overflows
+    np.divide(P.h.values, m, out=rows[:k])
+    if slope:                 # the row beta f_s = (b/m) f_s
+        np.multiply(np.divide(P.b.values, m, out=m), rows[:1], out=rows[1:])
+    np.matmul(Sy, F, out=T)
+    Fh = np.matmul(T, Sx, out=F)
+    WFh = np.multiply(Fh[:k], weight, out=T[:k])
+    phi = np.multiply(Fh[:k], WFh, out=Fh[:k]).sum(axis=(-2, -1))
+    if slope:
+        phi = np.append(phi, -2.0 * np.multiply(Fh[1], WFh[0], out=T[1]).sum())
+    return phi
 
-    Keeps _frozen_coefficients' checks, and raises a ValueError naming the
-    first s whose energy (or slope) does not fit in a double.
+
+def _check_energies(ss: np.ndarray, phi: np.ndarray) -> None:
+    """Raise a ValueError naming the first s of ss whose energy phi is not finite."""
+    finite = np.isfinite(phi)
+    if not finite.all():
+        raise ValueError(f"gradient energy overflows a double at s = {ss[~finite][0]:.6g}")
+
+
+def _sample_phi(P: Problem, ss: np.ndarray) -> np.ndarray:
+    """Phi at each s of the nondecreasing samples ss, each bitwise equal to
+    fixed_point_map: the scan's sampler.
+
+    Each distinct s is evaluated once, in blocks of max(1, SCAN_NODES // n) of them
+    through _phi_core, with buffers allocated once and overflow silenced once.  Keeps
+    _phi's checks in its order, block by block: a + s*b does not decrease in s, so
+    a finite top row of a block makes the whole block finite.
     """
     g = P.grid
-    ss = np.asarray(ss, dtype=float)
-    k = ss.size
-    Sy, Sx, _, _, weight = _sine_basis(g)
-    # area / (ly + lx) scales the coefficients before they are squared, so only an energy
-    # that overflows itself overflows; the products reuse the call's buffers, not fresh pages
+    distinct, inverse = np.unique(ss, return_inverse=True)
+    width = min(max(1, SCAN_NODES // g.n_nodes), distinct.size)
+    F, T = np.empty((width, g.ny, g.nx)), np.empty((width, g.ny, g.nx))
+    m = F.reshape(width, -1)
+    phis = np.empty(distinct.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = _frozen_coefficients(P, ss)
-        F = np.empty((2, g.n_nodes)) if slope else m
-        np.divide(P.h.values, m, out=F[:k])
-        if slope:                 # the row beta f_s = (b/m) f_s
-            np.multiply(np.divide(P.b.values, m, out=m), F[:1], out=F[1:])
-        T = Sy @ F.reshape(-1, g.ny, g.nx)
-        Fh = np.matmul(T, Sx, out=F.reshape(T.shape))
-        WFh = np.multiply(Fh[:k], weight, out=T[:k])
-        phi = np.multiply(Fh[:k], WFh, out=Fh[:k]).sum(axis=(-2, -1))
-        if slope:
-            phi = np.append(phi, -2.0 * np.multiply(Fh[1], WFh[0], out=T[1]).sum())
-    finite = np.isfinite(phi)
-    if not finite[:k].all():
-        raise ValueError(f"gradient energy overflows a double at s = {ss[~finite[:k]][0]:.6g}")
-    if not finite.all():
-        raise ValueError(f"gradient energy slope Phi'(s) overflows a double at s = {ss[0]:.6g}")
-    return phi
+        for j in range(0, distinct.size, width):
+            block = distinct[j:j + width]
+            k = block.size
+            np.multiply(block[:, None], P.b.values, out=m[:k])
+            m[:k] += P.a.values
+            if block[0] < 0.0 or not np.isfinite(m[k - 1].max()):
+                _frozen_coefficients(P, block)   # raises its error naming the first s
+            phis[j:j + k] = _phi_core(P, m[:k], F[:k], T[:k])
+            _check_energies(block, phis[j:j + k])
+    return phis[inverse]
 
 
 def fixed_point_map(P: Problem, s: float) -> float:
@@ -237,11 +285,10 @@ def fixed_point_scan(P: Problem, n_samples: int = 256,
     """Enumerate all fixed points of Phi on the provable bracket [0, 1.05*S_max],
     S_max the tight energy cap of _scan_ceiling or the given s_max.
 
-    Uniform samples of g(s) = Phi(s) - s, grid._per_batch(n) per kernel call and
-    each bitwise equal to fixed_point_map, give the root starts for _refine: a
-    run of samples with |g| <= 1e-10*s at its sample of least |g| between the
-    run's neighbours, a strict sign change between two other samples at its
-    secant point.  A root reports the polished s, its frozen solve, Phi'(s) and
+    Uniform samples of g(s) = Phi(s) - s from _sample_phi, each bitwise equal to
+    fixed_point_map, give the root starts for _refine: a run of samples with
+    |g| <= 1e-10*s at its sample of least |g| between the run's neighbours, a
+    strict sign change between two other samples at its secant point.  A root reports the polished s, its frozen solve, Phi'(s) and
     its Phi evaluations after sampling; local minima of |g| below 1e-6*s without
     a crossing are suspected tangencies.  The tests are relative, so (4^j a, b,
     8^j h) scans to 4^j times the roots, bit for bit; a zero ceiling scans [0, 0]
@@ -250,8 +297,7 @@ def fixed_point_scan(P: Problem, n_samples: int = 256,
     _check_samples(n_samples)
     ceiling = _check_positive("s_max", s_max) if s_max is not None else _scan_ceiling(P)
     ss = np.linspace(0.0, 1.05 * ceiling, n_samples)
-    block = _per_batch(P.grid.n_nodes)
-    phis = np.concatenate([_phi(P, ss[j:j + block]) for j in range(0, n_samples, block)])
+    phis = _sample_phi(P, ss)
     gs = phis - ss
     if s_max is None and gs[-1] > 0.0:   # Phi(s) < s above the ceiling, unless it underflowed
         raise KirchlabError(f"Phi(s) > s = {ss[-1]:.6g} atop the bracket: energy bound underflowed")

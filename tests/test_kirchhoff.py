@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import kirchlab.kirchhoff as kh
-from kirchlab.grid import (Grid, KirchlabError, ScalarField, _per_batch, dirichlet_lambda1,
-                           grad_norm_sq, integrate, laplacian)
+from kirchlab.grid import (Grid, KirchlabError, ScalarField, dirichlet_lambda1, grad_norm_sq,
+                           integrate, laplacian)
 from kirchlab.kirchhoff import (Problem, diffusion_coefficient, energy_upper_bound,
                                 fixed_point_map, fixed_point_scan,
                                 jacobian_functional, jacobian_identity,
@@ -203,10 +203,19 @@ def test_scan_sign_test_without_products():
     assert abs(fixed_point_map(P, s) - s) <= kh.ROOT_RTOL * s
 
 
-def test_scan_zero_forcing():
-    # the ceiling is 0, so the scan samples the bracket [0, 0], whose root is s = 0
+def test_scan_zero_forcing(monkeypatch):
+    # the ceiling is 0, so the scan samples the bracket [0, 0], whose root is s = 0;
+    # its 64 samples are one s, which the sampler evaluates once
     g = unit_grid(8)
+    rows, core = [], kh._phi_core
+
+    def counting_core(P, m, F, T, slope=False):
+        rows.append((slope, len(m)))
+        return core(P, m, F, T, slope)
+
+    monkeypatch.setattr(kh, "_phi_core", counting_core)
     report = fixed_point_scan(constant_problem(g, ScalarField.zeros(g)), 64)
+    assert [n for slope, n in rows if not slope] == [1]
     assert report.s_max == 0.0
     assert report.samples == [(0.0, 0.0)] * 64
     assert len(report.roots) == 1
@@ -258,8 +267,9 @@ def test_scan_finds_the_three_roots_of_a_tiny_strip():
 
 
 def test_scan_memory_stays_within_one_batch():
-    # a block holds at most grid.BATCH_NODES values per operand, or one sample
-    # (a 128x128 one here); the warm-up call fills the sine-basis cache
+    # a block holds at most kh.SCAN_NODES values per operand, or one sample of a
+    # larger grid (2 samples of 128x128 here), in buffers allocated once per scan;
+    # the warm-up call fills the sine-basis cache
     g = unit_grid(128)
     P = Problem(field_from(g, lambda X, Y: 1.0 + X), ScalarField.full(g, 1.0),
                 field_from(g, lambda X, Y: np.sin(np.pi * X) * np.sin(2.0 * np.pi * Y)))
@@ -351,10 +361,7 @@ def test_scan_signed_forcing_unique(rng):
 SCAN_GRIDS = [(1, 1, 1.0, 1.0), (2, 3, 1.0, 1.0), (7, 5, 1.4, 0.9)]
 
 
-@pytest.mark.parametrize("nx,ny,lx,ly", SCAN_GRIDS, ids=["1x1", "2x3", "7x5"])
-@pytest.mark.parametrize("n_samples", [16, 17, 255, 256, 257])
-def test_scan_samples_equal_fixed_point_map_bitwise(nx, ny, lx, ly, n_samples, rng):
-    g = Grid.over_rectangle(nx, ny, lx, ly)
+def _assert_samples_equal_fixed_point_map(g, n_samples, rng):
     P = Problem(positive_random(g, rng), positive_random(g, rng, base=0.7),
                 ScalarField(g, 3.0 + smooth_random(g, rng).values))
     report = fixed_point_scan(P, n_samples)
@@ -364,27 +371,45 @@ def test_scan_samples_equal_fixed_point_map_bitwise(nx, ny, lx, ly, n_samples, r
     assert np.array_equal(phis, [fixed_point_map(P, s) for s in ss])
 
 
+@pytest.mark.parametrize("nx,ny,lx,ly", SCAN_GRIDS, ids=["1x1", "2x3", "7x5"])
+@pytest.mark.parametrize("n_samples", [16, 17, 255, 256, 257])
+def test_scan_samples_equal_fixed_point_map_bitwise(nx, ny, lx, ly, n_samples, rng):
+    # a whole scan is one block on these grids
+    _assert_samples_equal_fixed_point_map(Grid.over_rectangle(nx, ny, lx, ly), n_samples, rng)
+
+
+@pytest.mark.parametrize("nx,ny,n_samples", [(32, 32, 257), (64, 64, 257), (128, 128, 17),
+                                             (256, 128, 17)],
+                         ids=["32x32", "64x64", "128x128", "256x128"])
+def test_scan_samples_equal_fixed_point_map_bitwise_across_blocks(nx, ny, n_samples, rng):
+    # blocks of 32, 8, 2 and 1 samples, the last block of the first three ragged
+    g = Grid.over_rectangle(nx, ny, 1.3, 0.8)
+    assert max(1, kh.SCAN_NODES // g.n_nodes) == {32: 32, 64: 8, 128: 2, 256: 1}[nx]
+    _assert_samples_equal_fixed_point_map(g, n_samples, rng)
+
+
 @pytest.mark.parametrize("n_samples", [256, 257])
 def test_scan_samples_are_block_poisson_solves(n_samples, rng, monkeypatch):
     # The name is historical: the samples are spectral kernel calls, one per
-    # block of grid._per_batch(n) samples, with no Poisson solve; refinement then
-    # makes one 2-row kernel call per evaluation, and each root one frozen solve.
-    g = unit_grid(8)
+    # block of max(1, SCAN_NODES // n) samples (128 on this 16x16 grid), with no
+    # Poisson solve; refinement then makes one 2-row kernel call per evaluation,
+    # and each root one frozen solve.
+    g = unit_grid(16)
     P = Problem(positive_random(g, rng), positive_random(g, rng), sign_changing(g, rng))
-    events, phi_kernel = [], kh._phi
+    events, core = [], kh._phi_core
 
-    def counting_phi(P, ss, slope=False):
-        events.append(("slope" if slope else "phi", len(ss)))
-        return phi_kernel(P, ss, slope)
+    def counting_core(P, m, F, T, slope=False):
+        events.append(("slope" if slope else "phi", len(m)))
+        return core(P, m, F, T, slope)
 
     def counting_poisson(grid, rhs):
         events.append(("poisson", 1 if rhs.ndim == 1 else rhs.shape[1]))
         return poisson_solve(grid, rhs)
 
-    monkeypatch.setattr(kh, "_phi", counting_phi)
+    monkeypatch.setattr(kh, "_phi_core", counting_core)
     monkeypatch.setattr(kh, "poisson_solve", counting_poisson)
     report = fixed_point_scan(P, n_samples)
-    block = _per_batch(g.n_nodes)
+    block = max(1, kh.SCAN_NODES // g.n_nodes)
     n_blocks = math.ceil(n_samples / block)
     assert len(report.roots) == 1
     samples, rest = events[:n_blocks], events[n_blocks:]
@@ -550,11 +575,13 @@ def test_scan_hit_root_is_polished(off):
 
 
 def _scan_synthetic_phi(monkeypatch, phi, dphi, n_samples):
-    """The scan over [0, 1] with the Phi kernel replaced by phi(s) and slope dphi(s)."""
+    """The scan over [0, 1] with Phi replaced by phi(s) and its slope by dphi(s): in
+    the sampler, and in the kernel that refinement calls."""
     def kernel(P, ss, slope=False):
         ss = np.asarray(ss, dtype=float)
         return np.append(phi(ss), dphi(ss[0])) if slope else phi(ss)
 
+    monkeypatch.setattr(kh, "_sample_phi", kernel)
     monkeypatch.setattr(kh, "_phi", kernel)
     g = unit_grid(4)
     return fixed_point_scan(constant_problem(g, ScalarField.zeros(g)), n_samples,
@@ -662,6 +689,20 @@ def test_scan_reports_overflowing_coefficient():
         fixed_point_scan(P, 16, s_max=1e300)
     with pytest.raises(ValueError, match=r"a \+ s\*b is not a finite double at s = 1e\+300"):
         solve_frozen(P, 1e300)
+
+
+def test_scan_names_the_first_sample_that_overflows():
+    # on 64x64 the scan's blocks hold 8 samples; b*s overflows from sample 9 of 16
+    # on [0, 3.15e288], inside the second block, and the energy only at s = 0
+    g = unit_grid(64)
+    P = Problem(ScalarField.full(g, 1e-100), ScalarField.full(g, 1e20),
+                ScalarField.full(g, 1e50))
+    with pytest.raises(ValueError, match=r"^frozen coefficient a \+ s\*b is not a finite "
+                                         r"double at s = 1\.89e\+288 "):
+        fixed_point_scan(P, 16, s_max=3e288)
+    P = Problem(ScalarField.full(g, 1e-150), ScalarField.full(g, 1.0), ScalarField.full(g, 1e50))
+    with pytest.raises(ValueError, match=r"^gradient energy overflows a double at s = 0$"):
+        fixed_point_scan(P, 16, s_max=1.0)
 
 
 def test_residual_values(rng):
