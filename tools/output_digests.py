@@ -67,7 +67,7 @@ def runs(work: Path) -> list:
     for label, config in (("readme", readme), ("bump", bump)):
         for n in SIZES:
             out += [(f"{label}-{n}", sized(config, n), args) for args in ALL_FIVE]
-    # blocks of 2 samples per scan; the runs above hold 56, 32 and 8
+    # its scan works in blocks of 2 samples; those of the runs above hold 56, 32 and 8
     out.append(("readme-128", sized(readme, 128), ("solve",)))
     json_only = sized(readme, 16).replace("formats = csv,json,fields", "formats = json")
     assert json_only.count("formats = json\n") == 1, "README's formats line moved"
