@@ -102,19 +102,21 @@ def diffusion_coefficient(P: Problem, s: float) -> ScalarField:
         return ScalarField(P.grid, _frozen_coefficients(P, [s])[0])
 
 
-def _frozen_coefficients(P: Problem, ss) -> np.ndarray:
-    """Rows a + s*b, one per s of ss, in one new buffer; callers silence overflow.
+def _frozen_coefficients(P: Problem, ss, out=None) -> np.ndarray:
+    """Rows a + s*b, one per s of the nondecreasing ss, written into out (a new
+    buffer by default); callers silence overflow.
 
-    Raises ValueError for a negative s, and one naming the first s at
-    which a + s*b does not fit in a double.
+    Raises ValueError for a negative s, and one naming the first s at which
+    a + s*b does not fit in a double.  a + s*b does not decrease in s, so a
+    finite last row makes every row finite.
     """
     ss = np.asarray(ss, dtype=float)
-    if (ss < 0.0).any():
-        raise ValueError(f"nonlocal scalar must be nonnegative, got {ss[ss < 0.0][0]:.6g}")
-    m = np.multiply(ss[:, None], P.b.values)
+    if ss[0] < 0.0:
+        raise ValueError(f"nonlocal scalar must be nonnegative, got {ss[0]:.6g}")
+    m = np.multiply(ss[:, None], P.b.values, out=out)
     m += P.a.values
-    finite = np.isfinite(m.max(axis=1))   # a NaN row has a NaN max
-    if not finite.all():
+    if not np.isfinite(m[-1].max()):   # a NaN row has a NaN max
+        finite = np.isfinite(m.max(axis=1))
         raise ValueError(f"frozen coefficient a + s*b is not a finite double at "
                          f"s = {ss[~finite][0]:.6g} (max b = {P.b.values.max():.3g})")
     return m
@@ -133,24 +135,34 @@ def solve_frozen(P: Problem, s: float) -> ScalarField:
 
 
 def _phi(P: Problem, ss, slope: bool = False) -> np.ndarray:
-    """Phi(s) for each s of ss from the forward sine transform alone: the one
-    definition of Phi, whose arithmetic is _phi_core's.
+    """Phi(s) for each s of the nondecreasing ss from the forward sine transform
+    alone: the one definition of Phi, whose arithmetic is _phi_core's.
 
-    With slope=True, ss holds one s and the result is (Phi(s), Phi'(s)).  Keeps
-    _frozen_coefficients' checks, and raises a ValueError naming the first s whose
-    energy (or slope) does not fit in a double.
+    Works in blocks of max(1, SCAN_NODES // n) samples in two buffers allocated
+    once per call; with slope=True, ss holds one s and the result is (Phi(s),
+    Phi'(s)).  Keeps _frozen_coefficients' checks block by block, and raises a
+    ValueError naming the first s whose energy (or slope) does not fit in a double.
     """
     g = P.grid
     ss = np.asarray(ss, dtype=float)
-    k = ss.size
+    width = 1 if slope else min(max(1, SCAN_NODES // g.n_nodes), ss.size)
+    F, T = np.empty((width + slope, g.ny, g.nx)), np.empty((width + slope, g.ny, g.nx))
+    # slope adds the row beta*f_s; a + s*b then goes in T, since F[0] gets h/m first
+    rows = (T if slope else F).reshape(width + slope, -1)
+    phis = np.empty(ss.size + slope)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = _frozen_coefficients(P, ss)
-        F = np.empty((2, g.ny, g.nx)) if slope else m.reshape(k, g.ny, g.nx)
-        phi = _phi_core(P, m, F, np.empty_like(F), slope)
-    _check_energies(ss, phi[:k])
-    if not np.isfinite(phi).all():
+        for j in range(0, ss.size, width):
+            block = ss[j:j + width]
+            k = block.size
+            m = _frozen_coefficients(P, block, out=rows[:k])
+            phis[j:j + k + slope] = _phi_core(P, m, F[:k + slope], T[:k + slope], slope)
+            finite = np.isfinite(phis[j:j + k])
+            if not finite.all():
+                raise ValueError(f"gradient energy overflows a double at s = "
+                                 f"{block[~finite][0]:.6g}")
+    if slope and not np.isfinite(phis[1]):
         raise ValueError(f"gradient energy slope Phi'(s) overflows a double at s = {ss[0]:.6g}")
-    return phi
+    return phis
 
 
 def _phi_core(P: Problem, m: np.ndarray, F: np.ndarray, T: np.ndarray,
@@ -182,41 +194,6 @@ def _phi_core(P: Problem, m: np.ndarray, F: np.ndarray, T: np.ndarray,
     if slope:
         phi = np.append(phi, -2.0 * np.multiply(Fh[1], WFh[0], out=T[1]).sum())
     return phi
-
-
-def _check_energies(ss: np.ndarray, phi: np.ndarray) -> None:
-    """Raise a ValueError naming the first s of ss whose energy phi is not finite."""
-    finite = np.isfinite(phi)
-    if not finite.all():
-        raise ValueError(f"gradient energy overflows a double at s = {ss[~finite][0]:.6g}")
-
-
-def _sample_phi(P: Problem, ss: np.ndarray) -> np.ndarray:
-    """Phi at each s of the nondecreasing samples ss, each bitwise equal to
-    fixed_point_map: the scan's sampler.
-
-    Each distinct s is evaluated once, in blocks of max(1, SCAN_NODES // n) of them
-    through _phi_core, with buffers allocated once and overflow silenced once.  Keeps
-    _phi's checks in its order, block by block: a + s*b does not decrease in s, so
-    a finite top row of a block makes the whole block finite.
-    """
-    g = P.grid
-    distinct, inverse = np.unique(ss, return_inverse=True)
-    width = min(max(1, SCAN_NODES // g.n_nodes), distinct.size)
-    F, T = np.empty((width, g.ny, g.nx)), np.empty((width, g.ny, g.nx))
-    m = F.reshape(width, -1)
-    phis = np.empty(distinct.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(0, distinct.size, width):
-            block = distinct[j:j + width]
-            k = block.size
-            np.multiply(block[:, None], P.b.values, out=m[:k])
-            m[:k] += P.a.values
-            if block[0] < 0.0 or not np.isfinite(m[k - 1].max()):
-                _frozen_coefficients(P, block)   # raises its error naming the first s
-            phis[j:j + k] = _phi_core(P, m[:k], F[:k], T[:k])
-            _check_energies(block, phis[j:j + k])
-    return phis[inverse]
 
 
 def fixed_point_map(P: Problem, s: float) -> float:
@@ -285,19 +262,21 @@ def fixed_point_scan(P: Problem, n_samples: int = 256,
     """Enumerate all fixed points of Phi on the provable bracket [0, 1.05*S_max],
     S_max the tight energy cap of _scan_ceiling or the given s_max.
 
-    Uniform samples of g(s) = Phi(s) - s from _sample_phi, each bitwise equal to
-    fixed_point_map, give the root starts for _refine: a run of samples with
-    |g| <= 1e-10*s at its sample of least |g| between the run's neighbours, a
-    strict sign change between two other samples at its secant point.  A root reports the polished s, its frozen solve, Phi'(s) and
-    its Phi evaluations after sampling; local minima of |g| below 1e-6*s without
-    a crossing are suspected tangencies.  The tests are relative, so (4^j a, b,
-    8^j h) scans to 4^j times the roots, bit for bit; a zero ceiling scans [0, 0]
-    (root 0), and Phi(s) > s atop the bracket raises KirchlabError.
+    Uniform samples of g(s) = Phi(s) - s, one _phi call on the distinct samples,
+    give the root starts for _refine: a run of samples with |g| <= 1e-10*s at
+    its sample of least |g| between the run's neighbours, a strict sign change
+    between two other samples at its secant point.  A root reports the polished
+    s, its frozen solve, Phi'(s) and its Phi evaluations after sampling; local
+    minima of |g| below 1e-6*s without a crossing are suspected tangencies.  The
+    tests are relative, so (4^j a, b, 8^j h) scans to 4^j times the roots, bit
+    for bit; a zero ceiling scans [0, 0] (root 0), and Phi(s) > s atop the
+    bracket raises KirchlabError.
     """
     _check_samples(n_samples)
     ceiling = _check_positive("s_max", s_max) if s_max is not None else _scan_ceiling(P)
     ss = np.linspace(0.0, 1.05 * ceiling, n_samples)
-    phis = _sample_phi(P, ss)
+    distinct, inverse = np.unique(ss, return_inverse=True)
+    phis = _phi(P, distinct)[inverse]
     gs = phis - ss
     if s_max is None and gs[-1] > 0.0:   # Phi(s) < s above the ceiling, unless it underflowed
         raise KirchlabError(f"Phi(s) > s = {ss[-1]:.6g} atop the bracket: energy bound underflowed")
@@ -361,13 +340,13 @@ def _refine(P: Problem, s: float, lo: float, g_lo: float, hi: float, g_hi: float
     for evals in range(1, REFINE_MAX + 1):
         phi, dphi = (float(v) for v in _phi(P, [s], slope=True))
         g = phi - s
+        newton = s - g / (dphi - 1.0) if dphi != 1.0 else math.nan
         if abs(g) <= ROOT_RTOL * s or not lo < s < hi:
-            return _polish(P, lo, hi, s, g, dphi, evals)
+            return _polish(P, lo, hi, s, g, dphi, newton, evals)
         if (g > 0.0) == (g_lo > 0.0):
             lo, g_lo = s, g
         else:
             hi, g_hi = s, g
-        newton = s - g / (dphi - 1.0) if dphi != 1.0 else math.nan
         if lo < newton < hi and abs(newton - s) <= 0.5 * width:
             width, s = abs(newton - s), newton
         else:
@@ -379,13 +358,12 @@ def _refine(P: Problem, s: float, lo: float, g_lo: float, hi: float, g_hi: float
 
 
 def _polish(P: Problem, lo: float, hi: float, s: float, g: float, dphi: float,
-            evals: int) -> tuple:
-    """One more Newton step from a refined root s with g = Phi(s) - s, as
-    (s, Phi'(s), evaluations), kept when it stays strictly inside [lo, hi] and
+            newton: float, evals: int) -> tuple:
+    """One more Newton step, to newton, from a refined root s with g = Phi(s) - s,
+    as (s, Phi'(s), evaluations), kept when it stays strictly inside [lo, hi] and
     lowers |g|.  Newton converges quadratically, so a root that just met
     ROOT_RTOL usually drops to roundoff, and s then agrees with the energy of its
     frozen solve to about 1e-15.  The step costs one evaluation, counted either way."""
-    newton = s - g / (dphi - 1.0) if dphi != 1.0 else math.nan
     if not (lo < newton < hi and newton != s):
         return s, dphi, evals
     phi, dphi_new = (float(v) for v in _phi(P, [newton], slope=True))

@@ -964,3 +964,8 @@ def test_json_writer_is_deterministic():
     assert one == two
     assert json.loads(one) == json.loads(two)
     assert "1.5" in one
+
+
+def test_json_writer_refuses_an_object_it_cannot_serialize():
+    with pytest.raises(TypeError, match=r"^cannot serialize <class 'object'>$"):
+        to_json_text({"rows": [object()]})

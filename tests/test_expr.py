@@ -280,6 +280,11 @@ def test_eval_at_is_one_point_of_the_array_evaluator():
         eval_at(parse("1/(x-y)"), 0.5, 0.5)
 
 
+def test_evaluate_refuses_a_subtree_that_is_not_a_node():
+    with pytest.raises(TypeError, match=r"^not an expression node: 2\.0$"):
+        _evaluate(BinOp("+", Var("x"), 2.0), np.zeros(1), np.zeros(1))
+
+
 def test_algebraic_identity_on_grid():
     g = unit_grid(8)
     lhs = eval_field(parse("(x+y)^2"), g)

@@ -389,11 +389,10 @@ def test_scan_samples_equal_fixed_point_map_bitwise_across_blocks(nx, ny, n_samp
 
 
 @pytest.mark.parametrize("n_samples", [256, 257])
-def test_scan_samples_are_block_poisson_solves(n_samples, rng, monkeypatch):
-    # The name is historical: the samples are spectral kernel calls, one per
-    # block of max(1, SCAN_NODES // n) samples (128 on this 16x16 grid), with no
-    # Poisson solve; refinement then makes one 2-row kernel call per evaluation,
-    # and each root one frozen solve.
+def test_scan_samples_are_block_kernel_calls(n_samples, rng, monkeypatch):
+    # the samples are spectral kernel calls, one per block of max(1, SCAN_NODES // n)
+    # samples (128 on this 16x16 grid), with no Poisson solve; refinement then makes
+    # one 2-row kernel call per evaluation, and each root one frozen solve
     g = unit_grid(16)
     P = Problem(positive_random(g, rng), positive_random(g, rng), sign_changing(g, rng))
     events, core = [], kh._phi_core
@@ -467,6 +466,19 @@ def test_phi_overflow_names_the_energy_and_s():
     with pytest.raises(ValueError, match=r"^gradient energy slope Phi'\(s\) overflows a double "
                                          r"at s = 0$"):
         kh._phi(P, [0.0], slope=True)
+
+
+@pytest.mark.parametrize("evaluate", [lambda P, s: kh._phi(P, [s], slope=True),
+                                      fixed_point_map], ids=["slope", "fixed_point_map"])
+def test_phi_names_a_negative_s_and_an_overflowing_coefficient(evaluate):
+    # with slope=True the row a + s*b is built in the transform buffer, not in F
+    g = unit_grid(8)
+    P = Problem(ScalarField.full(g, 1.0), ScalarField.full(g, 1e20), ScalarField.full(g, 1.0))
+    with pytest.raises(ValueError, match=r"^nonlocal scalar must be nonnegative, got -0\.5$"):
+        evaluate(P, -0.5)
+    with pytest.raises(ValueError, match=r"^frozen coefficient a \+ s\*b is not a finite double "
+                                         r"at s = 1e\+300 \(max b = 1e\+20\)$"):
+        evaluate(P, 1e300)
 
 
 @pytest.mark.parametrize("n_samples", [16, 64, 256])
@@ -575,13 +587,12 @@ def test_scan_hit_root_is_polished(off):
 
 
 def _scan_synthetic_phi(monkeypatch, phi, dphi, n_samples):
-    """The scan over [0, 1] with Phi replaced by phi(s) and its slope by dphi(s): in
-    the sampler, and in the kernel that refinement calls."""
+    """The scan over [0, 1] with Phi replaced by phi(s) and its slope by dphi(s) in
+    _phi, which the samples and refinement call."""
     def kernel(P, ss, slope=False):
         ss = np.asarray(ss, dtype=float)
         return np.append(phi(ss), dphi(ss[0])) if slope else phi(ss)
 
-    monkeypatch.setattr(kh, "_sample_phi", kernel)
     monkeypatch.setattr(kh, "_phi", kernel)
     g = unit_grid(4)
     return fixed_point_scan(constant_problem(g, ScalarField.zeros(g)), n_samples,

@@ -69,6 +69,10 @@ def runs(work: Path) -> list:
             out += [(f"{label}-{n}", sized(config, n), args) for args in ALL_FIVE]
     # its scan works in blocks of 2 samples; those of the runs above hold 56, 32 and 8
     out.append(("readme-128", sized(readme, 128), ("solve",)))
+    # a user ceiling in place of the provable one: the scan skips its check atop the bracket
+    override = sized(readme, 32).replace("# s_max_override = 10", "s_max_override = 10")
+    assert override.count("\ns_max_override = 10") == 1, "README's s_max_override line moved"
+    out.append(("override-32", override, ("solve",)))
     json_only = sized(readme, 16).replace("formats = csv,json,fields", "formats = json")
     assert json_only.count("formats = json\n") == 1, "README's formats line moved"
     out += [("json-16", json_only, args) for args in ALL_FIVE[:3]]
