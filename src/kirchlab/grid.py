@@ -150,11 +150,12 @@ class FaceField:
             raise ValueError("face field contains non-finite values")
 
 
-def _ghost_difference(U: np.ndarray, axis: int) -> np.ndarray:
+def _ghost_difference(U: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Differences along axis of U against a zero slab at both ends: the bits of
-    np.diff with prepend=0 and append=0, written slab by slab into one array."""
+    np.diff with prepend=0 and append=0, written slab by slab into one array,
+    out when given (of U's shape but one longer along axis)."""
     axis %= U.ndim
-    d = np.empty(U.shape[:axis] + (U.shape[axis] + 1,) + U.shape[axis + 1:])
+    d = np.empty(U.shape[:axis] + (U.shape[axis] + 1,) + U.shape[axis + 1:]) if out is None else out
     D, V = d.swapaxes(axis, 0), U.swapaxes(axis, 0)
     D[0] = V[0]
     np.subtract(V[1:], V[:-1], out=D[1:-1])

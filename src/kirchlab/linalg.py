@@ -102,18 +102,37 @@ def _face_weights(g: Grid, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (_face_mean(W, 2) / g.hx ** 2)[..., None], (_face_mean(W, 1) / g.hy ** 2)[..., None]
 
 
-def _weighted_laplacian(g: Grid, wx: np.ndarray, wy: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _weighted_laplacian(g: Grid, wx: np.ndarray, wy: np.ndarray, X: np.ndarray,
+                        buffers: tuple | None = None) -> np.ndarray:
     """apply_weighted_laplacian of each (n, m) block of the (k, n, m) stack X, block i
-    with the face weights wx[i], wy[i] of _face_weights; no checks."""
-    X4 = X.reshape(len(X), g.ny, g.nx, -1)
-    fx, fy = _ghost_difference(X4, 2), _ghost_difference(X4, 1)
+    with the face weights wx[i], wy[i] of _face_weights; no checks.  The face
+    differences, the result and a temporary go into the leading part of buffers
+    (from _stencil_buffers for at least k blocks of m columns), so the result is a
+    view that the next call with the same buffers overwrites."""
+    k, m = len(X), X.shape[-1]
+    bx, by, bax, bdy = _stencil_buffers(g, k, m) if buffers is None else buffers
+    X4 = X.reshape(k, g.ny, g.nx, m)
+    fx = _ghost_difference(X4, 2, out=_leading(bx, (k, g.ny, g.nx + 1, m)))
+    fy = _ghost_difference(X4, 1, out=_leading(by, (k, g.ny + 1, g.nx, m)))
     fx *= wx
     fy *= wy
-    # -((fx[1:] - fx[:-1]) + (fy[1:] - fy[:-1])) in one stack-sized buffer
-    AX = fx[:, :, 1:] - fx[:, :, :-1]
-    AX += fy[:, 1:] - fy[:, :-1]
+    # -((fx[1:] - fx[:-1]) + (fy[1:] - fy[:-1]))
+    AX = np.subtract(fx[:, :, 1:], fx[:, :, :-1], out=_leading(bax, X4.shape))
+    AX += np.subtract(fy[:, 1:], fy[:, :-1], out=_leading(bdy, X4.shape))
     np.negative(AX, out=AX)
     return AX.reshape(X.shape)
+
+
+def _stencil_buffers(g: Grid, k: int, m: int) -> tuple:
+    """Flat scratch arrays for _weighted_laplacian on up to k blocks of m columns:
+    its x- and y-face differences, its result and its y-difference temporary."""
+    return tuple(np.empty(k * m * size) for size in
+                 (g.ny * (g.nx + 1), (g.ny + 1) * g.nx, g.n_nodes, g.n_nodes))
+
+
+def _leading(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """The leading part of the flat buffer as a C-contiguous array of the given shape."""
+    return buffer[:math.prod(shape)].reshape(shape)
 
 
 def lobpcg_smallest_positive(w: ScalarField, B: np.ndarray) -> tuple[float, np.ndarray, int, float]:
@@ -153,11 +172,13 @@ def _lobpcg_stack(g: Grid, W: np.ndarray, B: np.ndarray, where: list[str]) -> li
 
     Pencil i has the node weight W[i] > 0 (the stencil takes its face averages,
     built once per stack) and the pencil weight B[i], positive somewhere; W and B
-    are (k, n).  Each step normalizes the columns of [x, w, p] (Ritz vector,
-    preconditioned residual, previous direction), orthonormalizes them by
-    Householder QR, and does the Rayleigh-Ritz step on that 3-column basis with
-    the Cholesky factor of its A-Gram matrix: one sine solve and three stencil
+    are (k, n).  Each step scales the columns of [x, w, p] (Ritz vector,
+    preconditioned residual, previous direction) to unit norm and does the
+    Rayleigh-Ritz step on that 3-column basis with the Cholesky factor of its
+    A-Gram matrix, orthonormalizing a pencil's basis by Householder QR only when
+    that factor fails (_rayleigh_ritz): one sine solve and three stencil
     applications per pencil, each numpy call taking the whole (k, n, 3) stack.
+    The stencil writes into buffers allocated once per call.
     The residual r is preconditioned by s * L^-1 (s * r) with s = 1/sqrt(W) and L
     the Poisson operator: symmetric positive definite by congruence, and closer to
     A^-1 than L^-1 alone where W varies.  The start vector is the lowest sine
@@ -171,6 +192,7 @@ def _lobpcg_stack(g: Grid, W: np.ndarray, B: np.ndarray, where: list[str]) -> li
     """
     k = len(B)
     wx, wy = _face_weights(g, W)
+    buffers = _stencil_buffers(g, k, 3)
     scale = 1.0 / np.sqrt(W)
     live = np.arange(k)
     results = [None] * k
@@ -178,7 +200,7 @@ def _lobpcg_stack(g: Grid, W: np.ndarray, B: np.ndarray, where: list[str]) -> li
     Sy, Sx = _sine_basis(g)[:2]          # start: the lowest sine mode, positive
     S = np.tile(np.outer(Sy[:, 0], Sx[:, 0]).reshape(-1, 1), (k, 1, 1))
     for iteration in range(1, LOBPCG_MAX_ITER + 1):
-        mu, x, ax, p, failed = _rayleigh_ritz(g, wx, wy, B, S)
+        mu, x, ax, p, failed = _rayleigh_ritz(g, wx, wy, B, S, buffers)
         for i in np.flatnonzero(failed):
             results[live[i]] = KirchlabError(
                 f"Cholesky of the Gram matrix failed{where[live[i]]}")
@@ -205,26 +227,38 @@ def _lobpcg_stack(g: Grid, W: np.ndarray, B: np.ndarray, where: list[str]) -> li
     return results
 
 
-def _rayleigh_ritz(g: Grid, wx: np.ndarray, wy: np.ndarray, B: np.ndarray, S: np.ndarray):
-    """The Rayleigh-Ritz step of _lobpcg_stack on the (k, n, m) stack of bases S.
+def _rayleigh_ritz(g: Grid, wx: np.ndarray, wy: np.ndarray, B: np.ndarray, S: np.ndarray,
+                   buffers: tuple | None = None):
+    """The Rayleigh-Ritz step of _lobpcg_stack on the (k, n, m) stack S of bases of
+    unit columns, the stencil writing into buffers (see _weighted_laplacian).
+
+    With L the Cholesky factor of the A-Gram matrix S^T A S and (mu, z) the
+    largest eigenpair of C = L^-1 S^T diag(B) S L^-T, the Ritz vector is x = S y
+    and A x = (A S) y, y = L^-T z.  A pencil whose factor fails has its basis
+    orthonormalized by Householder QR and factored again, alone, so it keeps the
+    bits it gets alone.
 
     Returns mu (the largest Ritz value of each pencil), its Ritz vectors x and
-    A x as (k, n) stacks, p (the part of x outside the span of the first
-    column of S, None when S has one column) and the mask of pencils whose
-    A-Gram matrix is not positive definite.
+    A x as (k, n) stacks, p (x less its term along the first column of the
+    basis, None when S has one column) and the mask of pencils
+    whose A-Gram matrix is not positive definite even after the QR.
     """
-    Q = np.linalg.qr(S)[0]
-    AQ = _weighted_laplacian(g, wx, wy, Q)
-    QT = Q.transpose(0, 2, 1)
-    L, failed = _cholesky(QT @ AQ)
+    AS = _weighted_laplacian(g, wx, wy, S, buffers)
+    L, failed = _cholesky(S.transpose(0, 2, 1) @ AS)
+    retry = np.flatnonzero(failed)
+    if retry.size:
+        S = S.copy()
+        S[retry] = np.linalg.qr(S[retry])[0]
+        AS[retry] = _weighted_laplacian(g, wx[retry], wy[retry], S[retry])
+        L[retry], failed[retry] = _cholesky(S[retry].transpose(0, 2, 1) @ AS[retry])
     Linv = np.linalg.inv(L)
     LinvT = Linv.transpose(0, 2, 1)
-    C = Linv @ (QT @ (B[:, :, None] * Q)) @ LinvT
+    C = Linv @ (S.transpose(0, 2, 1) @ (B[:, :, None] * S)) @ LinvT
     mus, Z = np.linalg.eigh(0.5 * (C + C.transpose(0, 2, 1)))
     y = LinvT @ Z[:, :, -1:]
-    # p: the part of the new Ritz vector outside the span of the old one
-    p = (Q[:, :, 1:] @ y[:, 1:])[:, :, 0] if Q.shape[2] > 1 else None
-    return mus[:, -1], (Q @ y)[:, :, 0], (AQ @ y)[:, :, 0], p, failed
+    # p: the new Ritz vector less its term along the old one
+    p = (S[:, :, 1:] @ y[:, 1:])[:, :, 0] if S.shape[2] > 1 else None
+    return mus[:, -1], (S @ y)[:, :, 0], (AS @ y)[:, :, 0], p, failed
 
 
 def _next_basis(g: Grid, scale: np.ndarray, x: np.ndarray, r: np.ndarray, p) -> np.ndarray:
@@ -234,7 +268,7 @@ def _next_basis(g: Grid, scale: np.ndarray, x: np.ndarray, r: np.ndarray, p) -> 
     if p is not None:
         columns.append(p)
     # unit columns: at large alpha |B| ~ 1e-9, and residual directions that
-    # small would be swamped by the Ritz vector in the QR
+    # small would be swamped by the Ritz vector in the Gram matrices
     return np.stack([v / _row_norms(v)[:, None] for v in columns], axis=2)
 
 

@@ -371,6 +371,14 @@ def test_eigen_curve_steps_on_the_ramp():
     assert sum(p.iterations for p in curve.pairs) <= 70
 
 
+def test_eigen_curve_steps_per_alpha_on_the_tilted_ramp():
+    # the counts of the Rayleigh-Ritz step on the QR-orthonormalized basis,
+    # which the step on the unit-column basis keeps
+    c = field_from(unit_grid(24), lambda X, Y: 1.0 + 0.8 * X + 0.3 * Y)
+    curve = eigen_curve(c, np.logspace(-2, 2, 8))
+    assert [p.iterations for p in curve.pairs] == [10, 10, 10, 10, 10, 9, 9, 8]
+
+
 def test_eigen_curve_bound_and_gap_columns_match_their_functions():
     g = unit_grid(12)
     c = ramp_field(g)

@@ -326,19 +326,29 @@ def test_lobpcg_stack_gives_each_pencil_its_bits_alone(rng):
     assert len({out[2] for out in stacked}) > 1
 
 
+def failing_factors(*marks):
+    """_cholesky that marks marks[j] (a matrix index, or None for none) as failed
+    in its j-th call, and records the stack size of every call in .calls."""
+    def factor(G):
+        L, failed = _cholesky(G)
+        if len(factor.calls) < len(marks) and marks[len(factor.calls)] is not None:
+            failed[marks[len(factor.calls)]] = True
+        factor.calls.append(len(G))
+        return L, failed
+    factor.calls = []
+    return factor
+
+
 def test_lobpcg_stack_failures_stay_with_their_pencil(rng, monkeypatch):
     g = Grid.over_rectangle(13, 9, 1.0, 0.8)
     ws, W, B = random_pencils(g, rng, 3)
     alone = _lobpcg_stack(g, W, B, ["", "", ""])
 
-    def failing_second(G):
-        L, failed = _cholesky(G)
-        if len(G) == 3:                 # the first step, while all three are in
-            failed[1] = True
-        return L, failed
-
-    monkeypatch.setattr(linalg, "_cholesky", failing_second)
+    # pencil 1 fails the first step's factor and the one after its QR
+    factor = failing_factors(1, 0)
+    monkeypatch.setattr(linalg, "_cholesky", factor)
     first, second, third = _lobpcg_stack(g, W, B, ["", " at pencil 1", ""])
+    assert factor.calls[:2] == [3, 1]
     assert type(second) is KirchlabError
     assert str(second) == "Cholesky of the Gram matrix failed at pencil 1"
     assert same_bits(first, alone[0]) and same_bits(third, alone[2])
@@ -350,6 +360,36 @@ def test_lobpcg_stack_failures_stay_with_their_pencil(rng, monkeypatch):
         assert isinstance(out, NoConvergence)
         assert str(out).endswith(f"after 2 iterations at {name}")
         assert out.iterate.shape == (g.n_nodes,)
+
+
+def test_lobpcg_stack_redoes_a_failed_factor_after_qr(rng, monkeypatch):
+    g = Grid.over_rectangle(13, 9, 1.0, 0.8)
+    ws, W, B = random_pencils(g, rng, 3)
+    alone = _lobpcg_stack(g, W, B, ["", "", ""])
+    # the first factor fails on pencil 1 only: it takes the QR path and converges
+    monkeypatch.setattr(linalg, "_cholesky", failing_factors(0, None))
+    solo = _lobpcg_stack(g, W[1:2], B[1:2], [""])[0]
+    factor = failing_factors(1, None)
+    monkeypatch.setattr(linalg, "_cholesky", factor)
+    stacked = _lobpcg_stack(g, W, B, ["", "", ""])
+    assert factor.calls[:2] == [3, 1]
+    assert same_bits(stacked[1], solo) and not same_bits(stacked[1], alone[1])
+    assert solo[0] == pytest.approx(alone[1][0], rel=1e-12)
+    assert same_bits(stacked[0], alone[0]) and same_bits(stacked[2], alone[2])
+
+
+def test_lobpcg_stack_steps_share_the_stencil_buffers(rng, monkeypatch):
+    g = Grid.over_rectangle(13, 9, 1.0, 0.8)
+    ws, W, B = random_pencils(g, rng, 3)
+    outputs, apply = [], linalg._weighted_laplacian
+
+    def recorded(*args):
+        outputs.append(apply(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(linalg, "_weighted_laplacian", recorded)
+    _lobpcg_stack(g, W, B, ["", "", ""])
+    assert len(outputs) > 2 and np.shares_memory(outputs[0], outputs[1])
 
 
 def test_cholesky_of_a_stack_marks_the_indefinite_matrices(rng):
