@@ -228,7 +228,7 @@ def _lobpcg_stack(g: Grid, W: np.ndarray, B: np.ndarray, where: list[str]) -> li
 
 
 def _rayleigh_ritz(g: Grid, wx: np.ndarray, wy: np.ndarray, B: np.ndarray, S: np.ndarray,
-                   buffers: tuple | None = None):
+                   buffers: tuple):
     """The Rayleigh-Ritz step of _lobpcg_stack on the (k, n, m) stack S of bases of
     unit columns, the stencil writing into buffers (see _weighted_laplacian).
 
