@@ -327,11 +327,11 @@ def test_lobpcg_stack_gives_each_pencil_its_bits_alone(rng):
 
 
 def failing_factors(*marks):
-    """_cholesky that marks marks[j] (a matrix index, or None for none) as failed
-    in its j-th call, and records the stack size of every call in .calls."""
+    """_cholesky that marks matrix marks[j] as failed in its j-th call, and records
+    the stack size of every call in .calls."""
     def factor(G):
         L, failed = _cholesky(G)
-        if len(factor.calls) < len(marks) and marks[len(factor.calls)] is not None:
+        if len(factor.calls) < len(marks):
             failed[marks[len(factor.calls)]] = True
         factor.calls.append(len(G))
         return L, failed
@@ -367,9 +367,9 @@ def test_lobpcg_stack_redoes_a_failed_factor_after_qr(rng, monkeypatch):
     ws, W, B = random_pencils(g, rng, 3)
     alone = _lobpcg_stack(g, W, B, ["", "", ""])
     # the first factor fails on pencil 1 only: it takes the QR path and converges
-    monkeypatch.setattr(linalg, "_cholesky", failing_factors(0, None))
+    monkeypatch.setattr(linalg, "_cholesky", failing_factors(0))
     solo = _lobpcg_stack(g, W[1:2], B[1:2], [""])[0]
-    factor = failing_factors(1, None)
+    factor = failing_factors(1)
     monkeypatch.setattr(linalg, "_cholesky", factor)
     stacked = _lobpcg_stack(g, W, B, ["", "", ""])
     assert factor.calls[:2] == [3, 1]
