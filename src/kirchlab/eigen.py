@@ -63,14 +63,16 @@ def weight_flux(c: ScalarField, alpha: float) -> FaceField:
     for axis, h in ((1, g.hx), (0, g.hy)):
         # past alpha ~ 1.3e154 the square is inf and the flux 0, whose true size
         # is below |dc/h| * 5.6e-309.  The end faces' ghost quotients, replaced
-        # below, may overflow; FaceField refuses an inner face that is not finite
+        # below, may overflow, and where (c + alpha)^2 underflows to 0 so do the
+        # inner faces and their extrapolation; FaceField refuses a face that is
+        # not finite
         with np.errstate(all="ignore"):
             f = _ghost_difference(c.mat, axis) / h / (_face_mean(c.mat, axis) + alpha) ** 2
-        F = f.swapaxes(axis, 0)       # the n + 1 faces of n nodes along axis
-        if len(F) >= 4:
-            F[0], F[-1] = 2.0 * F[1] - F[2], 2.0 * F[-2] - F[-3]
-        else:
-            F[0], F[-1] = (F[1], F[1]) if len(F) == 3 else (0.0, 0.0)
+            F = f.swapaxes(axis, 0)       # the n + 1 faces of n nodes along axis
+            if len(F) >= 4:
+                F[0], F[-1] = 2.0 * F[1] - F[2], 2.0 * F[-2] - F[-3]
+            else:
+                F[0], F[-1] = (F[1], F[1]) if len(F) == 3 else (0.0, 0.0)
         faces.append(f)
     return FaceField(g, *faces)
 

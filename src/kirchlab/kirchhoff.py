@@ -136,26 +136,45 @@ def solve_frozen(P: Problem, s: float) -> ScalarField:
 
 def _phi(P: Problem, ss, slope: bool = False) -> np.ndarray:
     """Phi(s) for each s of the nondecreasing ss from the forward sine transform
-    alone: the one definition of Phi, whose arithmetic is _phi_core's.
+    alone: the one definition of Phi.
 
+    With f_s = h/(a + s*b) and L the five-point Dirichlet operator, the Green
+    identity gives Phi(s) = E[L^-1 f_s] = area <f_s, L^-1 f_s>, which in the
+    sine basis is area * sum fh^2 / (ly + lx) with fh = Sy F Sx the sine
+    coefficients of the (ny, nx) matrix F of f_s (Buzbee, Golub & Nielson 1970).
     Works in blocks of max(1, SCAN_NODES // n) samples in two buffers allocated
-    once per call; with slope=True, ss holds one s and the result is (Phi(s),
-    Phi'(s)).  Keeps _frozen_coefficients' checks block by block, and raises a
-    ValueError naming the first s whose energy (or slope) does not fit in a double.
+    once per call; a block's rows go through one stacked transform, and each gets
+    the bits it gets alone.  With slope=True, ss holds one s, the stack gains the
+    row beta*f_s with beta = b/(a + s*b), and the result is (Phi(s), Phi'(s)),
+    Phi'(s) = -2 area * sum (beta f_s)h * fh / (ly + lx).  Keeps
+    _frozen_coefficients' checks block by block, and raises a ValueError naming
+    the first s whose energy (or slope) does not fit in a double.
     """
     g = P.grid
+    Sy, Sx, _, _, weight = _sine_basis(g)
     ss = np.asarray(ss, dtype=float)
     width = 1 if slope else min(max(1, SCAN_NODES // g.n_nodes), ss.size)
     F, T = np.empty((width + slope, g.ny, g.nx)), np.empty((width + slope, g.ny, g.nx))
-    # slope adds the row beta*f_s; a + s*b then goes in T, since F[0] gets h/m first
-    rows = (T if slope else F).reshape(width + slope, -1)
+    rows = F.reshape(width + slope, -1)
     phis = np.empty(ss.size + slope)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(0, ss.size, width):
             block = ss[j:j + width]
             k = block.size
             m = _frozen_coefficients(P, block, out=rows[:k])
-            phis[j:j + k + slope] = _phi_core(P, m, F[:k + slope], T[:k + slope], slope)
+            if slope:         # beta = b/m, in F[1] while F[0] still holds m
+                np.divide(P.b.values, m, out=rows[1:])
+            f = np.divide(P.h.values, m, out=m)
+            if slope:         # the row beta f_s
+                np.multiply(rows[1:], f, out=rows[1:])
+            np.matmul(Sy, F[:k + slope], out=T[:k + slope])
+            Fh = np.matmul(T[:k + slope], Sx, out=F[:k + slope])
+            # area / (ly + lx) scales the coefficients before they are squared, so
+            # only an energy that overflows itself overflows
+            WFh = np.multiply(Fh[:k], weight, out=T[:k])
+            phis[j:j + k] = np.multiply(Fh[:k], WFh, out=Fh[:k]).sum(axis=(-2, -1))
+            if slope:
+                phis[1] = -2.0 * np.multiply(Fh[1], WFh[0], out=T[1]).sum()
             finite = np.isfinite(phis[j:j + k])
             if not finite.all():
                 raise ValueError(f"gradient energy overflows a double at s = "
@@ -163,37 +182,6 @@ def _phi(P: Problem, ss, slope: bool = False) -> np.ndarray:
     if slope and not np.isfinite(phis[1]):
         raise ValueError(f"gradient energy slope Phi'(s) overflows a double at s = {ss[0]:.6g}")
     return phis
-
-
-def _phi_core(P: Problem, m: np.ndarray, F: np.ndarray, T: np.ndarray,
-              slope: bool = False) -> np.ndarray:
-    """Phi(s) for the k rows a + s*b of m, written through the (k, ny, nx)
-    buffers F and T, which F may share with m; no checks, callers silence overflow.
-
-    With f_s = h/(a + s*b) and L the five-point Dirichlet operator, the Green
-    identity gives Phi(s) = E[L^-1 f_s] = area <f_s, L^-1 f_s>, which in the
-    sine basis is area * sum fh^2 / (ly + lx) with fh = Sy F Sx the sine
-    coefficients of the (ny, nx) matrix F of f_s (Buzbee, Golub & Nielson 1970).
-    The rows go through one stacked transform, and each gets the bits it gets
-    alone.  With slope=True, m holds one row, which it loses, F and T hold two,
-    the stack gains the row beta*f_s with beta = b/(a + s*b), and the result is
-    (Phi(s), Phi'(s)), Phi'(s) = -2 area * sum (beta f_s)h * fh / (ly + lx).
-    """
-    Sy, Sx, _, _, weight = _sine_basis(P.grid)
-    k = len(m)
-    rows = F.reshape(len(F), -1)
-    # area / (ly + lx) scales the coefficients before they are squared, so only an
-    # energy that overflows itself overflows
-    np.divide(P.h.values, m, out=rows[:k])
-    if slope:                 # the row beta f_s = (b/m) f_s
-        np.multiply(np.divide(P.b.values, m, out=m), rows[:1], out=rows[1:])
-    np.matmul(Sy, F, out=T)
-    Fh = np.matmul(T, Sx, out=F)
-    WFh = np.multiply(Fh[:k], weight, out=T[:k])
-    phi = np.multiply(Fh[:k], WFh, out=Fh[:k]).sum(axis=(-2, -1))
-    if slope:
-        phi = np.append(phi, -2.0 * np.multiply(Fh[1], WFh[0], out=T[1]).sum())
-    return phi
 
 
 def fixed_point_map(P: Problem, s: float) -> float:
@@ -332,9 +320,13 @@ def _refine(P: Problem, s: float, lo: float, g_lo: float, hi: float, g_hi: float
     moves at most half as far as the step before it, the bracket's midpoint
     otherwise.  The iteration stops when |g| <= ROOT_RTOL*s, or at an s not
     strictly inside the bracket: the end with the smaller |g| once no double
-    lies between the ends, or a first point on an end.  _polish then takes one
-    last Newton step.  Raises NoConvergence naming the bracket after REFINE_MAX
-    evaluations: an unverified point is never a root.
+    lies between the ends, or a first point on an end.  One more Newton step then
+    polishes s, kept when it stays strictly inside [lo, hi] and lowers |g|.  Newton
+    converges quadratically, so a root that just met ROOT_RTOL usually drops to
+    roundoff, and s then agrees with the energy of its frozen solve to about
+    1e-15.  The step costs one evaluation, counted either way.  Raises
+    NoConvergence naming the bracket after REFINE_MAX evaluations: an unverified
+    point is never a root.
     """
     width = hi - lo
     for evals in range(1, REFINE_MAX + 1):
@@ -342,7 +334,12 @@ def _refine(P: Problem, s: float, lo: float, g_lo: float, hi: float, g_hi: float
         g = phi - s
         newton = s - g / (dphi - 1.0) if dphi != 1.0 else math.nan
         if abs(g) <= ROOT_RTOL * s or not lo < s < hi:
-            return _polish(P, lo, hi, s, g, dphi, newton, evals)
+            if not (lo < newton < hi and newton != s):
+                return s, dphi, evals
+            phi, dphi_new = (float(v) for v in _phi(P, [newton], slope=True))
+            if abs(phi - newton) < abs(g):
+                return newton, dphi_new, evals + 1
+            return s, dphi, evals + 1
         if (g > 0.0) == (g_lo > 0.0):
             lo, g_lo = s, g
         else:
@@ -355,21 +352,6 @@ def _refine(P: Problem, s: float, lo: float, g_lo: float, hi: float, g_hi: float
                 s = lo if abs(g_lo) <= abs(g_hi) else hi
     raise NoConvergence(f"root refinement left |Phi(s) - s| above {ROOT_RTOL:g}*s after "
                         f"{REFINE_MAX} evaluations; the root lies in [{lo:.17g}, {hi:.17g}]")
-
-
-def _polish(P: Problem, lo: float, hi: float, s: float, g: float, dphi: float,
-            newton: float, evals: int) -> tuple:
-    """One more Newton step, to newton, from a refined root s with g = Phi(s) - s,
-    as (s, Phi'(s), evaluations), kept when it stays strictly inside [lo, hi] and
-    lowers |g|.  Newton converges quadratically, so a root that just met
-    ROOT_RTOL usually drops to roundoff, and s then agrees with the energy of its
-    frozen solve to about 1e-15.  The step costs one evaluation, counted either way."""
-    if not (lo < newton < hi and newton != s):
-        return s, dphi, evals
-    phi, dphi_new = (float(v) for v in _phi(P, [newton], slope=True))
-    if abs(phi - newton) < abs(g):
-        return newton, dphi_new, evals + 1
-    return s, dphi, evals + 1
 
 
 def jacobian_functional(P: Problem, u: ScalarField) -> float:

@@ -2,7 +2,7 @@
 
 Three pieces: an exact Dirichlet Poisson solve by the discrete sine
 transform, whose basis is built once per grid and shared with
-kirchhoff._phi_core; the weighted Dirichlet Laplacian u -> -div(w grad u),
+kirchhoff._phi; the weighted Dirichlet Laplacian u -> -div(w grad u),
 applied matrix-free to a block of vectors; and the principal eigenpair of the
 pencil A x = lambda diag(B) x (A that weighted Laplacian, B an indefinite
 weight) by single-vector LOBPCG preconditioned with the w-scaled Poisson solve,
@@ -37,7 +37,7 @@ class NoConvergence(KirchlabError):
 def _sine_basis(grid: Grid) -> tuple:
     """(Sy, Sx, ly, lx, weight): the orthonormal symmetric sine matrices of the 1-D
     Dirichlet second differences along y and x, their eigenvalues, and the energy
-    weight area / (ly + lx) of kirchhoff._phi_core, an (ny, nx) matrix.
+    weight area / (ly + lx) of kirchhoff._phi, an (ny, nx) matrix.
 
     Cached per grid and shared by every caller, so every array is read-only; the
     two axes share one matrix when their node counts and widths match.

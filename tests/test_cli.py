@@ -721,6 +721,19 @@ def test_overflowing_ratio_exits_3_without_warnings(tmp_path, capsys, command):
                                        "(max a = 1e+300, min b = 1e-10)\n")
 
 
+def test_eigen_underflowing_squared_shift_exits_3_without_warnings(tmp_path, capsys):
+    # (c + alpha)^2 underflows to 0, so the weight flux and its end-face
+    # extrapolation are not finite
+    cfg = write_config(tmp_path / "cfg.ini", coeffs="a = 1e-170*(1 + 0.8*x + 0.3*y)\nb = 1\nh = 1")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["eigen", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet",
+                     "--alphas", "1e-172,1e-170"])
+    assert code == 3
+    assert caught == []
+    assert capsys.readouterr().err == "numerical failure: face field contains non-finite values\n"
+
+
 # each failure that once had a class of its own, named by that class, and the
 # class its raise sites use now
 FOLDED_FAILURES = [

@@ -82,6 +82,14 @@ def test_weight_flux_vanishes_silently_where_the_square_overflows():
     assert (weight_flux(ramp, 1e150).xfaces > 0.0).all()
 
 
+def test_eigen_curve_refuses_a_ratio_whose_squared_shift_underflows():
+    # at 2^-600 the tilted ramp's (c + alpha)^2 underflows to 0: the inner fluxes
+    # are inf and their end-face extrapolation inf - inf, refused with no warning
+    c = field_from(unit_grid(24), lambda X, Y: 2.0 ** -600 * (1.0 + 0.8 * X + 0.3 * Y))
+    with pytest.raises(ValueError, match=r"^face field contains non-finite values$"):
+        eigen_curve(c, 2.0 ** -600 * np.logspace(-2, 2, 8))
+
+
 def test_principal_eigenpair_ramp():
     g = unit_grid(32)
     c = ramp_field(g)

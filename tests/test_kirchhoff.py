@@ -203,19 +203,35 @@ def test_scan_sign_test_without_products():
     assert abs(fixed_point_map(P, s) - s) <= kh.ROOT_RTOL * s
 
 
+def _spy_kernel_blocks(monkeypatch, events: list) -> None:
+    """Append ("phi" or "slope", rows) to events for each block of a _phi call:
+    the call's slope flag and the rows _frozen_coefficients builds for the block."""
+    phi, frozen, modes = kh._phi, kh._frozen_coefficients, []
+
+    def spy_phi(P, ss, slope=False):
+        modes.append("slope" if slope else "phi")
+        try:
+            return phi(P, ss, slope)
+        finally:
+            modes.pop()
+
+    def spy_frozen(P, ss, out=None):
+        if modes:   # a kernel block, not the coefficient of a frozen solve
+            events.append((modes[-1], len(ss)))
+        return frozen(P, ss, out)
+
+    monkeypatch.setattr(kh, "_phi", spy_phi)
+    monkeypatch.setattr(kh, "_frozen_coefficients", spy_frozen)
+
+
 def test_scan_zero_forcing(monkeypatch):
     # the ceiling is 0, so the scan samples the bracket [0, 0], whose root is s = 0;
     # its 64 samples are one s, which the sampler evaluates once
     g = unit_grid(8)
-    rows, core = [], kh._phi_core
-
-    def counting_core(P, m, F, T, slope=False):
-        rows.append((slope, len(m)))
-        return core(P, m, F, T, slope)
-
-    monkeypatch.setattr(kh, "_phi_core", counting_core)
+    rows = []
+    _spy_kernel_blocks(monkeypatch, rows)
     report = fixed_point_scan(constant_problem(g, ScalarField.zeros(g)), 64)
-    assert [n for slope, n in rows if not slope] == [1]
+    assert [n for kind, n in rows if kind == "phi"] == [1]
     assert report.s_max == 0.0
     assert report.samples == [(0.0, 0.0)] * 64
     assert len(report.roots) == 1
@@ -395,17 +411,13 @@ def test_scan_samples_are_block_kernel_calls(n_samples, rng, monkeypatch):
     # one 2-row kernel call per evaluation, and each root one frozen solve
     g = unit_grid(16)
     P = Problem(positive_random(g, rng), positive_random(g, rng), sign_changing(g, rng))
-    events, core = [], kh._phi_core
-
-    def counting_core(P, m, F, T, slope=False):
-        events.append(("slope" if slope else "phi", len(m)))
-        return core(P, m, F, T, slope)
+    events = []
 
     def counting_poisson(grid, rhs):
         events.append(("poisson", 1 if rhs.ndim == 1 else rhs.shape[1]))
         return poisson_solve(grid, rhs)
 
-    monkeypatch.setattr(kh, "_phi_core", counting_core)
+    _spy_kernel_blocks(monkeypatch, events)
     monkeypatch.setattr(kh, "poisson_solve", counting_poisson)
     report = fixed_point_scan(P, n_samples)
     block = max(1, kh.SCAN_NODES // g.n_nodes)
@@ -471,7 +483,6 @@ def test_phi_overflow_names_the_energy_and_s():
 @pytest.mark.parametrize("evaluate", [lambda P, s: kh._phi(P, [s], slope=True),
                                       fixed_point_map], ids=["slope", "fixed_point_map"])
 def test_phi_names_a_negative_s_and_an_overflowing_coefficient(evaluate):
-    # with slope=True the row a + s*b is built in the transform buffer, not in F
     g = unit_grid(8)
     P = Problem(ScalarField.full(g, 1.0), ScalarField.full(g, 1e20), ScalarField.full(g, 1.0))
     with pytest.raises(ValueError, match=r"^nonlocal scalar must be nonnegative, got -0\.5$"):

@@ -89,6 +89,10 @@ def runs(work: Path) -> list:
                              ("const-8", "0.1", ("certify",))):
         config = f"[grid]\nnx = 8\nny = 8\n\n[coefficients]\na = {a}\nb = 1\nh = 1\n"
         out += [(tag, config, (command,)) for command in commands]
+    # (c + alpha)^2 underflows to 0: the weight flux is not finite, and the run fails
+    tiny_ratio = ("[grid]\nnx = 24\nny = 24\n\n[coefficients]\n"
+                  "a = 1e-170*(1 + 0.8*x + 0.3*y)\nb = 1\nh = 1\n")
+    out.append(("tiny-ratio", tiny_ratio, ("eigen", "--alphas", "1e-172,1e-170")))
     return out
 
 
