@@ -174,10 +174,10 @@ def _lobpcg_stack(g: Grid, W: np.ndarray, B: np.ndarray, where: list[str]) -> li
     built once per stack) and the pencil weight B[i], positive somewhere; W and B
     are (k, n).  Each step scales the columns of [x, w, p] (Ritz vector,
     preconditioned residual, previous direction) to unit norm and does the
-    Rayleigh-Ritz step on that 3-column basis with the Cholesky factor of its
-    A-Gram matrix, orthonormalizing a pencil's basis by Householder QR only when
-    that factor fails (_rayleigh_ritz): one sine solve and three stencil
-    applications per pencil, each numpy call taking the whole (k, n, 3) stack.
+    Rayleigh-Ritz step on that 3-column basis whitened by the eigendecomposition
+    of its A-Gram matrix, less its numerically null directions (_rayleigh_ritz):
+    one sine solve and three stencil applications per pencil, each numpy call
+    taking the whole (k, n, 3) stack.
     The stencil writes into buffers allocated once per call.
     The residual r is preconditioned by s * L^-1 (s * r) with s = 1/sqrt(W) and L
     the Poisson operator: symmetric positive definite by congruence, and closer to
@@ -187,8 +187,8 @@ def _lobpcg_stack(g: Grid, W: np.ndarray, B: np.ndarray, where: list[str]) -> li
     its Ritz pair's residual reaches LOBPCG_TOL.
 
     Returns one entry per pencil: (lambda, x, iterations, residual) as
-    lobpcg_smallest_positive returns them, or the KirchlabError or
-    NoConvergence it failed with, its message ending in where[i].
+    lobpcg_smallest_positive returns them, or the NoConvergence it failed with,
+    its message ending in where[i].
     """
     k = len(B)
     wx, wy = _face_weights(g, W)
@@ -200,20 +200,17 @@ def _lobpcg_stack(g: Grid, W: np.ndarray, B: np.ndarray, where: list[str]) -> li
     Sy, Sx = _sine_basis(g)[:2]          # start: the lowest sine mode, positive
     S = np.tile(np.outer(Sy[:, 0], Sx[:, 0]).reshape(-1, 1), (k, 1, 1))
     for iteration in range(1, LOBPCG_MAX_ITER + 1):
-        mu, x, ax, p, failed = _rayleigh_ritz(g, wx, wy, B, S, buffers)
-        for i in np.flatnonzero(failed):
-            results[live[i]] = KirchlabError(
-                f"Cholesky of the Gram matrix failed{where[live[i]]}")
+        mu, x, ax, p = _rayleigh_ritz(g, wx, wy, B, S, buffers)
         r = B * x - mu[:, None] * ax
         pos = mu > 0.0
         rel[pos] = (np.linalg.norm(r[pos], axis=1)
                     / (mu[pos] * np.linalg.norm(ax[pos], axis=1)))
-        done = pos & (rel <= LOBPCG_TOL) & ~failed
+        done = pos & (rel <= LOBPCG_TOL)
         if done.any():
             pairs = _ritz_pairs(g, wx[done], wy[done], B[done], mu[done], x[done])
             for i, (lam, v, resid) in zip(live[done], pairs):
                 results[i] = (lam, v, iteration, resid)
-        keep = ~(done | failed)
+        keep = ~done
         if not keep.all():
             live, wx, wy, scale, B, rel, x, r = (
                 a[keep] for a in (live, wx, wy, scale, B, rel, x, r))
@@ -232,33 +229,28 @@ def _rayleigh_ritz(g: Grid, wx: np.ndarray, wy: np.ndarray, B: np.ndarray, S: np
     """The Rayleigh-Ritz step of _lobpcg_stack on the (k, n, m) stack S of bases of
     unit columns, the stencil writing into buffers (see _weighted_laplacian).
 
-    With L the Cholesky factor of the A-Gram matrix S^T A S and (mu, z) the
-    largest eigenpair of C = L^-1 S^T diag(B) S L^-T, the Ritz vector is x = S y
-    and A x = (A S) y, y = L^-T z.  A pencil whose factor fails has its basis
-    orthonormalized by Householder QR and factored again, alone, so it keeps the
-    bits it gets alone.
+    With (d, V) the eigendecomposition of the A-Gram matrix S^T A S, the basis is
+    whitened by Q = V diag(d)^-1/2 over the directions with d > m eps max(d), and
+    Q has zero columns along the others, which are numerically null (SVQB;
+    Duersch, Shao, Yang & Gu 2018).  With (mu, z) the largest eigenpair of
+    C = Q^T S^T diag(B) S Q, the Ritz vector is x = S y and A x = (A S) y, y = Q z.
+    No basis makes the step fail: a dependent one gives the Ritz pair of the span
+    it keeps.
 
     Returns mu (the largest Ritz value of each pencil), its Ritz vectors x and
-    A x as (k, n) stacks, p (x less its term along the first column of the
-    basis, None when S has one column) and the mask of pencils
-    whose A-Gram matrix is not positive definite even after the QR.
+    A x as (k, n) stacks, and p (x less its term along the first column of the
+    basis, None when S has one column).
     """
     AS = _weighted_laplacian(g, wx, wy, S, buffers)
-    L, failed = _cholesky(S.transpose(0, 2, 1) @ AS)
-    retry = np.flatnonzero(failed)
-    if retry.size:
-        S = S.copy()
-        S[retry] = np.linalg.qr(S[retry])[0]
-        AS[retry] = _weighted_laplacian(g, wx[retry], wy[retry], S[retry])
-        L[retry], failed[retry] = _cholesky(S[retry].transpose(0, 2, 1) @ AS[retry])
-    Linv = np.linalg.inv(L)
-    LinvT = Linv.transpose(0, 2, 1)
-    C = Linv @ (S.transpose(0, 2, 1) @ (B[:, :, None] * S)) @ LinvT
+    d, V = np.linalg.eigh(S.transpose(0, 2, 1) @ AS)
+    cut = S.shape[2] * np.finfo(float).eps * d[:, -1:]
+    Q = V / np.sqrt(np.where(d > cut, d, np.inf))[:, None, :]     # 0 where d <= cut
+    C = Q.transpose(0, 2, 1) @ (S.transpose(0, 2, 1) @ (B[:, :, None] * S)) @ Q
     mus, Z = np.linalg.eigh(0.5 * (C + C.transpose(0, 2, 1)))
-    y = LinvT @ Z[:, :, -1:]
+    y = Q @ Z[:, :, -1:]
     # p: the new Ritz vector less its term along the old one
     p = (S[:, :, 1:] @ y[:, 1:])[:, :, 0] if S.shape[2] > 1 else None
-    return mus[:, -1], (S @ y)[:, :, 0], (AS @ y)[:, :, 0], p, failed
+    return mus[:, -1], (S @ y)[:, :, 0], (AS @ y)[:, :, 0], p
 
 
 def _next_basis(g: Grid, scale: np.ndarray, x: np.ndarray, r: np.ndarray, p) -> np.ndarray:
@@ -270,22 +262,6 @@ def _next_basis(g: Grid, scale: np.ndarray, x: np.ndarray, r: np.ndarray, p) -> 
     # unit columns: at large alpha |B| ~ 1e-9, and residual directions that
     # small would be swamped by the Ritz vector in the Gram matrices
     return np.stack([v / _row_norms(v)[:, None] for v in columns], axis=2)
-
-
-def _cholesky(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factors of the stack G, and the mask of its matrices that are not
-    positive definite, whose factor is the identity instead."""
-    try:
-        return np.linalg.cholesky(G), np.zeros(len(G), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    L, failed = np.empty_like(G), np.zeros(len(G), dtype=bool)
-    for i, Gi in enumerate(G):
-        try:
-            L[i] = np.linalg.cholesky(Gi)
-        except np.linalg.LinAlgError:
-            L[i], failed[i] = np.eye(len(Gi)), True
-    return L, failed
 
 
 def _row_norms(V: np.ndarray) -> np.ndarray:

@@ -381,7 +381,7 @@ def test_eigen_curve_steps_on_the_ramp():
 
 def test_eigen_curve_steps_per_alpha_on_the_tilted_ramp():
     # the counts of the Rayleigh-Ritz step on the QR-orthonormalized basis,
-    # which the step on the unit-column basis keeps
+    # which the step whitened by the A-Gram eigendecomposition keeps
     c = field_from(unit_grid(24), lambda X, Y: 1.0 + 0.8 * X + 0.3 * Y)
     curve = eigen_curve(c, np.logspace(-2, 2, 8))
     assert [p.iterations for p in curve.pairs] == [10, 10, 10, 10, 10, 9, 9, 8]
