@@ -234,8 +234,8 @@ def _rayleigh_ritz(g: Grid, wx: np.ndarray, wy: np.ndarray, B: np.ndarray, S: np
     Q has zero columns along the others, which are numerically null (SVQB;
     Duersch, Shao, Yang & Gu 2018).  With (mu, z) the largest eigenpair of
     C = Q^T S^T diag(B) S Q, the Ritz vector is x = S y and A x = (A S) y, y = Q z.
-    No basis makes the step fail: a dependent one gives the Ritz pair of the span
-    it keeps.
+    No basis makes the step fail.  A dependent one gives the largest Ritz pair of
+    the span it keeps when its mu is positive, and mu = 0 with x = 0 when not.
 
     Returns mu (the largest Ritz value of each pencil), its Ritz vectors x and
     A x as (k, n) stacks, and p (x less its term along the first column of the

@@ -1,13 +1,15 @@
 """Print a digest of every file a fixed set of CLI runs writes.
 
-    python tools/output_digests.py [--src DIR]
+    python tools/output_digests.py [--src DIR] [--keep DIR]
 
 Imports kirchlab from DIR (default: this checkout's src/), runs each call of
 runs() through kirchlab.cli.main with --quiet into a temporary directory, and
 prints one line per run (tag, exit code, stderr) and one "sha256  path" line
 per output file.  Two commits write the same bytes when their printouts are
 identical; to compare a change with its parent, run it once as is and once
-with --src pointing at the src/ of a checkout of the parent.  BLAS is pinned
+with --src pointing at the src/ of a checkout of the parent.  --keep copies the
+output tree to DIR, so that tools/output_drift.py can compare two such trees
+where their digests differ.  BLAS is pinned
 to one thread before numpy loads, since another thread count may change the
 last digits of eigen outputs.
 """
@@ -18,6 +20,7 @@ import hashlib
 import io
 import os
 import re
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -100,7 +103,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory that holds the kirchlab package")
-    src = Path(parser.parse_args().src).resolve()
+    parser.add_argument("--keep", help="directory to copy the output tree to")
+    opts = parser.parse_args()
+    src = Path(opts.src).resolve()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"   # before kirchlab loads numpy
     sys.path[:0] = [str(src), str(ROOT / "tests")]
@@ -121,6 +126,8 @@ def main() -> None:
             if path.is_file():
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 print(f"{digest}  {path.relative_to(work / 'out').as_posix()}")
+        if opts.keep:
+            shutil.copytree(work / "out", opts.keep, dirs_exist_ok=True)
 
 
 if __name__ == "__main__":
